@@ -9,6 +9,7 @@ package; user-facing output (reports, messages) adds 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -77,6 +78,20 @@ def validate_arrays(C, a, tol: float = ROW_SUM_TOL) -> ValidationReport:
     if a.shape != (n,):
         out.append(Violation("shape", f"a must have length {n}, got {a.shape}"))
         return ValidationReport(tuple(out))
+    # NaN slips past every comparison below, so non-finite input stops here.
+    # A row holding inf or NaN has a non-finite sum: only those rows are scanned.
+    row_sums = C.sum(axis=1)
+    nonfinite = [
+        Violation("finite", f"C[{i + 1},{j + 1}] = {C[i, j]} is not finite", int(i))
+        for i in np.nonzero(~np.isfinite(row_sums))[0]
+        for j in np.nonzero(~np.isfinite(C[i]))[0]
+    ]
+    nonfinite += [
+        Violation("finite", f"a[{i + 1}] = {a[i]} is not finite", int(i))
+        for i in np.nonzero(~np.isfinite(a))[0]
+    ]
+    if nonfinite:
+        return ValidationReport(tuple(out + nonfinite))
     for i in range(n):
         if C[i, i] != 0.0:
             out.append(
@@ -87,7 +102,6 @@ def validate_arrays(C, a, tol: float = ROW_SUM_TOL) -> ValidationReport:
         out.append(
             Violation("nonnegative", f"C[{i + 1},{j + 1}] = {C[i, j]} is negative", int(i))
         )
-    row_sums = C.sum(axis=1)
     for i in range(n):
         if abs(row_sums[i] - 1.0) > tol:
             out.append(
@@ -111,6 +125,63 @@ def validate_arrays(C, a, tol: float = ROW_SUM_TOL) -> ValidationReport:
             Violation("not_all_fully_stubborn", "a is the zero vector; at least one a_i > 0 required")
         )
     return ValidationReport(tuple(out))
+
+
+@dataclass(frozen=True)
+class Adjacency:
+    """The positive entries of C: the one edge list every router reads.
+
+    Edge ``j -> i`` (``C[j, i] > 0``, node j accords weight to node i) sits
+    at one position of ``senders`` / ``receivers`` / ``weights``; edges are
+    sorted by (receiver, sender), so the edges into node ``i`` fill
+    ``offsets[i]:offsets[i + 1]``.  ``in_lists[i]`` and ``out_lists[i]`` hold
+    the same pattern as ascending tuples of ints for per-node Python loops;
+    they share one int object per node.
+    """
+
+    offsets: np.ndarray
+    senders: np.ndarray
+    receivers: np.ndarray
+    weights: np.ndarray
+    in_lists: tuple[tuple[int, ...], ...]
+    out_lists: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_matrix(cls, C: np.ndarray) -> "Adjacency":
+        """One O(n²) scan of C, then O(nnz log nnz) to index it both ways."""
+        n = C.shape[0]
+        out_src, out_dst = np.nonzero(C > 0.0)  # sorted by (sender, receiver)
+        by_receiver = np.argsort(out_dst, kind="stable")
+        senders, receivers = out_src[by_receiver], out_dst[by_receiver]
+        offsets = _offsets(receivers, n)
+        weights = C[senders, receivers]
+        for arr in (offsets, senders, receivers, weights):
+            arr.setflags(write=False)
+        nodes = np.array(range(n), dtype=object)  # one int object per node
+        return cls(
+            offsets=offsets,
+            senders=senders,
+            receivers=receivers,
+            weights=weights,
+            in_lists=_split(nodes[senders].tolist(), offsets),
+            out_lists=_split(nodes[out_dst].tolist(), _offsets(out_src, n)),
+        )
+
+    @property
+    def nnz(self) -> int:
+        return len(self.senders)
+
+
+def _offsets(owners: np.ndarray, n: int) -> np.ndarray:
+    """Start of each node's block in an edge list grouped by ``owners``."""
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owners, minlength=n), out=offsets[1:])
+    return offsets
+
+
+def _split(items: list, offsets: np.ndarray) -> tuple[tuple, ...]:
+    bounds = offsets.tolist()
+    return tuple(tuple(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -161,12 +232,18 @@ class InfluenceNetwork:
     def partially_stubborn(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.nonzero(self.a > 0.0)[0])
 
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        """Edge list of C, built on first use and kept (C never changes)."""
+        return Adjacency.from_matrix(self.C)
+
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes j with C[j, i] > 0, ascending."""
-        return tuple(int(j) for j in np.nonzero(self.C[:, i] > 0.0)[0])
+        return self.adjacency.in_lists[i]
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.nonzero(self.C[i, :] > 0.0)[0])
+        """Nodes j with C[i, j] > 0, ascending."""
+        return self.adjacency.out_lists[i]
 
 
 def validate_network(net: InfluenceNetwork) -> ValidationReport:
@@ -197,9 +274,12 @@ def classify_topology(net: InfluenceNetwork) -> TopologyClass:
     When several nodes qualify as center (only possible for n = 2) the
     lowest-index one wins.
     """
-    edges = list(zip(*np.nonzero(net.C > 0.0)))
-    for c in range(net.n):
-        if all(i == c or j == c for i, j in edges):
+    adj = net.adjacency
+    senders, receivers = adj.senders, adj.receivers
+    # a center touches every edge, so only the ends of one edge can qualify
+    candidates = sorted({int(senders[0]), int(receivers[0])}) if adj.nnz else range(net.n)
+    for c in candidates:
+        if np.all((senders == c) | (receivers == c)):
             if net.a[c] == 0.0:
                 return TopologyClass(STAR_FULL_CENTER, c)
             return TopologyClass(STAR_PARTIAL_CENTER, c)
@@ -305,9 +385,7 @@ def has_stubborn_path(net: InfluenceNetwork, src: int, dst: int) -> bool:
         for v in partial_hops:
             reached[v] = True
         # need some partially stubborn u on the reach set with an edge back
-        return any(
-            reached[u] and net.a[u] > 0.0 and net.C[u, src] > 0.0 for u in range(net.n)
-        )
+        return any(reached[u] and net.a[u] > 0.0 for u in net.in_neighbors(src))
     if net.C[src, dst] > 0.0:
         return True
     mids = [v for v in net.out_neighbors(src) if net.a[v] > 0.0 and v != dst]
@@ -316,9 +394,7 @@ def has_stubborn_path(net: InfluenceNetwork, src: int, dst: int) -> bool:
     reached = _reachable_through_partial(net, mids)
     for v in mids:
         reached[v] = True
-    return any(
-        reached[u] and net.a[u] > 0.0 and net.C[u, dst] > 0.0 for u in range(net.n) if u != dst
-    )
+    return any(reached[u] and net.a[u] > 0.0 for u in net.in_neighbors(dst) if u != dst)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ scalar per-node versions the round-based simulator runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -266,45 +267,43 @@ class LocalView:
     gamma: Optional[float]
     neighbors: tuple[NeighborInfo, ...]
 
-    @property
+    @cached_property
     def in_neighbor_ids(self) -> tuple[int, ...]:
         return tuple(nb.node for nb in self.neighbors)
+
+    @cached_property
+    def sender_set(self) -> frozenset[int]:
+        """The only senders an inbox may hold, as a set."""
+        return frozenset(self.in_neighbor_ids)
 
 
 def build_local_views(
     net: InfluenceNetwork, gamma: Optional[np.ndarray] = None
 ) -> tuple[LocalView, ...]:
-    """One view per node; pass ``gamma`` only for the fixed-self-weight mode."""
-    g = None if gamma is None else np.asarray(gamma, dtype=float)
+    """One view per node; pass ``gamma`` only for the fixed-self-weight mode.
+
+    Reads the network's cached adjacency, so the cost is O(n + nnz).
+    """
+    adj = net.adjacency
+    a = net.a.tolist()
+    g = [None] * net.n if gamma is None else np.asarray(gamma, dtype=float).tolist()
+    weights = adj.weights.tolist()
     views = []
-    for i in range(net.n):
+    for i, (senders, lo) in enumerate(zip(adj.in_lists, adj.offsets.tolist())):
         nbrs = tuple(
-            NeighborInfo(
-                node=j,
-                a=float(net.a[j]),
-                weight=float(net.C[j, i]),
-                gamma=None if g is None else float(g[j]),
-            )
-            for j in net.in_neighbors(i)
+            NeighborInfo(node=j, a=a[j], weight=w, gamma=g[j])
+            for j, w in zip(senders, weights[lo:lo + len(senders)])
         )
-        views.append(
-            LocalView(
-                node=i,
-                n=net.n,
-                a=float(net.a[i]),
-                gamma=None if g is None else float(g[i]),
-                neighbors=nbrs,
-            )
-        )
+        views.append(LocalView(node=i, n=net.n, a=a[i], gamma=g[i], neighbors=nbrs))
     return tuple(views)
 
 
 def _neighbor_values(view: LocalView, inbox: Mapping[int, float]) -> list[float]:
     """Inbox values in ascending-neighbor order, after checking the inbox
     holds exactly one value per in-neighbor and nothing else."""
-    expected = set(view.in_neighbor_ids)
-    got = set(inbox)
-    if got != expected:
+    if inbox.keys() != view.sender_set:
+        expected = view.sender_set
+        got = set(inbox)
         extra = sorted(got - expected)
         missing = sorted(expected - got)
         raise ViewViolationError(
@@ -312,7 +311,7 @@ def _neighbor_values(view: LocalView, inbox: Mapping[int, float]) -> list[float]
             f"unexpected senders {[k + 1 for k in extra]}, "
             f"missing senders {[k + 1 for k in missing]}"
         )
-    return [float(inbox[nb.node]) for nb in view.neighbors]
+    return [float(inbox[j]) for j in view.in_neighbor_ids]
 
 
 def local_step_no_ra(view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:

@@ -143,6 +143,9 @@ def _vector(raw, n: int, label: str) -> np.ndarray:
         _fail(f"{label} is not a numeric vector: {exc}")
     if v.shape != (n,):
         _fail(f"{label} must have length {n}, got shape {v.shape}")
+    bad = np.nonzero(~np.isfinite(v))[0]
+    if bad.size:
+        _fail(f"{label} must be finite; entry {bad[0] + 1} is {v[bad[0]]}")
     return v
 
 

@@ -13,6 +13,7 @@ captured in the summaries so a batch never aborts midway.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,10 +24,7 @@ from .perception import (
     DEFAULT_DIVERGENCE_BOUND,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    CONVERGED,
-    DIVERGED,
     ISSUE,
-    MAX_ITER,
     LocalView,
     Trajectory,
     build_local_views,
@@ -34,6 +32,7 @@ from .perception import (
     local_step_homogeneous,
     local_step_no_ra,
     local_step_ra,
+    run_to_convergence,
 )
 
 MODE_NO_RA = "no_ra"
@@ -97,13 +96,19 @@ def make_agents(
 def deliver(net: InfluenceNetwork, agents: Sequence[Agent]) -> int:
     """Broadcast phase: each agent's estimate reaches its out-neighbors.
 
+    Walks the network's cached out-lists, so a round costs O(n + nnz).
+    ``agents[k]`` must be node k's agent, as :func:`make_agents` builds them.
     Returns the number of messages delivered (one per directed edge).
     """
+    out_lists = net.adjacency.out_lists
+    inboxes = [ag.inbox for ag in agents]
     count = 0
     for ag in agents:
-        for k in net.out_neighbors(ag.node):
-            agents[k].inbox[ag.node] = ag.p
-            count += 1
+        node, value = ag.node, ag.p
+        targets = out_lists[node]
+        for k in targets:
+            inboxes[k][node] = value
+        count += len(targets)
     return count
 
 
@@ -135,29 +140,22 @@ def run_distributed(
 ) -> Trajectory:
     """Run the round-based simulation until the usual stop rules fire.
 
-    Mirrors the centralized steppers' semantics: CONVERGED on a sup-norm
-    increment below ``tol``, DIVERGED past ``divergence_bound``, MAX_ITER
-    otherwise.  Per-agent sums run over ascending in-neighbor ids with the
-    same term association as the vectorized steppers, so trajectories
-    reproduce theirs bit-for-bit, even along diverging runs.
+    The stop rules are :func:`~fjpower.perception.run_to_convergence`'s, driven
+    one round per step, so ``tol`` and ``max_iter`` are checked the same way.
+    Per-agent sums run over ascending in-neighbor ids with the same term
+    association as the vectorized steppers, so trajectories reproduce theirs
+    bit-for-bit, even along diverging runs.
     """
     agents = make_agents(net, mode, p0, gamma)
-    p = np.array([ag.p for ag in agents])
-    states = [p]
-    status = MAX_ITER
-    if np.any(np.abs(p) > divergence_bound):
-        return Trajectory(np.array(states), DIVERGED, timescale, tol)
-    for index in range(max_iter):
-        snapshot = run_round(net, agents, mode, index).post_state
-        states.append(snapshot)
-        if np.any(np.abs(snapshot) > divergence_bound):
-            status = DIVERGED
-            break
-        if np.max(np.abs(snapshot - p)) < tol:
-            status = CONVERGED
-            break
-        p = snapshot
-    return Trajectory(np.array(states), status, timescale, tol)
+    rounds = itertools.count()
+
+    def one_round(_p: np.ndarray) -> np.ndarray:
+        # the agents hold the state; the driver's copy is only compared
+        return run_round(net, agents, mode, next(rounds)).post_state
+
+    return run_to_convergence(
+        one_round, [ag.p for ag in agents], tol, max_iter, divergence_bound, timescale
+    )
 
 
 def run_batch(scenarios: Sequence, parallelism: int = 1, out_dir=None) -> list:

@@ -70,6 +70,23 @@ def test_shape_and_size_violations():
     assert "shape" in [v.name for v in report.violations]
 
 
+def test_non_finite_interaction_weight_is_reported():
+    nan_edge = [[0.0, 0.5, float("nan")], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
+    report = validate_arrays(nan_edge, [0.3, 0.2, 0.1])
+    assert [v.name for v in report.violations] == ["finite"]
+    assert report.violations[0].index == 0
+    assert "C[1,3]" in report.violations[0].message
+    with pytest.raises(ValueError, match="finite"):
+        InfluenceNetwork(C=np.array(nan_edge), a=np.array([0.3, 0.2, 0.1]))
+
+
+def test_non_finite_susceptibility_is_reported():
+    report = validate_arrays([[0.0, 1.0], [1.0, 0.0]], [0.3, float("inf")])
+    assert [v.name for v in report.violations] == ["finite"]
+    assert report.violations[0].index == 1
+    assert "a[2]" in report.violations[0].message
+
+
 def test_constructor_raises_on_invalid_pair():
     with pytest.raises(ValueError, match="row_stochastic|sums to"):
         InfluenceNetwork(C=np.array([[0.0, 0.99], [1.0, 0.0]]), a=np.array([0.3, 0.2]))
@@ -100,6 +117,20 @@ def test_neighbor_queries(anchored_net):
     assert anchored_net.out_neighbors(2) == (0, 1)
     assert anchored_net.fully_stubborn == (0,)
     assert anchored_net.partially_stubborn == (1, 2)
+
+
+def test_adjacency_is_built_on_first_use_and_kept(anchored_net):
+    assert "adjacency" not in vars(anchored_net)
+    adj = anchored_net.adjacency
+    assert anchored_net.adjacency is adj
+    # edges j -> i sorted by (receiver i, sender j), with per-receiver offsets
+    assert adj.receivers.tolist() == [0, 1, 1, 2, 2]
+    assert adj.senders.tolist() == [2, 0, 2, 0, 1]
+    assert adj.offsets.tolist() == [0, 1, 3, 5]
+    assert adj.weights.tolist() == [0.5, 0.6, 0.5, 0.4, 1.0]
+    assert adj.nnz == 5
+    with pytest.raises(ValueError):
+        adj.weights[0] = 1.0
 
 
 # ---------------------------------------------------------------------------

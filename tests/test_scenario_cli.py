@@ -90,6 +90,18 @@ def test_mode_and_gamma_pairing(tmp_path):
         load_scenario(_write(tmp_path, out_of_range))
 
 
+def test_non_finite_gamma_is_rejected(tmp_path):
+    nan_gamma = MINIMAL.replace("mode: perception_ra", "mode: perception_no_ra\ngamma: [0.5, .nan]")
+    with pytest.raises(ConfigValidationError, match="gamma must be finite; entry 2"):
+        load_scenario(_write(tmp_path, nan_gamma))
+
+
+def test_non_finite_start_is_rejected(tmp_path):
+    inf_start = MINIMAL.replace("p0: [0.5, 0.5]", "p0: [.inf, 0.5]")
+    with pytest.raises(ConfigValidationError, match=r"p0\[0\] must be finite; entry 1"):
+        load_scenario(_write(tmp_path, inf_start))
+
+
 def test_initial_block_validation(tmp_path):
     missing = MINIMAL.replace("initial:\n  p0: [0.5, 0.5]\n", "")
     with pytest.raises(ConfigValidationError, match="exactly one of"):

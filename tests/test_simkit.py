@@ -1,6 +1,8 @@
 """Round-based simulator: locality, equivalence with matrix steppers, batches."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fjpower import (
     CONVERGED,
@@ -12,6 +14,8 @@ from fjpower import (
     deliver,
     load_scenario,
     make_agents,
+    random_network,
+    random_star_network,
     run_batch,
     run_distributed,
     run_round,
@@ -51,6 +55,28 @@ def test_each_round_delivers_one_message_per_edge(anchored_net):
     assert delivered == np.count_nonzero(anchored_net.C)
     assert agents[1].inbox == {0: 0.1, 2: 0.3}
     assert agents[0].inbox == {2: 0.3}
+
+
+@st.composite
+def _networks(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 12))
+    family = draw(st.sampled_from(["dense", "sparse", "star", "loose_star"]))
+    if family == "dense":
+        return random_network(rng, n)
+    if family == "sparse":
+        return random_network(rng, n, density=draw(st.sampled_from([0.2, 0.5])))
+    return random_star_network(rng, max(n, 3), center_fully_stubborn=family == "star")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_networks())
+def test_adjacency_matches_dense_scans_and_routes_every_edge(net):
+    for i in range(net.n):
+        assert net.in_neighbors(i) == tuple(np.nonzero(net.C[:, i])[0].tolist())
+        assert net.out_neighbors(i) == tuple(np.nonzero(net.C[i, :])[0].tolist())
+    agents = make_agents(net, MODE_RA, np.full(net.n, 1.0 / net.n))
+    assert deliver(net, agents) == np.count_nonzero(net.C)
 
 
 def test_round_snapshot_matches_the_vector_stepper(anchored_net):
@@ -106,6 +132,41 @@ def test_distributed_run_tracks_the_homogeneous_stepper():
     assert dist.status == cent.status == CONVERGED
     assert dist.path.shape == cent.path.shape
     assert np.max(np.abs(dist.path - cent.path)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", [MODE_NO_RA, MODE_RA, MODE_HOMOGENEOUS])
+def test_large_sparse_distributed_runs_equal_the_centralized_twin(mode):
+    # about 20 in-neighbors per node, so a slip in sender order shows
+    rng = np.random.default_rng(2024)
+    net = random_network(rng, 200, density=0.1)
+    if mode == MODE_HOMOGENEOUS:
+        net = InfluenceNetwork(C=net.C, a=np.full(net.n, 0.6))
+    assert 15 <= np.count_nonzero(net.C) / net.n <= 25
+    p0 = rng.dirichlet(np.ones(net.n))
+    gamma = rng.uniform(0.0, 0.5, size=net.n) if mode == MODE_NO_RA else None
+    twin = {
+        MODE_NO_RA: lambda v: step_perception_no_ra(net, gamma, v),
+        MODE_RA: lambda v: step_perception_ra(net, v),
+        MODE_HOMOGENEOUS: lambda v: step_pagerank_ra(net, v),
+    }[mode]
+    dist = run_distributed(net, mode, p0, gamma, max_iter=200)
+    cent = run_to_convergence(twin, p0, max_iter=200)
+    assert dist.status == cent.status
+    assert dist.iterations > 5
+    assert np.array_equal(dist.path, cent.path)
+
+
+def test_distributed_stop_parameters_are_validated(anchored_net):
+    p0 = np.full(3, 1 / 3)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        run_distributed(anchored_net, MODE_RA, p0, tol=0.0)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        run_distributed(anchored_net, MODE_RA, p0, max_iter=0)
+
+
+def test_divergent_start_stops_before_any_round(anchored_net):
+    dist = run_distributed(anchored_net, MODE_RA, np.array([2e9, 0.0, 0.0]))
+    assert dist.status == DIVERGED and dist.iterations == 0
 
 
 def test_distributed_divergence_detection(four_settings):
