@@ -50,6 +50,7 @@ from .perception import (
     DIVERGED,
     ISSUE,
     MAX_ITER,
+    NONFINITE,
     STEP,
     LocalView,
     NeighborInfo,

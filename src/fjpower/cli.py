@@ -25,10 +25,10 @@ from . import simkit
 from .errors import FJPowerError
 from .fj_core import compute_social_power
 from .scenario import (
-    ERROR,
     GAMMA_MODES,
     Scenario,
     ScenarioResult,
+    error_result,
     load_scenario,
     run_reports,
     run_scenario,
@@ -61,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     batch_p = sub.add_parser("batch", help="run every scenario in a directory")
     batch_p.add_argument("directory", type=Path)
-    batch_p.add_argument("--parallelism", type=int, default=1,
-                         help="scenarios to run concurrently")
     add_common(batch_p)
 
     report_p = sub.add_parser("report", help="emit only report artifacts")
@@ -116,11 +114,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         try:
             loaded.append(_load_with_overrides(path, args))
         except FJPowerError as exc:
-            results.append(ScenarioResult(
-                name=path.stem, mode="?", status=ERROR, iterations=0,
-                final=None, error=f"{type(exc).__name__}: {exc}"))
-    results.extend(simkit.run_batch(loaded, parallelism=args.parallelism,
-                                    out_dir=args.out))
+            results.append(error_result(path.stem, "?", exc))
+    results.extend(simkit.run_batch(loaded, out_dir=args.out))
     for result in results:
         print(result.summary_line())
     codes = [r.exit_code for r in results]

@@ -16,9 +16,8 @@ Three update rules live here, all sharing the relay structure
 
 Estimates may leave ``[0, 1]`` and the simplex; nothing here clips them.
 The vectorized steppers evaluate exactly the per-node formulas (each output
-coordinate touches only local data); ``compact_step_*`` give the equivalent
-matrix-sandwich forms used to cross-check them, and ``local_step_*`` are the
-scalar per-node versions the round-based simulator runs.
+coordinate touches only local data); ``local_step_*`` are the scalar per-node
+versions the round-based simulator runs.
 """
 from __future__ import annotations
 
@@ -35,6 +34,7 @@ from .network import InfluenceNetwork
 CONVERGED = "converged"
 DIVERGED = "diverged"
 MAX_ITER = "max_iter"
+NONFINITE = "nonfinite"
 
 ISSUE = "issue"
 STEP = "step"
@@ -123,28 +123,6 @@ def step_degroot_diagnostic(
 
 
 # ---------------------------------------------------------------------------
-# matrix-sandwich references (same maps, different floating-point association)
-# ---------------------------------------------------------------------------
-
-def compact_step_no_ra(
-    net: InfluenceNetwork, gamma: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """Matrix form (I-A) W(γ)ᵀ A (I-A)⁻¹ p + (I-A) 1/n of the fixed-weight round."""
-    a = net.a
-    W = influence_matrix(net.C, np.asarray(gamma, dtype=float))
-    p = np.asarray(p, dtype=float)
-    return (1.0 - a) * (W.T @ (a / (1.0 - a) * p)) + (1.0 - a) / net.n
-
-
-def compact_step_ra(net: InfluenceNetwork, p: np.ndarray) -> np.ndarray:
-    """Matrix form (I-A) W(p)ᵀ A (I-A)⁻¹ p + (I-A) 1/n of the reflected round."""
-    a = net.a
-    p = np.asarray(p, dtype=float)
-    W = influence_matrix(net.C, p)
-    return (1.0 - a) * (W.T @ (a / (1.0 - a) * p)) + (1.0 - a) / net.n
-
-
-# ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
 
@@ -153,8 +131,8 @@ class Trajectory:
     """Recorded orbit of one run: every visited state plus the stop verdict.
 
     ``path`` has one row per state, row 0 being the start; ``status`` is one
-    of CONVERGED / DIVERGED / MAX_ITER; ``timescale`` labels the clock as
-    issue-indexed or step-indexed (the maps do not differ).
+    of CONVERGED / DIVERGED / NONFINITE / MAX_ITER; ``timescale`` labels the
+    clock as issue-indexed or step-indexed (the maps do not differ).
     """
 
     path: np.ndarray
@@ -194,6 +172,11 @@ class Trajectory:
         return np.max(np.abs(np.diff(self.path, axis=0)), axis=1)
 
 
+def _escape_status(p: np.ndarray) -> str:
+    """Verdict for a state that failed ``|p| <= bound`` (as NaN does)."""
+    return DIVERGED if np.all(np.isfinite(p)) else NONFINITE
+
+
 def run_to_convergence(
     stepper: Callable[[np.ndarray], np.ndarray],
     p0: np.ndarray,
@@ -205,25 +188,26 @@ def run_to_convergence(
     """Iterate ``stepper`` from ``p0`` and record every state.
 
     Stops with status CONVERGED when the ∞-norm increment drops below ``tol``,
-    DIVERGED as soon as any coordinate magnitude passes ``divergence_bound``
-    (the offending state is kept as the last row), or MAX_ITER after
+    DIVERGED as soon as any coordinate magnitude passes ``divergence_bound``,
+    NONFINITE as soon as any coordinate is NaN or infinite (the offending state
+    is kept as the last row, and the start is checked too), or MAX_ITER after
     ``max_iter`` steps.  Divergence is classified purely by the magnitude
     bound, which keeps the verdict deterministic.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     p = np.asarray(p0, dtype=float)
     states = [p]
     status = MAX_ITER
-    if np.any(np.abs(p) > divergence_bound):
-        return Trajectory(np.array(states), DIVERGED, timescale, tol)
+    if not np.all(np.abs(p) <= divergence_bound):
+        return Trajectory(np.array(states), _escape_status(p), timescale, tol)
     for _ in range(max_iter):
         p_next = np.asarray(stepper(p), dtype=float)
         states.append(p_next)
-        if np.any(np.abs(p_next) > divergence_bound):
-            status = DIVERGED
+        if not np.all(np.abs(p_next) <= divergence_bound):
+            status = _escape_status(p_next)
             break
         if np.max(np.abs(p_next - p)) < tol:
             status = CONVERGED

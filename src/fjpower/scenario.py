@@ -30,10 +30,11 @@ included), and are byte-identical across repeated runs of the same scenario.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 import yaml
@@ -41,8 +42,9 @@ import yaml
 from . import analysis, simkit
 from .errors import ConfigParseError, ConfigValidationError
 from .fj_core import (
+    OpinionState,
     compute_social_power,
-    influence_matrix,
+    step_fj_opinions,
     step_power_evolution,
     step_power_evolution_single,
 )
@@ -52,6 +54,7 @@ from .perception import (
     DIVERGED,
     ISSUE,
     MAX_ITER,
+    NONFINITE,
     STEP,
     Trajectory,
     run_to_convergence,
@@ -60,20 +63,62 @@ from .perception import (
     step_perception_ra,
 )
 
-MODES = (
-    "social_power",
-    "perception_no_ra",
-    "perception_ra",
-    "perception_ra_single",
-    "power_evolution",
-    "power_evolution_single",
-    "pagerank_ra",
-    "fj_opinions",
-    "distributed_no_ra",
-    "distributed_ra",
-)
+class Mode(NamedTuple):
+    """One row of the mode table: whether the mode reads ``gamma``, and its
+    runner ``run(net, gamma, p0, tol, max_iter) -> Trajectory``."""
 
-GAMMA_MODES = ("social_power", "perception_no_ra", "fj_opinions", "distributed_no_ra")
+    needs_gamma: bool
+    run: Callable[..., Trajectory]
+
+
+# The runners look up the steppers, run_to_convergence and
+# simkit.run_distributed as module globals at call time, never binding them
+# here, so patching those attributes (to trace or stub them) reaches every mode.
+
+def _iterate(make_stepper, timescale: str = ISSUE):
+    """Runner that iterates ``make_stepper(net, gamma, p0)`` under the shared stop rules."""
+    return lambda net, gamma, p0, tol, max_iter: run_to_convergence(
+        make_stepper(net, gamma, p0), p0, tol, max_iter, timescale=timescale)
+
+
+def _power_evolution_single(net, gamma, x0):
+    """Stepper that carries the per-step power-evolution state V between steps."""
+    V = np.eye(net.n)
+
+    def step(x):
+        nonlocal V
+        V, x_next = step_power_evolution_single(net, V, x)
+        return x_next
+    return step
+
+
+MODE_TABLE = {
+    # a direct solve, recorded as a converged one-state run; there is no start, p0 is None
+    "social_power": Mode(True, lambda net, gamma, p0, tol, max_iter: Trajectory(
+        compute_social_power(net, gamma)[None, :], CONVERGED, ISSUE, tol)),
+    "perception_no_ra": Mode(True, _iterate(
+        lambda net, gamma, p0: lambda p: step_perception_no_ra(net, gamma, p))),
+    "perception_ra": Mode(False, _iterate(
+        lambda net, gamma, p0: lambda p: step_perception_ra(net, p))),
+    "perception_ra_single": Mode(False, _iterate(
+        lambda net, gamma, p0: lambda p: step_perception_ra(net, p), STEP)),
+    "power_evolution": Mode(False, _iterate(
+        lambda net, gamma, p0: lambda x: step_power_evolution(net, x))),
+    "power_evolution_single": Mode(False, _iterate(_power_evolution_single, STEP)),
+    "pagerank_ra": Mode(False, _iterate(
+        lambda net, gamma, p0: lambda p: step_pagerank_ra(net, p))),
+    "fj_opinions": Mode(True, _iterate(  # opinions anchored to the start y0 = p0
+        lambda net, gamma, y0: lambda y: step_fj_opinions(net, gamma, OpinionState(y, y0)).y,
+        STEP)),
+    "distributed_no_ra": Mode(True, lambda net, gamma, p0, tol, max_iter: simkit.run_distributed(
+        net, simkit.MODE_NO_RA, p0, gamma, tol, max_iter)),
+    "distributed_ra": Mode(False, lambda net, gamma, p0, tol, max_iter: simkit.run_distributed(
+        net, simkit.MODE_RA, p0, None, tol, max_iter)),
+}
+
+MODES = tuple(MODE_TABLE)
+
+GAMMA_MODES = tuple(mode for mode, row in MODE_TABLE.items() if row.needs_gamma)
 
 OUTPUT_KINDS = ("trajectory_csv", "equilibrium_report", "condition_report", "invariant_test")
 
@@ -90,7 +135,27 @@ CSV_STRIDE = 10
 ERROR = "error"
 REPORT_OK = "report_ok"
 
-_EXIT_BY_STATUS = {CONVERGED: 0, DIVERGED: 2, MAX_ITER: 1, ERROR: 1, REPORT_OK: 0}
+_EXIT_BY_STATUS = {CONVERGED: 0, DIVERGED: 2, MAX_ITER: 1, NONFINITE: 1, ERROR: 1, REPORT_OK: 0}
+
+# scalar setting -> (type, whether it must be positive rather than non-negative)
+_SETTINGS = {"tol": (float, True), "max_iter": (int, True), "count": (int, True),
+             "samples": (int, True), "seed": (int, False)}
+
+
+def parse_setting(key: str, value, where: str = "") -> Union[int, float]:
+    """Parse the scalar setting ``key`` from a file or an override, or raise
+    ConfigValidationError naming ``where`` + ``key``.  Numeric strings pass
+    (YAML reads ``1e-12`` as one); booleans, NaN and fractional counts do not."""
+    kind, positive = _SETTINGS[key]
+    try:
+        parsed = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        parsed = math.nan
+    exact = not isinstance(value, bool) and not (isinstance(value, float) and parsed != value)
+    if not (exact and math.isfinite(parsed) and (parsed > 0 if positive else parsed >= 0)):
+        _fail(f"{where}{key} must be {'positive' if positive else 'non-negative'}, "
+              f"{'a finite number' if kind is float else 'a whole number'}; got {value!r}")
+    return parsed
 
 
 @dataclass(frozen=True)
@@ -122,14 +187,11 @@ class Scenario:
         max_iter: Optional[int] = None,
         seed: Optional[int] = None,
     ) -> "Scenario":
-        out = self
-        if tol is not None:
-            out = replace(out, tol=tol)
-        if max_iter is not None:
-            out = replace(out, max_iter=max_iter)
-        if seed is not None:
-            out = replace(out, seed=seed)
-        return out
+        given = {"tol": tol, "max_iter": max_iter, "seed": seed}
+        return replace(self, **{
+            key: parse_setting(key, value, f"{self.name}: override ")
+            for key, value in given.items() if value is not None
+        })
 
 
 def _fail(message: str) -> None:
@@ -182,13 +244,12 @@ def _parse_outputs(raw, name: str) -> tuple[OutputRequest, ...]:
             box = options.get("box", "two_sided")
             if box not in BOX_BUILDERS:
                 _fail(f"{name}: unknown box {box!r}; expected one of {sorted(BOX_BUILDERS)}")
-            samples = int(options.get("samples", 1000))
-            if samples < 1:
-                _fail(f"{name}: invariant_test samples must be positive")
+            where = f"{name}: invariant_test "
+            samples = parse_setting("samples", options.get("samples", 1000), where)
             seed = options.get("seed")
             requests.append(
                 OutputRequest(kind=kind, samples=samples, box=box,
-                              seed=None if seed is None else int(seed))
+                              seed=None if seed is None else parse_setting("seed", seed, where))
             )
         else:
             if options is not None:
@@ -214,23 +275,19 @@ def _parse_starts(doc: dict, n: int, mode: str, seed: int, name: str) -> tuple[n
         if not isinstance(rows[0], list):
             rows = [rows]
         return tuple(_vector(row, n, f"{name}: initial.p0[{k}]") for k, row in enumerate(rows))
-    if key == "uniform_in_box":
-        if not isinstance(value, dict):
-            _fail(f"{name}: uniform_in_box needs mu and nu vectors")
-        mu = _vector(value.get("mu"), n, f"{name}: uniform_in_box.mu")
-        nu = _vector(value.get("nu"), n, f"{name}: uniform_in_box.nu")
-        count = int(value.get("count", 1))
-        rng = np.random.default_rng(value.get("seed", seed))
-        box = analysis.Box(mu, nu)
-        return tuple(box.sample(rng, count))
+    if key not in ("uniform_in_box", "simplex_random"):
+        _fail(f"{name}: unknown initial spec {key!r}")
+    value = {} if value is None else value
+    if not isinstance(value, dict):
+        _fail(f"{name}: {key} options must be a mapping")
+    where = f"{name}: {key} "
+    count = parse_setting("count", value.get("count", 1), where)
+    rng = np.random.default_rng(parse_setting("seed", value.get("seed", seed), where))
     if key == "simplex_random":
-        value = value or {}
-        if not isinstance(value, dict):
-            _fail(f"{name}: simplex_random options must be a mapping")
-        count = int(value.get("count", 1))
-        rng = np.random.default_rng(value.get("seed", seed))
         return tuple(rng.dirichlet(np.ones(n)) for _ in range(count))
-    _fail(f"{name}: unknown initial spec {key!r}")
+    mu = _vector(value.get("mu"), n, f"{name}: uniform_in_box.mu")
+    nu = _vector(value.get("nu"), n, f"{name}: uniform_in_box.nu")
+    return tuple(analysis.Box(mu, nu).sample(rng, count))
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
@@ -270,7 +327,7 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     if mode not in MODES:
         _fail(f"{name}: unknown mode {mode!r}; expected one of {MODES}")
     gamma = doc.get("gamma")
-    if mode in GAMMA_MODES:
+    if MODE_TABLE[mode].needs_gamma:
         if gamma is None:
             _fail(f"{name}: mode {mode} needs a gamma vector")
         gamma = _vector(gamma, net.n, f"{name}: gamma")
@@ -278,13 +335,10 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             _fail(f"{name}: gamma entries must lie in [0, 1]")
     elif gamma is not None:
         _fail(f"{name}: mode {mode} takes no gamma")
-    tol = float(doc.get("tol", 1e-12))
-    if tol <= 0:
-        _fail(f"{name}: tol must be positive")
-    max_iter = int(doc.get("max_iter", 100_000))
-    if max_iter < 1:
-        _fail(f"{name}: max_iter must be at least 1")
-    seed = int(doc.get("seed", 0))
+    where = f"{name}: "
+    tol = parse_setting("tol", doc.get("tol", 1e-12), where)
+    max_iter = parse_setting("max_iter", doc.get("max_iter", 100_000), where)
+    seed = parse_setting("seed", doc.get("seed", 0), where)
     starts = _parse_starts(doc, net.n, mode, seed, name)
     outputs = _parse_outputs(doc.get("outputs"), name)
     return Scenario(
@@ -321,58 +375,11 @@ class ScenarioResult:
         return f"{self.name}: {self.status} after {self.iterations} iteration(s){note}"
 
 
-def error_result(scn: Scenario, exc: Exception) -> ScenarioResult:
+def error_result(name: str, mode: str, exc: Exception) -> ScenarioResult:
     return ScenarioResult(
-        name=scn.name, mode=scn.mode, status=ERROR, iterations=0, final=None,
+        name=name, mode=mode, status=ERROR, iterations=0, final=None,
         error=f"{type(exc).__name__}: {exc}",
     )
-
-
-def _run_trajectories(scn: Scenario) -> tuple[Trajectory, ...]:
-    net, gamma = scn.net, scn.gamma
-    kw = dict(tol=scn.tol, max_iter=scn.max_iter)
-    if scn.mode == "social_power":
-        x = compute_social_power(net, gamma)
-        return (Trajectory(x[None, :], CONVERGED, ISSUE, scn.tol),)
-    runs = []
-    for p0 in scn.starts:
-        if scn.mode == "perception_no_ra":
-            traj = run_to_convergence(
-                lambda v: step_perception_no_ra(net, gamma, v), p0, **kw)
-        elif scn.mode == "perception_ra":
-            traj = run_to_convergence(lambda v: step_perception_ra(net, v), p0, **kw)
-        elif scn.mode == "perception_ra_single":
-            traj = run_to_convergence(
-                lambda v: step_perception_ra(net, v), p0, timescale=STEP, **kw)
-        elif scn.mode == "power_evolution":
-            traj = run_to_convergence(
-                lambda v: step_power_evolution(net, v), p0, **kw)
-        elif scn.mode == "power_evolution_single":
-            state = {"V": np.eye(net.n)}
-
-            def stepper(x):
-                state["V"], x_next = step_power_evolution_single(net, state["V"], x)
-                return x_next
-
-            traj = run_to_convergence(stepper, p0, timescale=STEP, **kw)
-        elif scn.mode == "pagerank_ra":
-            traj = run_to_convergence(lambda v: step_pagerank_ra(net, v), p0, **kw)
-        elif scn.mode == "fj_opinions":
-            W = influence_matrix(net.C, gamma)
-            y0 = p0
-
-            def opinion_step(y):
-                return net.a * (W @ y) + (1.0 - net.a) * y0
-
-            traj = run_to_convergence(opinion_step, p0, timescale=STEP, **kw)
-        elif scn.mode == "distributed_no_ra":
-            traj = simkit.run_distributed(net, simkit.MODE_NO_RA, p0, gamma, **kw)
-        elif scn.mode == "distributed_ra":
-            traj = simkit.run_distributed(net, simkit.MODE_RA, p0, **kw)
-        else:  # pragma: no cover — load_scenario rejects unknown modes
-            raise ConfigValidationError(f"unhandled mode {scn.mode}")
-        runs.append(traj)
-    return tuple(runs)
 
 
 def _csv_steps(total: int) -> list[int]:
@@ -400,12 +407,9 @@ def write_trajectory_csv(path: Union[str, Path], traj: Trajectory) -> Path:
 
 
 def _overall_status(trajs: tuple[Trajectory, ...]) -> str:
+    """The most severe status: nonfinite > diverged > max_iter > converged."""
     statuses = {t.status for t in trajs}
-    if DIVERGED in statuses:
-        return DIVERGED
-    if MAX_ITER in statuses:
-        return MAX_ITER
-    return CONVERGED
+    return next((s for s in (NONFINITE, DIVERGED, MAX_ITER) if s in statuses), CONVERGED)
 
 
 def _resolve_out_dir(out_dir: Union[str, Path, None]) -> Path:
@@ -414,8 +418,10 @@ def _resolve_out_dir(out_dir: Union[str, Path, None]) -> Path:
     return Path(out_dir)
 
 
-def _report_sections(scn: Scenario) -> tuple[dict, dict, list[str]]:
-    """Produce every non-trajectory artifact the scenario requests."""
+def _write_reports(scn: Scenario, out_dir: Path) -> tuple[dict, dict, tuple[str, ...]]:
+    """Produce every non-trajectory artifact the scenario requests and write
+    them to ``<name>_report.txt``; returns the reports, the condition margins
+    and the written path (none when nothing was requested)."""
     reports: dict = {}
     margins: dict = {}
     lines: list[str] = []
@@ -439,7 +445,12 @@ def _report_sections(scn: Scenario) -> tuple[dict, dict, list[str]]:
             )
             reports[f"invariance_{request.box}"] = inv
             lines += [f"== invariance {request.box} ==", str(inv), ""]
-    return reports, margins, lines
+    if not lines:
+        return reports, margins, ()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"{scn.name}_report.txt"
+    path.write_text("\n".join(lines))
+    return reports, margins, (str(path),)
 
 
 def run_scenario(scn: Scenario, out_dir: Union[str, Path, None] = None) -> ScenarioResult:
@@ -451,10 +462,12 @@ def run_scenario(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scena
     expected outcome class, not an error), 1 anything else.
     """
     out_dir = _resolve_out_dir(out_dir)
-    trajs = _run_trajectories(scn)
+    run = MODE_TABLE[scn.mode].run
+    trajs = tuple(run(scn.net, scn.gamma, p0, scn.tol, scn.max_iter)
+                  for p0 in scn.starts or (None,))
     status = _overall_status(trajs)
-    iterations = max((t.iterations for t in trajs), default=0)
-    final = trajs[-1].final if trajs else None
+    iterations = max(t.iterations for t in trajs)
+    final = trajs[-1].final
     artifacts: list[str] = []
     for request in scn.outputs:
         if request.kind == "trajectory_csv":
@@ -462,16 +475,11 @@ def run_scenario(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scena
             for k, traj in enumerate(trajs, start=1):
                 p = write_trajectory_csv(out_dir / f"{scn.name}_traj{k}.csv", traj)
                 artifacts.append(str(p))
-    reports, margins, report_lines = _report_sections(scn)
-    if report_lines:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rp = out_dir / f"{scn.name}_report.txt"
-        rp.write_text("\n".join(report_lines))
-        artifacts.append(str(rp))
+    reports, margins, written = _write_reports(scn, out_dir)
     return ScenarioResult(
         name=scn.name, mode=scn.mode, status=status, iterations=iterations,
         final=final, trajectories=trajs, reports=reports,
-        condition_margins=margins, artifacts=tuple(artifacts),
+        condition_margins=margins, artifacts=tuple(artifacts) + written,
     )
 
 
@@ -481,17 +489,12 @@ def run_reports(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scenar
     Raises ConfigValidationError when the scenario requests none — asking
     for a report from a trajectory-only scenario is a caller mistake.
     """
-    reports, margins, report_lines = _report_sections(scn)
-    if not report_lines:
+    reports, margins, written = _write_reports(scn, _resolve_out_dir(out_dir))
+    if not written:
         raise ConfigValidationError(
             f"{scn.name}: no report outputs requested "
             "(add equilibrium_report, condition_report, or invariant_test)")
-    out_dir = _resolve_out_dir(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rp = out_dir / f"{scn.name}_report.txt"
-    rp.write_text("\n".join(report_lines))
     return ScenarioResult(
         name=scn.name, mode=scn.mode, status=REPORT_OK, iterations=0,
-        final=None, reports=reports, condition_margins=margins,
-        artifacts=(str(rp),),
+        final=None, reports=reports, condition_margins=margins, artifacts=written,
     )

@@ -158,25 +158,18 @@ def run_distributed(
     )
 
 
-def run_batch(scenarios: Sequence, parallelism: int = 1, out_dir=None) -> list:
-    """Run many scenarios; per-scenario errors become summary entries.
+def run_batch(scenarios: Sequence, out_dir=None) -> list:
+    """Run many scenarios in order; per-scenario errors become summary entries.
 
     ``scenarios`` holds loaded scenario objects; results keep the input
-    order.  ``parallelism`` > 1 farms scenarios out to a thread pool —
-    results are deterministic either way since scenarios are independent.
-    ``out_dir`` is forwarded to each run.
+    order.  ``out_dir`` is forwarded to each run.
     """
     from .scenario import run_scenario, error_result  # lazy: scenario imports simkit
 
-    def one(scn):
+    results = []
+    for scn in scenarios:
         try:
-            return run_scenario(scn, out_dir=out_dir)
+            results.append(run_scenario(scn, out_dir=out_dir))
         except Exception as exc:  # noqa: BLE001 — batch must never abort
-            return error_result(scn, exc)
-
-    if parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(one, scenarios))
-    return [one(scn) for scn in scenarios]
+            results.append(error_result(scn.name, scn.mode, exc))
+    return results

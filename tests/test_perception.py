@@ -10,6 +10,7 @@ from fjpower import (
     CONVERGED,
     DIVERGED,
     MAX_ITER,
+    NONFINITE,
     InfluenceNetwork,
     InvalidStructureError,
     Trajectory,
@@ -29,13 +30,33 @@ from fjpower import (
     step_perception_no_ra,
     step_perception_ra,
 )
-from fjpower.perception import compact_step_no_ra, compact_step_ra
 
 from test_fj_core import ANCHORED_POWER_EQ
 
 # frozen limits (tol 1e-12 runs)
 STAR3_EQ = np.array([0.7101153520565013, 0.21922359359558496, 0.07066105434791373])
 DEGROOT_LIMIT = np.array([0.2173913043478694, 0.3478260869566025, 0.43478260869552743])
+
+
+# matrix-sandwich references: the steppers' maps, with a different
+# floating-point association
+
+def compact_step_no_ra(
+    net: InfluenceNetwork, gamma: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """Matrix form (I-A) W(γ)ᵀ A (I-A)⁻¹ p + (I-A) 1/n of the fixed-weight round."""
+    a = net.a
+    W = influence_matrix(net.C, np.asarray(gamma, dtype=float))
+    p = np.asarray(p, dtype=float)
+    return (1.0 - a) * (W.T @ (a / (1.0 - a) * p)) + (1.0 - a) / net.n
+
+
+def compact_step_ra(net: InfluenceNetwork, p: np.ndarray) -> np.ndarray:
+    """Matrix form (I-A) W(p)ᵀ A (I-A)⁻¹ p + (I-A) 1/n of the reflected round."""
+    a = net.a
+    p = np.asarray(p, dtype=float)
+    W = influence_matrix(net.C, p)
+    return (1.0 - a) * (W.T @ (a / (1.0 - a) * p)) + (1.0 - a) / net.n
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +231,29 @@ def test_start_beyond_the_bound_diverges_immediately():
     assert traj.status == DIVERGED and traj.iterations == 0
 
 
+def test_nan_start_stops_at_step_zero():
+    calls = []
+    traj = run_to_convergence(lambda p: calls.append(p) or p, np.array([0.5, np.nan]))
+    assert traj.status == NONFINITE and traj.iterations == 0
+    assert calls == []
+
+
+def test_stepper_emitting_nan_stops_at_that_step():
+    def step(p):
+        return p + 1.0 if p[0] < 2.0 else np.array([np.nan, p[1]])
+
+    traj = run_to_convergence(step, np.zeros(2))
+    assert traj.status == NONFINITE and traj.iterations == 3
+    assert np.isnan(traj.final[0]) and np.all(np.isfinite(traj.path[:3]))
+
+
+def test_infinite_states_are_nonfinite_and_large_finite_ones_diverge():
+    inf_traj = run_to_convergence(lambda p: p * np.inf, np.array([0.5, 0.1]))
+    assert inf_traj.status == NONFINITE and inf_traj.iterations == 1
+    big = run_to_convergence(lambda p: p * 1e10, np.array([0.5, 0.1]))
+    assert big.status == DIVERGED and big.iterations == 1
+
+
 def test_iteration_budget_exhaustion():
     traj = run_to_convergence(lambda p: p + 1.0, np.zeros(2), max_iter=5)
     assert traj.status == MAX_ITER
@@ -221,6 +265,8 @@ def test_run_parameters_are_validated():
         run_to_convergence(lambda p: p, np.zeros(2), tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         run_to_convergence(lambda p: p, np.zeros(2), max_iter=0)
+    with pytest.raises(ValueError, match="tol"):
+        run_to_convergence(lambda p: p, np.zeros(2), tol=float("nan"))
 
 
 def test_trajectory_shape_and_views():

@@ -1,9 +1,13 @@
 """Scenario files, artifact export, and the command-line interface."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fjpower import (
     CONVERGED,
+    DIVERGED,
+    NONFINITE,
     ConfigParseError,
     ConfigValidationError,
     MAX_ITER,
@@ -169,6 +173,54 @@ def test_stop_parameters_and_name_are_validated(tmp_path):
         load_scenario(_write(tmp_path, MINIMAL.replace("name: case", "name: a/b")))
 
 
+@pytest.mark.parametrize("snippet, message", [
+    ("tol: abc\n", "case: tol must be positive, a finite number; got 'abc'"),
+    ("tol: .nan\n", "tol must be positive, a finite number; got nan"),
+    ("tol: .inf\n", "tol must be positive, a finite number; got inf"),
+    ("tol: true\n", "tol must be positive"),
+    ("max_iter: 2.5\n", "max_iter must be positive, a whole number; got 2.5"),
+    ("max_iter: -3\n", "max_iter must be positive"),
+    ("seed: -1\n", "seed must be non-negative, a whole number; got -1"),
+    ("seed: x\n", "seed must be non-negative"),
+])
+def test_scalar_settings_are_validated(tmp_path, snippet, message):
+    with pytest.raises(ConfigValidationError, match=message):
+        load_scenario(_write(tmp_path, MINIMAL + snippet))
+
+
+def test_numeric_strings_are_read_as_numbers(tmp_path):
+    # YAML 1.1 reads 1e-6 (no decimal point) as a string
+    scn = load_scenario(_write(tmp_path, MINIMAL + "tol: 1e-6\nmax_iter: '50'\n"))
+    assert scn.tol == 1e-6 and scn.max_iter == 50
+
+
+@pytest.mark.parametrize("initial, message", [
+    ("simplex_random: {count: 0}", "simplex_random count must be positive"),
+    ("simplex_random: {count: -1}", "simplex_random count must be positive"),
+    ("simplex_random: {count: 1.5}", "simplex_random count must be positive"),
+    ("simplex_random: {seed: -2}", "simplex_random seed must be non-negative"),
+    ("uniform_in_box: {mu: [0.0, 0.0], nu: [1.0, 1.0], count: 0}",
+     "uniform_in_box count must be positive"),
+    ("simplex_random: [3]", "simplex_random options must be a mapping"),
+])
+def test_sampler_settings_are_validated(tmp_path, initial, message):
+    text = MINIMAL.replace("  p0: [0.5, 0.5]", "  " + initial)
+    with pytest.raises(ConfigValidationError, match=message):
+        load_scenario(_write(tmp_path, text))
+
+
+def test_overrides_are_validated_like_file_settings(tmp_path):
+    scn = load_scenario(_write(tmp_path, MINIMAL))
+    for given, message in [
+        ({"tol": float("nan")}, "case: override tol must be positive"),
+        ({"tol": 0.0}, "case: override tol must be positive"),
+        ({"max_iter": 0}, "case: override max_iter must be positive"),
+        ({"seed": -1}, "case: override seed must be non-negative"),
+    ]:
+        with pytest.raises(ConfigValidationError, match=message):
+            scn.with_overrides(**given)
+
+
 def test_overrides_replace_only_what_was_given(tmp_path):
     scn = load_scenario(_write(tmp_path, MINIMAL))
     bumped = scn.with_overrides(tol=1e-6, seed=9)
@@ -273,6 +325,16 @@ def test_report_only_entry_point(tmp_path):
         run_reports(bare, out_dir=tmp_path)
 
 
+def test_nonfinite_run_outranks_divergence_and_exits_one(tmp_path):
+    scn = load_scenario(_write(tmp_path, MINIMAL))
+    # the loader refuses non-finite starts, so the NaN start is put in directly
+    scn = replace(scn, starts=(np.array([2e9, 0.0]), np.array([np.nan, 0.5]), np.full(2, 0.5)))
+    result = run_scenario(scn, out_dir=tmp_path)
+    assert [t.status for t in result.trajectories] == [DIVERGED, NONFINITE, CONVERGED]
+    assert [t.iterations for t in result.trajectories[:2]] == [0, 0]
+    assert result.status == NONFINITE and result.exit_code == 1
+
+
 def test_exit_code_convention():
     codes = {
         "converged": 0, "diverged": 2, "max_iter": 1, "error": 1, "report_ok": 0,
@@ -346,6 +408,28 @@ def test_cli_batch_surfaces_load_failures(tmp_path, capsys):
     assert code == 1
     assert "broken: error" in out
     assert "case: converged" in out
+
+
+def test_cli_batch_runs_good_files_beside_a_bad_setting(tmp_path, capsys):
+    (tmp_path / "scn").mkdir()
+    (tmp_path / "scn" / "good.yaml").write_text(MINIMAL + "outputs: [trajectory_csv]\n")
+    (tmp_path / "scn" / "bad.yaml").write_text(MINIMAL.replace("case", "bad") + "tol: abc\n")
+    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "bad: error after 0 iteration(s) error: ConfigValidationError: bad: tol" in out
+    assert "case: converged" in out
+    assert (tmp_path / "out" / "case_traj1.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--tol", "0"], ["--max-iter", "0"], ["--seed", "-1"],
+])
+def test_cli_rejects_bad_overrides_without_running(tmp_path, capsys, flags):
+    code = main(["run", str(SCENARIO_DIR / "three_node_ra.yaml"), "--out", str(tmp_path), *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: three_node_ra: override ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_batch_rejects_bad_directories(tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Round-based simulator: locality, equivalence with matrix steppers, batches."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from fjpower import (
     CONVERGED,
     DIVERGED,
     MAX_ITER,
+    NONFINITE,
     InfluenceNetwork,
     InvalidStructureError,
     advance,
@@ -169,6 +172,11 @@ def test_divergent_start_stops_before_any_round(anchored_net):
     assert dist.status == DIVERGED and dist.iterations == 0
 
 
+def test_nan_start_stops_before_any_round(anchored_net):
+    dist = run_distributed(anchored_net, MODE_RA, np.array([np.nan, 0.0, 0.0]))
+    assert dist.status == NONFINITE and dist.iterations == 0
+
+
 def test_distributed_divergence_detection(four_settings):
     _, net_c, p0 = four_settings[2]
     dist = run_distributed(net_c, MODE_RA, p0)
@@ -208,12 +216,14 @@ def test_batch_statuses_across_the_four_star_settings(tmp_path):
         assert r.condition_margins["star_center_load"] < 0.0
 
 
-def test_batch_is_deterministic_and_parallel_safe(tmp_path):
-    serial = run_batch(_star_batch(), out_dir=tmp_path / "serial")
-    threaded = run_batch(_star_batch(), parallelism=3, out_dir=tmp_path / "threaded")
-    for one, two in zip(serial, threaded):
+def test_batch_is_deterministic(tmp_path):
+    first = run_batch(_star_batch(), out_dir=tmp_path / "first")
+    second = run_batch(_star_batch(), out_dir=tmp_path / "second")
+    for one, two in zip(first, second):
         assert one.status == two.status
         assert np.array_equal(one.final, two.final)
+        for a, b in zip(one.artifacts, two.artifacts):
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_batch_captures_per_scenario_failures(tmp_path, anchored_net):
