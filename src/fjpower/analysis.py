@@ -39,6 +39,7 @@ from .perception import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ISSUE,
+    RULES,
     Trajectory,
     homogeneous_susceptibility,
     run_to_convergence,
@@ -509,10 +510,11 @@ def check_dominance_necessary(
 # ---------------------------------------------------------------------------
 
 def _batch_step_ra(net: InfluenceNetwork, P: np.ndarray) -> np.ndarray:
-    """Reflected-appraisal update applied to each row of ``P`` at once."""
-    a = net.a
-    relay = (a * P * (1.0 - P) / (1.0 - a)) @ net.C
-    return (1.0 - a) / net.n + a * P * P + (1.0 - a) * relay
+    """The ``ra`` rule applied to each row of ``P`` at once.  Its relay is one
+    BLAS product (an ordered reduction would need a rows × n × n temporary),
+    so rows match :func:`step_perception_ra` to rounding, not bit-for-bit."""
+    ra = RULES["ra"]
+    return ra.update(net.a, None, P, net.n, ra.relay(net.a, None, P) @ net.C)
 
 
 @dataclass(frozen=True)

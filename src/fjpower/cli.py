@@ -76,8 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_with_overrides(config: Path, args: argparse.Namespace) -> Scenario:
-    scn = load_scenario(config)
-    return scn.with_overrides(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    return load_scenario(config, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
 
 
 def _print_result(result: ScenarioResult) -> None:
@@ -108,14 +107,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not paths:
         print(f"error: no scenario files in {directory}", file=sys.stderr)
         return 1
-    results: list[ScenarioResult] = []
+    # one slot per file; None until the loaded scenarios have run
+    results: list[Optional[ScenarioResult]] = []
     loaded: list[Scenario] = []
     for path in paths:
         try:
             loaded.append(_load_with_overrides(path, args))
+            results.append(None)
         except FJPowerError as exc:
             results.append(error_result(path.stem, "?", exc))
-    results.extend(simkit.run_batch(loaded, out_dir=args.out))
+    ran = iter(simkit.run_batch(loaded, out_dir=args.out))
+    results = [next(ran) if r is None else r for r in results]
     for result in results:
         print(result.summary_line())
     codes = [r.exit_code for r in results]

@@ -52,13 +52,18 @@ class OpinionState:
         object.__setattr__(self, "y0", y0)
 
 
+def fj_opinion_map(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray):
+    """The opinion update y -> A W(gamma) y + (I - A) y0, with W built once."""
+    W = influence_matrix(net.C, gamma)
+    a, anchor = net.a, (1.0 - net.a) * np.asarray(y0, dtype=float)
+    return lambda y: a * (W @ y) + anchor
+
+
 def step_fj_opinions(
     net: InfluenceNetwork, gamma: np.ndarray, state: OpinionState
 ) -> OpinionState:
     """One opinion update: y' = A W(gamma) y + (I - A) y0."""
-    W = influence_matrix(net.C, gamma)
-    y_next = net.a * (W @ state.y) + (1.0 - net.a) * state.y0
-    return replace(state, y=y_next, step=state.step + 1)
+    return replace(state, y=fj_opinion_map(net, gamma, state.y0)(state.y), step=state.step + 1)
 
 
 def final_opinions(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray) -> np.ndarray:

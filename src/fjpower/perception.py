@@ -7,23 +7,20 @@ variant), the group size ``n``, and — for every node ``j`` that accords it
 influence weight ``C[j, i]`` — that node's susceptibility, self-weight and
 broadcast estimate.
 
-Three update rules live here, all sharing the relay structure
-``(1 - a_i)/n + (self term) + (1 - a_i) * sum over in-neighbors``:
-
-* fixed self-weights (``step_perception_no_ra``),
-* reflected appraisals, self-weight = own estimate (``step_perception_ra``),
-* the homogeneous-susceptibility PageRank variant (``step_pagerank_ra``).
-
-Estimates may leave ``[0, 1]`` and the simplex; nothing here clips them.
-The vectorized steppers evaluate exactly the per-node formulas (each output
-coordinate touches only local data); ``local_step_*`` are the scalar per-node
-versions the round-based simulator runs.
+Three update rules live here, one row each of the table ``RULES``: fixed
+self-weights (``no_ra``), reflected appraisals with self-weight = own estimate
+(``ra``), and the shared-susceptibility PageRank variant (``homogeneous``).
+The vectorized steppers evaluate a row for all nodes at once; :func:`local_step`
+evaluates it at one node from that node's view and inbox, as the round-based
+simulator does.  Both add relays in ascending sender order, so distributed and
+centralized runs agree bit-for-bit by construction.  Estimates may leave
+``[0, 1]`` and the simplex; nothing here clips them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,41 +42,68 @@ DEFAULT_DIVERGENCE_BOUND = 1e9
 
 
 # ---------------------------------------------------------------------------
-# vectorized steppers (node-local formulas, evaluated for all nodes at once)
+# the perception rules, and the vectorized steppers built on them
 # ---------------------------------------------------------------------------
 
-def step_perception_no_ra(
-    net: InfluenceNetwork, gamma: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """One perception round under fixed self-weights (no reflected appraisal).
+class Rule(NamedTuple):
+    """One perception rule as plain float arithmetic, which runs on numpy
+    arrays (every node at once) and on Python floats (one node) alike.
 
-    p'_i = (1-a_i)/n + a_i γ_i p_i
-           + (1-a_i) Σ_j [a_j/(1-a_j)] C[j,i] (1-γ_j) p_j
-
-    The relay sum is reduced column-by-column in ascending sender order so a
-    scalar per-node evaluation (see :func:`local_step_no_ra`) reproduces it
-    bit-for-bit, not merely to rounding.
+    ``relay(a_j, gamma_j, p_j)`` is the term sender j passes on, scaled by the
+    weight ``C[j, i]`` it accords receiver i; ``update(a_i, gamma_i, p_i, n,
+    relay_sum)`` is node i's next estimate.  ``gamma`` is ``None`` unless
+    ``needs_gamma``; ``shared_a`` rules need one susceptibility for all nodes.
     """
+
+    needs_gamma: bool
+    shared_a: bool
+    relay: Callable
+    update: Callable
+
+
+RULES = {
+    # fixed self-weights (no reflected appraisal):
+    # p'_i = (1-a_i)/n + a_i γ_i p_i + (1-a_i) Σ_j [a_j/(1-a_j)] C[j,i] (1-γ_j) p_j
+    "no_ra": Rule(
+        needs_gamma=True, shared_a=False,
+        relay=lambda a, g, p: a * (1.0 - g) * p / (1.0 - a),
+        update=lambda a, g, p, n, relay: (1.0 - a) / n + a * g * p + (1.0 - a) * relay),
+    # reflected appraisals, self-weight = own estimate:
+    # p'_i = (1-a_i)/n + a_i p_i² + (1-a_i) Σ_j [a_j/(1-a_j)] C[j,i] p_j (1-p_j)
+    "ra": Rule(
+        needs_gamma=False, shared_a=False,
+        relay=lambda a, g, p: a * p * (1.0 - p) / (1.0 - a),
+        update=lambda a, g, p, n, relay: (1.0 - a) / n + a * p * p + (1.0 - a) * relay),
+    # one shared susceptibility a (PageRank): p' = a W(p)ᵀ p + ((1-a)/n) 1,
+    # which is the "ra" map when every node has susceptibility a
+    "homogeneous": Rule(
+        needs_gamma=False, shared_a=True,
+        relay=lambda a, g, p: p * (1.0 - p),
+        update=lambda a, g, p, n, relay: a * (p * p + relay) + (1.0 - a) / n),
+}
+
+
+def _step(rule: Rule, net: InfluenceNetwork, gamma, p: np.ndarray) -> np.ndarray:
+    """One round of ``rule`` for every node at once.  The relay sum is reduced
+    column by column in ascending sender order, as :func:`local_step` adds."""
+    if rule.shared_a:
+        homogeneous_susceptibility(net)
     a = net.a
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = None if gamma is None else np.asarray(gamma, dtype=float)
     p = np.asarray(p, dtype=float)
-    relay = ((a * (1.0 - gamma) * p / (1.0 - a))[:, None] * net.C).sum(axis=0)
-    return (1.0 - a) / net.n + a * gamma * p + (1.0 - a) * relay
+    relay = (rule.relay(a, gamma, p)[:, None] * net.C).sum(axis=0)
+    return rule.update(a, gamma, p, net.n, relay)
+
+
+def step_perception_no_ra(net: InfluenceNetwork, gamma: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """One perception round under fixed self-weights: the ``no_ra`` rule."""
+    return _step(RULES["no_ra"], net, gamma, p)
 
 
 def step_perception_ra(net: InfluenceNetwork, p: np.ndarray) -> np.ndarray:
-    """One perception round with reflected appraisals (self-weight = own p).
-
-    p'_i = (1-a_i)/n + a_i p_i² + (1-a_i) Σ_j [a_j/(1-a_j)] C[j,i] p_j (1-p_j)
-
-    The same map serves issue-indexed and step-indexed runs; only the
-    trajectory's timescale label differs.  The relay reduction runs in
-    ascending sender order so :func:`local_step_ra` reproduces it exactly.
-    """
-    a = net.a
-    p = np.asarray(p, dtype=float)
-    relay = ((a * p * (1.0 - p) / (1.0 - a))[:, None] * net.C).sum(axis=0)
-    return (1.0 - a) / net.n + a * p * p + (1.0 - a) * relay
+    """One perception round with reflected appraisals: the ``ra`` rule.  It
+    serves issue- and step-indexed runs; only the timescale label differs."""
+    return _step(RULES["ra"], net, None, p)
 
 
 def homogeneous_susceptibility(net: InfluenceNetwork) -> float:
@@ -96,17 +120,8 @@ def homogeneous_susceptibility(net: InfluenceNetwork) -> float:
 
 
 def step_pagerank_ra(net: InfluenceNetwork, p: np.ndarray) -> np.ndarray:
-    """Reflected-appraisal PageRank round for one shared susceptibility ``a``.
-
-    p' = a W(p)ᵀ p + ((1-a)/n) 1.  Coincides with :func:`step_perception_ra`
-    when every node has susceptibility ``a``.  The relay reduction runs in
-    ascending sender order so :func:`local_step_homogeneous` reproduces it
-    exactly.
-    """
-    a = homogeneous_susceptibility(net)
-    p = np.asarray(p, dtype=float)
-    relay = ((p * (1.0 - p))[:, None] * net.C).sum(axis=0)
-    return a * (p * p + relay) + (1.0 - a) / net.n
+    """Reflected-appraisal PageRank round: the ``homogeneous`` rule."""
+    return _step(RULES["homogeneous"], net, None, p)
 
 
 def step_degroot_diagnostic(
@@ -282,63 +297,38 @@ def build_local_views(
     return tuple(views)
 
 
-def _neighbor_values(view: LocalView, inbox: Mapping[int, float]) -> list[float]:
-    """Inbox values in ascending-neighbor order, after checking the inbox
-    holds exactly one value per in-neighbor and nothing else."""
-    if inbox.keys() != view.sender_set:
-        expected = view.sender_set
-        got = set(inbox)
-        extra = sorted(got - expected)
-        missing = sorted(expected - got)
-        raise ViewViolationError(
-            f"node {view.node + 1} inbox mismatch: "
-            f"unexpected senders {[k + 1 for k in extra]}, "
-            f"missing senders {[k + 1 for k in missing]}"
-        )
-    return [float(inbox[j]) for j in view.in_neighbor_ids]
-
-
-def local_step_no_ra(view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
-    """Scalar fixed-self-weight update from one node's view and inbox only.
-
-    Term order and association mirror :func:`step_perception_no_ra` exactly,
-    so round-based runs reproduce the vectorized trajectories bit-for-bit.
-    """
-    if view.gamma is None:
+def local_step(rule: Rule, view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
+    """One node's update under ``rule`` from its view, own estimate and inbox
+    only; the inbox must hold one value per in-neighbor and nothing else."""
+    if rule.needs_gamma and view.gamma is None:
         raise ViewViolationError(
             f"node {view.node + 1} has no self-weight in its view; "
             "fixed-weight mode needs gamma"
         )
-    values = _neighbor_values(view, inbox)
+    if inbox.keys() != view.sender_set:
+        got = set(inbox)
+        raise ViewViolationError(
+            f"node {view.node + 1} inbox mismatch: "
+            f"unexpected senders {[k + 1 for k in sorted(got - view.sender_set)]}, "
+            f"missing senders {[k + 1 for k in sorted(view.sender_set - got)]}"
+        )
+    relay = rule.relay
     acc = 0.0
-    for nb, pj in zip(view.neighbors, values):
-        acc += nb.a * (1.0 - nb.gamma) * pj / (1.0 - nb.a) * nb.weight
-    return (1.0 - view.a) / view.n + view.a * view.gamma * own_p + (1.0 - view.a) * acc
+    for nb in view.neighbors:
+        acc += relay(nb.a, nb.gamma, inbox[nb.node]) * nb.weight
+    return rule.update(view.a, view.gamma, own_p, view.n, acc)
+
+
+def local_step_no_ra(view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
+    """:func:`local_step` with the ``no_ra`` rule."""
+    return local_step(RULES["no_ra"], view, own_p, inbox)
 
 
 def local_step_ra(view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
-    """Scalar reflected-appraisal update from one node's view and inbox only.
-
-    Term order and association mirror :func:`step_perception_ra` exactly, so
-    round-based runs reproduce the vectorized trajectories bit-for-bit.
-    """
-    values = _neighbor_values(view, inbox)
-    acc = 0.0
-    for nb, pj in zip(view.neighbors, values):
-        acc += nb.a * pj * (1.0 - pj) / (1.0 - nb.a) * nb.weight
-    return (1.0 - view.a) / view.n + view.a * own_p * own_p + (1.0 - view.a) * acc
+    """:func:`local_step` with the ``ra`` rule."""
+    return local_step(RULES["ra"], view, own_p, inbox)
 
 
-def local_step_homogeneous(
-    view: LocalView, own_p: float, inbox: Mapping[int, float]
-) -> float:
-    """Scalar PageRank-style update; the view's own ``a`` is the shared one.
-
-    Term order and association mirror :func:`step_pagerank_ra` exactly, so
-    round-based runs reproduce the vectorized trajectories bit-for-bit.
-    """
-    values = _neighbor_values(view, inbox)
-    acc = 0.0
-    for nb, pj in zip(view.neighbors, values):
-        acc += pj * (1.0 - pj) * nb.weight
-    return view.a * (own_p * own_p + acc) + (1.0 - view.a) / view.n
+def local_step_homogeneous(view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
+    """:func:`local_step` with the ``homogeneous`` rule; the view's own ``a`` is the shared one."""
+    return local_step(RULES["homogeneous"], view, own_p, inbox)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -42,9 +42,8 @@ import yaml
 from . import analysis, simkit
 from .errors import ConfigParseError, ConfigValidationError
 from .fj_core import (
-    OpinionState,
     compute_social_power,
-    step_fj_opinions,
+    fj_opinion_map,
     step_power_evolution,
     step_power_evolution_single,
 )
@@ -108,8 +107,7 @@ MODE_TABLE = {
     "pagerank_ra": Mode(False, _iterate(
         lambda net, gamma, p0: lambda p: step_pagerank_ra(net, p))),
     "fj_opinions": Mode(True, _iterate(  # opinions anchored to the start y0 = p0
-        lambda net, gamma, y0: lambda y: step_fj_opinions(net, gamma, OpinionState(y, y0)).y,
-        STEP)),
+        lambda net, gamma, y0: fj_opinion_map(net, gamma, y0), STEP)),
     "distributed_no_ra": Mode(True, lambda net, gamma, p0, tol, max_iter: simkit.run_distributed(
         net, simkit.MODE_NO_RA, p0, gamma, tol, max_iter)),
     "distributed_ra": Mode(False, lambda net, gamma, p0, tol, max_iter: simkit.run_distributed(
@@ -180,18 +178,6 @@ class Scenario:
     max_iter: int
     seed: int
     outputs: tuple[OutputRequest, ...]
-
-    def with_overrides(
-        self,
-        tol: Optional[float] = None,
-        max_iter: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> "Scenario":
-        given = {"tol": tol, "max_iter": max_iter, "seed": seed}
-        return replace(self, **{
-            key: parse_setting(key, value, f"{self.name}: override ")
-            for key, value in given.items() if value is not None
-        })
 
 
 def _fail(message: str) -> None:
@@ -290,9 +276,17 @@ def _parse_starts(doc: dict, n: int, mode: str, seed: int, name: str) -> tuple[n
     return tuple(analysis.Box(mu, nu).sample(rng, count))
 
 
-def load_scenario(path: Union[str, Path]) -> Scenario:
+def load_scenario(
+    path: Union[str, Path],
+    tol: Optional[float] = None,
+    max_iter: Optional[int] = None,
+    seed: Optional[int] = None,
+) -> Scenario:
     """Parse and fully validate one scenario file.
 
+    ``tol``, ``max_iter`` and ``seed``, when given, override the file's
+    top-level settings before anything is drawn, so an overridden ``seed``
+    reaches sampled starts (a sampler's own ``seed:`` still wins).
     Malformed YAML raises ConfigParseError; any structural or network
     invariant failure raises ConfigValidationError whose message names the
     violated invariant and the offending (1-based) index.
@@ -335,10 +329,11 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
             _fail(f"{name}: gamma entries must lie in [0, 1]")
     elif gamma is not None:
         _fail(f"{name}: mode {mode} takes no gamma")
-    where = f"{name}: "
-    tol = parse_setting("tol", doc.get("tol", 1e-12), where)
-    max_iter = parse_setting("max_iter", doc.get("max_iter", 100_000), where)
-    seed = parse_setting("seed", doc.get("seed", 0), where)
+    overrides = {"tol": tol, "max_iter": max_iter, "seed": seed}
+    tol, max_iter, seed = (
+        parse_setting(key, doc.get(key, default), f"{name}: ") if overrides[key] is None
+        else parse_setting(key, overrides[key], f"{name}: override ")
+        for key, default in (("tol", 1e-12), ("max_iter", 100_000), ("seed", 0)))
     starts = _parse_starts(doc, net.n, mode, seed, name)
     outputs = _parse_outputs(doc.get("outputs"), name)
     return Scenario(

@@ -25,25 +25,19 @@ from .perception import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ISSUE,
+    RULES,
     LocalView,
     Trajectory,
     build_local_views,
     homogeneous_susceptibility,
-    local_step_homogeneous,
-    local_step_no_ra,
-    local_step_ra,
+    local_step,
     run_to_convergence,
 )
 
+# the keys of perception.RULES
 MODE_NO_RA = "no_ra"
 MODE_RA = "ra"
 MODE_HOMOGENEOUS = "homogeneous"
-
-_LOCAL_STEPPERS = {
-    MODE_NO_RA: local_step_no_ra,
-    MODE_RA: local_step_ra,
-    MODE_HOMOGENEOUS: local_step_homogeneous,
-}
 
 
 @dataclass
@@ -79,16 +73,18 @@ def make_agents(
     p0: np.ndarray,
     gamma: Optional[np.ndarray] = None,
 ) -> list[Agent]:
-    """Agents with freshly built views; ``gamma`` is required for no_ra mode."""
-    if mode not in _LOCAL_STEPPERS:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_LOCAL_STEPPERS)}")
-    if mode == MODE_NO_RA and gamma is None:
-        raise ValueError("no_ra mode needs a self-weight vector gamma")
-    if mode != MODE_NO_RA and gamma is not None:
+    """Agents with freshly built views for the rule ``RULES[mode]``; ``gamma``
+    is given exactly when the rule needs it (no_ra mode)."""
+    rule = RULES.get(mode)
+    if rule is None:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(RULES)}")
+    if rule.needs_gamma and gamma is None:
+        raise ValueError(f"{mode} mode needs a self-weight vector gamma")
+    if not rule.needs_gamma and gamma is not None:
         raise ValueError(f"{mode} mode takes no gamma")
-    if mode == MODE_HOMOGENEOUS:
+    if rule.shared_a:
         homogeneous_susceptibility(net)
-    views = build_local_views(net, gamma if mode == MODE_NO_RA else None)
+    views = build_local_views(net, gamma)
     p0 = np.asarray(p0, dtype=float)
     return [Agent(view=v, p=float(p0[v.node])) for v in views]
 
@@ -113,9 +109,10 @@ def deliver(net: InfluenceNetwork, agents: Sequence[Agent]) -> int:
 
 
 def advance(agents: Sequence[Agent], mode: str) -> np.ndarray:
-    """Compute phase: every agent updates from (view, own value, inbox) only."""
-    local = _LOCAL_STEPPERS[mode]
-    new_values = [local(ag.view, ag.p, ag.inbox) for ag in agents]
+    """Compute phase: every agent updates from (view, own value, inbox) only,
+    under the rule ``RULES[mode]``."""
+    rule = RULES[mode]
+    new_values = [local_step(rule, ag.view, ag.p, ag.inbox) for ag in agents]
     for ag, value in zip(agents, new_values):
         ag.p = value
     return np.array(new_values)
@@ -142,8 +139,8 @@ def run_distributed(
 
     The stop rules are :func:`~fjpower.perception.run_to_convergence`'s, driven
     one round per step, so ``tol`` and ``max_iter`` are checked the same way.
-    Per-agent sums run over ascending in-neighbor ids with the same term
-    association as the vectorized steppers, so trajectories reproduce theirs
+    Agents and the vectorized steppers evaluate the same rule row, adding
+    relays in ascending sender order, so trajectories reproduce theirs
     bit-for-bit, even along diverging runs.
     """
     agents = make_agents(net, mode, p0, gamma)

@@ -3,7 +3,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fjpower import (
@@ -30,6 +30,8 @@ from fjpower import (
     step_perception_no_ra,
     step_perception_ra,
 )
+from fjpower.analysis import _batch_step_ra
+from fjpower.perception import RULES, _step, local_step
 
 from test_fj_core import ANCHORED_POWER_EQ
 
@@ -343,3 +345,46 @@ def test_scalar_homogeneous_update_matches_the_vector_stepper():
     for i, view in enumerate(build_local_views(net)):
         inbox = {j: p[j] for j in view.in_neighbor_ids}
         assert local_step_homogeneous(view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the rule table: one formula per rule, vectorized and per node
+# ---------------------------------------------------------------------------
+
+def _table_network(seed: int, n: int, kind: str) -> InfluenceNetwork:
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n, density=0.3 if kind == "sparse" else 1.0)
+    if kind == "homogeneous":
+        net = InfluenceNetwork(C=net.C, a=np.full(n, rng.uniform(0.05, 0.95)))
+    return net
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30),
+       st.sampled_from(["dense", "sparse", "homogeneous"]))
+def test_every_rule_gives_the_same_bits_per_node_and_vectorized(seed, n, kind):
+    net = _table_network(seed, n, kind)
+    rng = np.random.default_rng(seed + 1)
+    gamma = rng.uniform(0.0, 1.0, size=n)
+    p = rng.uniform(-1.0, 1.0, size=n)
+    inbox_values = p.tolist()  # the simulator passes Python floats
+    for name, rule in RULES.items():
+        if rule.shared_a and kind != "homogeneous":
+            continue
+        g = gamma if rule.needs_gamma else None
+        want = _step(rule, net, g, p)
+        for view in build_local_views(net, g):
+            inbox = {j: inbox_values[j] for j in view.in_neighbor_ids}
+            got = local_step(rule, view, inbox_values[view.node], inbox)
+            assert got == want[view.node], (name, view.node)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "homogeneous"])
+def test_batch_kernel_rows_match_the_reflected_stepper(kind):
+    for seed in range(10):
+        net = _table_network(seed, 5 + 5 * seed, kind)
+        P = np.random.default_rng(seed).uniform(0.0, 1.0, size=(25, net.n))
+        Q = _batch_step_ra(net, P)
+        assert Q.shape == P.shape
+        for k in range(P.shape[0]):
+            assert np.max(np.abs(Q[k] - step_perception_ra(net, P[k]))) <= 1e-13

@@ -210,7 +210,7 @@ def test_sampler_settings_are_validated(tmp_path, initial, message):
 
 
 def test_overrides_are_validated_like_file_settings(tmp_path):
-    scn = load_scenario(_write(tmp_path, MINIMAL))
+    path = _write(tmp_path, MINIMAL)
     for given, message in [
         ({"tol": float("nan")}, "case: override tol must be positive"),
         ({"tol": 0.0}, "case: override tol must be positive"),
@@ -218,15 +218,26 @@ def test_overrides_are_validated_like_file_settings(tmp_path):
         ({"seed": -1}, "case: override seed must be non-negative"),
     ]:
         with pytest.raises(ConfigValidationError, match=message):
-            scn.with_overrides(**given)
+            load_scenario(path, **given)
 
 
 def test_overrides_replace_only_what_was_given(tmp_path):
-    scn = load_scenario(_write(tmp_path, MINIMAL))
-    bumped = scn.with_overrides(tol=1e-6, seed=9)
+    path = _write(tmp_path, MINIMAL)
+    scn = load_scenario(path)
+    bumped = load_scenario(path, tol=1e-6, seed=9)
     assert bumped.tol == 1e-6 and bumped.seed == 9
     assert bumped.max_iter == scn.max_iter
-    assert scn.tol == 1e-12  # original untouched
+    assert scn.tol == 1e-12  # a load without overrides keeps the file's
+
+
+def test_seed_override_reaches_sampled_starts_unless_the_sampler_has_one(tmp_path):
+    path = _write(tmp_path, MINIMAL.replace("  p0: [0.5, 0.5]", "  simplex_random: {count: 2}"))
+    one, two = load_scenario(path, seed=1), load_scenario(path, seed=2)
+    assert not np.array_equal(one.starts[0], two.starts[0])
+    assert all(np.array_equal(a, b) for a, b in zip(one.starts, load_scenario(path, seed=1).starts))
+    own = _write(tmp_path, MINIMAL.replace("  p0: [0.5, 0.5]", "  simplex_random: {seed: 5}"),
+                 name="own.yaml")
+    assert np.array_equal(load_scenario(own, seed=1).starts[0], load_scenario(own).starts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +431,32 @@ def test_cli_batch_runs_good_files_beside_a_bad_setting(tmp_path, capsys):
     assert "bad: error after 0 iteration(s) error: ConfigValidationError: bad: tol" in out
     assert "case: converged" in out
     assert (tmp_path / "out" / "case_traj1.csv").exists()
+
+
+def test_cli_batch_prints_summaries_in_file_order(tmp_path, capsys):
+    (tmp_path / "scn").mkdir()
+    (tmp_path / "scn" / "a.yaml").write_text(MINIMAL.replace("case", "a"))
+    (tmp_path / "scn" / "b.yaml").write_text(MINIMAL.replace("case", "b") + "tol: abc\n")
+    (tmp_path / "scn" / "c.yaml").write_text(MINIMAL.replace("case", "c"))
+    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
+    assert lines[1].startswith("b: error")
+
+
+def test_cli_seed_reaches_sampled_starts(tmp_path, capsys):
+    # the opinion limit is linear in the start, so distinct starts give distinct finals
+    text = MINIMAL.replace("mode: perception_ra", "gamma: [0.3, 0.3]\nmode: fj_opinions")
+    path = _write(tmp_path, text.replace("  p0: [0.5, 0.5]", "  simplex_random: {}"))
+
+    def final(seed):
+        assert main(["run", str(path), "--out", str(tmp_path), "--seed", seed]) == 0
+        return next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("final:"))
+
+    assert final("1") != final("2")
+    assert final("1") == final("1")
 
 
 @pytest.mark.parametrize("flags", [
