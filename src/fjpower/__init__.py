@@ -27,12 +27,10 @@ from .network import (
     ValidationReport,
     classify_topology,
     enumerate_stubborn_cycles,
-    has_stubborn_path,
     random_doubly_stochastic_ring,
     random_network,
     random_star_network,
     validate_arrays,
-    validate_network,
 )
 from .fj_core import (
     OpinionState,
@@ -57,11 +55,7 @@ from .perception import (
     Trajectory,
     build_local_views,
     homogeneous_susceptibility,
-    local_step_homogeneous,
-    local_step_no_ra,
-    local_step_ra,
     run_to_convergence,
-    step_degroot_diagnostic,
     step_pagerank_ra,
     step_perception_no_ra,
     step_perception_ra,

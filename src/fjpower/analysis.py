@@ -64,6 +64,8 @@ CONDITION_IDS = (
 )
 
 DEMOCRACY_TOL = 1e-10
+AGREE_TOL = 1e-8  # ∞-norm distance within which two equilibrium limits agree
+FD_STEP = 1e-6  # central finite-difference step of the Jacobian check
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +233,13 @@ def solve_equilibrium(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    agree_tol: float = 1e-8,
 ) -> EquilibriumReport:
     """Locate the power-evolution fixed point from many simplex starts.
 
     Iterates the issue-to-issue power update (which maps the simplex into
     itself) from the barycenter plus ``multistarts`` seeded random simplex
     points.  The consensus point is the first converged run's limit;
-    ``starts_agreeing`` counts converged runs within ``agree_tol`` of it in
+    ``starts_agreeing`` counts converged runs within ``AGREE_TOL`` of it in
     the ∞-norm.
     """
     rng = np.random.default_rng(seed)
@@ -260,7 +261,7 @@ def solve_equilibrium(
         )
     consensus = limits[0]
     agreeing = sum(
-        1 for lim in limits if np.max(np.abs(lim - consensus)) <= agree_tol
+        1 for lim in limits if np.max(np.abs(lim - consensus)) <= AGREE_TOL
     )
     residual = float(np.max(np.abs(step_power_evolution(net, consensus) - consensus)))
     total = float(consensus.sum())
@@ -599,7 +600,6 @@ def contraction_diagnostic(
     net: InfluenceNetwork,
     p: np.ndarray,
     verify_fd: bool = True,
-    fd_step: float = 1e-6,
     fd_rtol: float = 1e-6,
 ) -> float:
     """1-norm of the transformed Jacobian at ``p``; < 1 signals contraction.
@@ -614,13 +614,9 @@ def contraction_diagnostic(
     if verify_fd:
         a = net.a
         analytic = (1.0 - a)[:, None] * J / (1.0 - a)[None, :]
-        fd = np.empty_like(analytic)
-        for j in range(net.n):
-            bump = np.zeros(net.n)
-            bump[j] = fd_step
-            fd[:, j] = (
-                step_perception_ra(net, p + bump) - step_perception_ra(net, p - bump)
-            ) / (2.0 * fd_step)
+        bumps = FD_STEP * np.eye(net.n)
+        # row j of each batch is the map at p ± FD_STEP e_j, so column j of fd
+        fd = (_batch_step_ra(net, p + bumps) - _batch_step_ra(net, p - bumps)).T / (2.0 * FD_STEP)
         scale = max(float(np.max(np.abs(analytic))), 1e-12)
         err = float(np.max(np.abs(analytic - fd))) / scale
         if err > fd_rtol:

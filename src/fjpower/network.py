@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -246,11 +246,6 @@ class InfluenceNetwork:
         return self.adjacency.out_lists[i]
 
 
-def validate_network(net: InfluenceNetwork) -> ValidationReport:
-    """Re-check a (possibly unchecked) network carrier."""
-    return validate_arrays(net.C, net.a)
-
-
 @dataclass(frozen=True)
 class TopologyClass:
     """Structural class. ``center`` is 0-based; only set for star variants."""
@@ -288,16 +283,14 @@ def classify_topology(net: InfluenceNetwork) -> TopologyClass:
 
 @dataclass(frozen=True)
 class StubbornPath:
-    """A directed path or simple cycle with all interior nodes partially stubborn.
+    """A simple cycle through an anchor with all interior nodes partially stubborn.
 
-    ``nodes`` lists the visited node sequence; for a cycle the anchor
-    reappears at the end.  ``value`` is the product of the edge weights along
-    the sequence.
+    ``nodes`` lists the visited node sequence, the anchor first and last.
+    ``value`` is the product of the edge weights along the sequence.
     """
 
     nodes: tuple[int, ...]
     value: float
-    is_cycle: bool
 
 
 def enumerate_stubborn_cycles(
@@ -326,9 +319,7 @@ def enumerate_stubborn_cycles(
         for nxt in stack[-1]:
             if nxt == anchor:
                 nodes = tuple(path) + (anchor,)
-                found.append(
-                    StubbornPath(nodes=nodes, value=weight[-1] * C[path[-1], anchor], is_cycle=True)
-                )
+                found.append(StubbornPath(nodes=nodes, value=weight[-1] * C[path[-1], anchor]))
                 if len(found) > budget:
                     raise CycleBudgetExceededError(anchor, budget)
                 continue
@@ -345,56 +336,6 @@ def enumerate_stubborn_cycles(
             on_path[dropped] = False
             weight.pop()
     return found
-
-
-def _reachable_through_partial(net: InfluenceNetwork, start_set: Sequence[int]) -> np.ndarray:
-    """Nodes reachable from ``start_set`` moving only across partially stubborn nodes.
-
-    A node enters the reach set if some already-reached partially stubborn node
-    (or a start node) points at it; expansion continues from partially stubborn
-    nodes only.
-    """
-    n = net.n
-    partial = net.a > 0.0
-    seen = np.zeros(n, dtype=bool)
-    frontier = list(start_set)
-    reached = np.zeros(n, dtype=bool)
-    while frontier:
-        u = frontier.pop()
-        for v in net.out_neighbors(u):
-            if not reached[v]:
-                reached[v] = True
-                if partial[v] and not seen[v]:
-                    seen[v] = True
-                    frontier.append(v)
-    return reached
-
-
-def has_stubborn_path(net: InfluenceNetwork, src: int, dst: int) -> bool:
-    """True iff a directed src->dst path exists whose interior is partially stubborn.
-
-    A direct edge counts (empty interior).  ``src == dst`` asks whether any
-    simple cycle through the node has an all-partially-stubborn interior;
-    answered by reachability, so it never hits the enumeration budget.
-    """
-    if src == dst:
-        partial_hops = [v for v in net.out_neighbors(src) if net.a[v] > 0.0 and v != src]
-        if not partial_hops:
-            return False
-        reached = _reachable_through_partial(net, partial_hops)
-        for v in partial_hops:
-            reached[v] = True
-        # need some partially stubborn u on the reach set with an edge back
-        return any(reached[u] and net.a[u] > 0.0 for u in net.in_neighbors(src))
-    if net.C[src, dst] > 0.0:
-        return True
-    mids = [v for v in net.out_neighbors(src) if net.a[v] > 0.0 and v != dst]
-    if not mids:
-        return False
-    reached = _reachable_through_partial(net, mids)
-    for v in mids:
-        reached[v] = True
-    return any(reached[u] and net.a[u] > 0.0 for u in net.in_neighbors(dst) if u != dst)
 
 
 # ---------------------------------------------------------------------------

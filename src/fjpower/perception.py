@@ -25,7 +25,6 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidStructureError, ViewViolationError
-from .fj_core import influence_matrix
 from .network import InfluenceNetwork
 
 CONVERGED = "converged"
@@ -38,7 +37,7 @@ STEP = "step"
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
-DEFAULT_DIVERGENCE_BOUND = 1e9
+DIVERGENCE_BOUND = 1e9
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +123,6 @@ def step_pagerank_ra(net: InfluenceNetwork, p: np.ndarray) -> np.ndarray:
     return _step(RULES["homogeneous"], net, None, p)
 
 
-def step_degroot_diagnostic(
-    net: InfluenceNetwork, gamma: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """Comparison-only averaging update p' = W(γ)ᵀ p.
-
-    No stubbornness anchoring: iterates approach the dominant left eigenvector
-    of W(γ) only when the estimates start summing to one and W(γ) is
-    irreducible.  Kept as a diagnostic, not part of the perception family.
-    """
-    W = influence_matrix(net.C, np.asarray(gamma, dtype=float))
-    return W.T @ np.asarray(p, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -197,13 +183,12 @@ def run_to_convergence(
     p0: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
     timescale: str = ISSUE,
 ) -> Trajectory:
     """Iterate ``stepper`` from ``p0`` and record every state.
 
     Stops with status CONVERGED when the ∞-norm increment drops below ``tol``,
-    DIVERGED as soon as any coordinate magnitude passes ``divergence_bound``,
+    DIVERGED as soon as any coordinate magnitude passes ``DIVERGENCE_BOUND``,
     NONFINITE as soon as any coordinate is NaN or infinite (the offending state
     is kept as the last row, and the start is checked too), or MAX_ITER after
     ``max_iter`` steps.  Divergence is classified purely by the magnitude
@@ -214,21 +199,21 @@ def run_to_convergence(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     p = np.asarray(p0, dtype=float)
-    states = [p]
+    states = [p]  # Trajectory copies the rows into its path once; no array here
     status = MAX_ITER
-    if not np.all(np.abs(p) <= divergence_bound):
-        return Trajectory(np.array(states), _escape_status(p), timescale, tol)
+    if not np.all(np.abs(p) <= DIVERGENCE_BOUND):
+        return Trajectory(states, _escape_status(p), timescale, tol)
     for _ in range(max_iter):
         p_next = np.asarray(stepper(p), dtype=float)
         states.append(p_next)
-        if not np.all(np.abs(p_next) <= divergence_bound):
+        if not np.all(np.abs(p_next) <= DIVERGENCE_BOUND):
             status = _escape_status(p_next)
             break
         if np.max(np.abs(p_next - p)) < tol:
             status = CONVERGED
             break
         p = p_next
-    return Trajectory(np.array(states), status, timescale, tol)
+    return Trajectory(states, status, timescale, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +302,3 @@ def local_step(rule: Rule, view: LocalView, own_p: float, inbox: Mapping[int, fl
     for nb in view.neighbors:
         acc += relay(nb.a, nb.gamma, inbox[nb.node]) * nb.weight
     return rule.update(view.a, view.gamma, own_p, view.n, acc)
-
-
-def local_step_no_ra(view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
-    """:func:`local_step` with the ``no_ra`` rule."""
-    return local_step(RULES["no_ra"], view, own_p, inbox)
-
-
-def local_step_ra(view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
-    """:func:`local_step` with the ``ra`` rule."""
-    return local_step(RULES["ra"], view, own_p, inbox)
-
-
-def local_step_homogeneous(view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
-    """:func:`local_step` with the ``homogeneous`` rule; the view's own ``a`` is the shared one."""
-    return local_step(RULES["homogeneous"], view, own_p, inbox)

@@ -47,7 +47,7 @@ from .fj_core import (
     step_power_evolution,
     step_power_evolution_single,
 )
-from .network import InfluenceNetwork, validate_arrays
+from .network import InfluenceNetwork
 from .perception import (
     CONVERGED,
     DIVERGED,
@@ -184,6 +184,14 @@ def _fail(message: str) -> None:
     raise ConfigValidationError(message)
 
 
+def _check_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
+    """Reject the first key of ``mapping`` outside ``known``, so a misspelt
+    setting fails loudly rather than falling back to its default."""
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        _fail(f"{where}unknown key {unknown[0]!r}; expected one of {known}")
+
+
 def _vector(raw, n: int, label: str) -> np.ndarray:
     try:
         v = np.asarray(raw, dtype=float)
@@ -213,9 +221,9 @@ def _parse_outputs(raw, name: str) -> tuple[OutputRequest, ...]:
         if kind not in OUTPUT_KINDS:
             _fail(f"{name}: unknown output kind {kind!r}; expected one of {OUTPUT_KINDS}")
         if kind == "condition_report":
-            ids = tuple(options or ())
-            if not ids:
+            if not isinstance(options, list) or not options:
                 _fail(f"{name}: condition_report needs a list of condition ids")
+            ids = tuple(options)
             for cid in ids:
                 if cid not in analysis.CONDITION_IDS:
                     _fail(
@@ -227,6 +235,7 @@ def _parse_outputs(raw, name: str) -> tuple[OutputRequest, ...]:
             options = options or {}
             if not isinstance(options, dict):
                 _fail(f"{name}: invariant_test options must be a mapping")
+            _check_keys(options, ("samples", "box", "seed"), f"{name}: invariant_test ")
             box = options.get("box", "two_sided")
             if box not in BOX_BUILDERS:
                 _fail(f"{name}: unknown box {box!r}; expected one of {sorted(BOX_BUILDERS)}")
@@ -267,6 +276,8 @@ def _parse_starts(doc: dict, n: int, mode: str, seed: int, name: str) -> tuple[n
     if not isinstance(value, dict):
         _fail(f"{name}: {key} options must be a mapping")
     where = f"{name}: {key} "
+    known = ("count", "seed", "mu", "nu") if key == "uniform_in_box" else ("count", "seed")
+    _check_keys(value, known, where)
     count = parse_setting("count", value.get("count", 1), where)
     rng = np.random.default_rng(parse_setting("seed", value.get("seed", seed), where))
     if key == "simplex_random":
@@ -287,9 +298,9 @@ def load_scenario(
     ``tol``, ``max_iter`` and ``seed``, when given, override the file's
     top-level settings before anything is drawn, so an overridden ``seed``
     reaches sampled starts (a sampler's own ``seed:`` still wins).
-    Malformed YAML raises ConfigParseError; any structural or network
-    invariant failure raises ConfigValidationError whose message names the
-    violated invariant and the offending (1-based) index.
+    Malformed YAML raises ConfigParseError; an unknown key or any structural
+    or network invariant failure raises ConfigValidationError whose message
+    names the key, or the violated invariant and the offending (1-based) index.
     """
     path = Path(path)
     try:
@@ -305,18 +316,21 @@ def load_scenario(
     name = str(doc.get("name", path.stem))
     if not name or any(sep in name for sep in "/\\"):
         _fail(f"scenario name {name!r} must be a plain filename fragment")
+    _check_keys(doc, ("name", "network", "gamma", "mode", "initial", "tol", "max_iter",
+                      "seed", "outputs"), f"{name}: ")
     network = doc.get("network")
     if not isinstance(network, dict) or "C" not in network or "a" not in network:
         _fail(f"{name}: network section must define C and a")
+    _check_keys(network, ("C", "a"), f"{name}: network ")
     try:
         C = np.asarray(network["C"], dtype=float)
         a = np.asarray(network["a"], dtype=float)
     except (TypeError, ValueError) as exc:
         _fail(f"{name}: network arrays are not numeric: {exc}")
-    report = validate_arrays(C, a)
-    if not report.ok:
-        _fail(f"{name}: invalid network: {report}")
-    net = InfluenceNetwork(C=C, a=a)
+    try:
+        net = InfluenceNetwork(C=C, a=a)
+    except ValueError as exc:  # the network's invariants, checked once, as it is built
+        raise ConfigValidationError(f"{name}: {exc}") from exc
     mode = doc.get("mode")
     if mode not in MODES:
         _fail(f"{name}: unknown mode {mode!r}; expected one of {MODES}")

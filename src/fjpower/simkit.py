@@ -21,10 +21,8 @@ import numpy as np
 
 from .network import InfluenceNetwork
 from .perception import (
-    DEFAULT_DIVERGENCE_BOUND,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    ISSUE,
     RULES,
     LocalView,
     Trajectory,
@@ -132,8 +130,6 @@ def run_distributed(
     gamma: Optional[np.ndarray] = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
-    timescale: str = ISSUE,
 ) -> Trajectory:
     """Run the round-based simulation until the usual stop rules fire.
 
@@ -150,9 +146,7 @@ def run_distributed(
         # the agents hold the state; the driver's copy is only compared
         return run_round(net, agents, mode, next(rounds)).post_state
 
-    return run_to_convergence(
-        one_round, [ag.p for ag in agents], tol, max_iter, divergence_bound, timescale
-    )
+    return run_to_convergence(one_round, [ag.p for ag in agents], tol, max_iter)
 
 
 def run_batch(scenarios: Sequence, out_dir=None) -> list:

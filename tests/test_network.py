@@ -12,12 +12,10 @@ from fjpower import (
     InfluenceNetwork,
     classify_topology,
     enumerate_stubborn_cycles,
-    has_stubborn_path,
     random_doubly_stochastic_ring,
     random_network,
     random_star_network,
     validate_arrays,
-    validate_network,
 )
 
 
@@ -102,7 +100,7 @@ def test_from_arrays_can_renormalize_rows():
 
 def test_unchecked_carrier_skips_validation_but_can_be_rechecked():
     net = InfluenceNetwork.unchecked([[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
-    assert not validate_network(net).ok
+    assert not validate_arrays(net.C, net.a).ok
 
 
 def test_arrays_are_frozen(anchored_net):
@@ -161,7 +159,7 @@ def test_two_node_center_tie_breaks_to_lowest_index():
 
 
 # ---------------------------------------------------------------------------
-# stubborn cycles and paths
+# stubborn cycles
 # ---------------------------------------------------------------------------
 
 def test_single_cycle_through_loop_node(anchored_net):
@@ -170,7 +168,6 @@ def test_single_cycle_through_loop_node(anchored_net):
     (cyc,) = cycles
     assert cyc.nodes == (2, 1, 2)
     assert cyc.value == pytest.approx(0.5, abs=1e-15)
-    assert cyc.is_cycle
 
 
 def test_fully_stubborn_anchor_may_have_partially_stubborn_interior(anchored_net):
@@ -181,7 +178,6 @@ def test_fully_stubborn_anchor_may_have_partially_stubborn_interior(anchored_net
 
 def test_leaf_of_fully_stubborn_center_star_has_no_cycles(star3_net):
     assert enumerate_stubborn_cycles(star3_net, 1) == []
-    assert not has_stubborn_path(star3_net, 1, 1)
 
 
 def test_two_node_loop_has_unit_value():
@@ -244,29 +240,6 @@ def test_anchor_out_of_range():
         enumerate_stubborn_cycles(net, 2)
 
 
-def test_direct_edge_counts_as_path(anchored_net):
-    # interior is empty, so endpoint stubbornness does not matter
-    assert has_stubborn_path(anchored_net, 0, 2)
-    assert has_stubborn_path(anchored_net, 2, 0)
-
-
-def test_fully_stubborn_interior_blocks_path():
-    ring = InfluenceNetwork(
-        C=np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]),
-        a=np.array([0.5, 0.0, 0.5]),
-    )
-    assert not has_stubborn_path(ring, 0, 2)  # only route relays through a stubborn node
-    assert has_stubborn_path(ring, 0, 1)
-
-
-def test_self_path_matches_cycle_existence():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        net = random_network(rng, int(rng.integers(2, 6)))
-        for i in range(net.n):
-            assert has_stubborn_path(net, i, i) == bool(enumerate_stubborn_cycles(net, i))
-
-
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -275,7 +248,7 @@ def test_random_networks_are_valid():
     rng = np.random.default_rng(0)
     for _ in range(20):
         net = random_network(rng, int(rng.integers(2, 9)))
-        assert validate_network(net).ok
+        assert validate_arrays(net.C, net.a).ok
 
 
 def test_random_star_networks_classify_as_stars():
@@ -284,7 +257,7 @@ def test_random_star_networks_classify_as_stars():
         net = random_star_network(rng, int(rng.integers(3, 9)))
         topo = classify_topology(net)
         assert topo.kind == STAR_FULL_CENTER and topo.center == 0
-        assert validate_network(net).ok
+        assert validate_arrays(net.C, net.a).ok
     loose = random_star_network(rng, 5, center_fully_stubborn=False)
     assert classify_topology(loose).kind == STAR_PARTIAL_CENTER
 

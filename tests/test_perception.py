@@ -1,5 +1,6 @@
 """Perception steppers, trajectories, and the per-node locality layer."""
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +20,9 @@ from fjpower import (
     compute_social_power,
     homogeneous_susceptibility,
     influence_matrix,
-    local_step_homogeneous,
-    local_step_no_ra,
-    local_step_ra,
     random_doubly_stochastic_ring,
     random_network,
     run_to_convergence,
-    step_degroot_diagnostic,
     step_pagerank_ra,
     step_perception_no_ra,
     step_perception_ra,
@@ -190,23 +187,16 @@ def test_estimate_total_follows_scalar_recursion(p):
 # ---------------------------------------------------------------------------
 
 def test_averaging_diagnostic_settles_on_dominant_left_eigenvector(anchored_net):
-    gamma = np.full(3, 0.3)
-    traj = run_to_convergence(
-        lambda p: step_degroot_diagnostic(anchored_net, gamma, p),
-        np.array([0.2, 0.3, 0.5]),
-    )
+    W = influence_matrix(anchored_net.C, np.full(3, 0.3))
+    traj = run_to_convergence(lambda p: W.T @ p, np.array([0.2, 0.3, 0.5]))
     assert traj.converged
     assert np.max(np.abs(traj.final - DEGROOT_LIMIT)) <= 1e-8
-    W = influence_matrix(anchored_net.C, gamma)
     assert np.max(np.abs(W.T @ traj.final - traj.final)) < 1e-10
 
 
 def test_averaging_diagnostic_scales_with_the_start(anchored_net):
-    gamma = np.full(3, 0.3)
-    traj = run_to_convergence(
-        lambda p: step_degroot_diagnostic(anchored_net, gamma, p),
-        np.array([0.4, 0.6, 1.0]),
-    )
+    W = influence_matrix(anchored_net.C, np.full(3, 0.3))
+    traj = run_to_convergence(lambda p: W.T @ p, np.array([0.4, 0.6, 1.0]))
     assert np.max(np.abs(traj.final - 2 * DEGROOT_LIMIT)) <= 1e-8
 
 
@@ -283,6 +273,18 @@ def test_trajectory_shape_and_views():
         traj.path[0, 0] = 9.0
 
 
+def test_a_run_copies_its_states_into_the_path_once():
+    # the state list plus one path array: a second copy would put the peak near 3x
+    tracemalloc.start()
+    try:
+        traj = run_to_convergence(lambda p: p + 1.0, np.zeros(1000), max_iter=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.status == MAX_ITER and traj.iterations == 2000
+    assert peak / traj.path.nbytes < 2.5
+
+
 # ---------------------------------------------------------------------------
 # per-node locality
 # ---------------------------------------------------------------------------
@@ -301,22 +303,21 @@ def test_views_carry_exactly_the_local_data(anchored_net, triad_gamma):
 
 
 def test_local_updates_take_only_view_own_value_and_inbox():
-    for fn in (local_step_no_ra, local_step_ra, local_step_homogeneous):
-        assert list(inspect.signature(fn).parameters) == ["view", "own_p", "inbox"]
+    assert list(inspect.signature(local_step).parameters) == ["rule", "view", "own_p", "inbox"]
 
 
 def test_fixed_weight_local_update_needs_a_self_weight(anchored_net):
     view = build_local_views(anchored_net)[1]
     with pytest.raises(ViewViolationError, match="needs gamma"):
-        local_step_no_ra(view, 0.3, {0: 0.1, 2: 0.2})
+        local_step(RULES["no_ra"], view, 0.3, {0: 0.1, 2: 0.2})
 
 
 def test_inbox_mismatch_is_rejected_with_one_based_ids(anchored_net):
     view = build_local_views(anchored_net)[1]
     with pytest.raises(ViewViolationError, match=r"missing senders \[3\]"):
-        local_step_ra(view, 0.3, {0: 0.1})
+        local_step(RULES["ra"], view, 0.3, {0: 0.1})
     with pytest.raises(ViewViolationError, match=r"unexpected senders \[2\]"):
-        local_step_ra(view, 0.3, {0: 0.1, 1: 0.4, 2: 0.2})
+        local_step(RULES["ra"], view, 0.3, {0: 0.1, 1: 0.4, 2: 0.2})
 
 
 def test_scalar_updates_match_the_vector_steppers(anchored_net, triad_net, triad_gamma):
@@ -327,13 +328,13 @@ def test_scalar_updates_match_the_vector_steppers(anchored_net, triad_net, triad
     want_ra = step_perception_ra(anchored_net, p)
     for i, view in enumerate(ra_views):
         inbox = {j: p[j] for j in view.in_neighbor_ids}
-        assert local_step_ra(view, p[i], inbox) == pytest.approx(want_ra[i], abs=1e-14)
+        assert local_step(RULES["ra"], view, p[i], inbox) == pytest.approx(want_ra[i], abs=1e-14)
 
     no_ra_views = build_local_views(triad_net, triad_gamma)
     want = step_perception_no_ra(triad_net, triad_gamma, p)
     for i, view in enumerate(no_ra_views):
         inbox = {j: p[j] for j in view.in_neighbor_ids}
-        assert local_step_no_ra(view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
+        assert local_step(RULES["no_ra"], view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
 
 
 def test_scalar_homogeneous_update_matches_the_vector_stepper():
@@ -344,7 +345,7 @@ def test_scalar_homogeneous_update_matches_the_vector_stepper():
     want = step_pagerank_ra(net, p)
     for i, view in enumerate(build_local_views(net)):
         inbox = {j: p[j] for j in view.in_neighbor_ids}
-        assert local_step_homogeneous(view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
+        assert local_step(RULES["homogeneous"], view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from fjpower import (
     load_scenario,
     run_reports,
     run_scenario,
+    validate_arrays,
     write_trajectory_csv,
 )
+from fjpower import network, scenario
 from fjpower.cli import main
 from fjpower.scenario import MODES, ScenarioResult, _csv_steps
 
@@ -77,6 +79,39 @@ def test_network_invariants_are_named_in_the_error(tmp_path):
     zeros = MINIMAL.replace("a: [0.5, 0.5]", "a: [0.0, 0.0]")
     with pytest.raises(ConfigValidationError, match="not_all_fully_stubborn"):
         load_scenario(_write(tmp_path, zeros))
+
+
+def test_network_is_validated_once_per_load(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate_arrays(*args, **kwargs)
+
+    monkeypatch.setattr(network, "validate_arrays", counting)
+    monkeypatch.setattr(scenario, "validate_arrays", counting, raising=False)
+    load_scenario(_write(tmp_path, MINIMAL))
+    assert len(calls) == 1
+    off = MINIMAL.replace("[0.0, 1.0]", "[0.0, 0.99]")
+    with pytest.raises(ConfigValidationError) as err:
+        load_scenario(_write(tmp_path, off))
+    report = validate_arrays([[0.0, 0.99], [1.0, 0.0]], [0.5, 0.5])
+    assert str(err.value) == f"case: invalid network: {report}"
+    assert "row_stochastic: row 1 of C sums to" in str(report)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("mode:", "max_iters: 5\nmode:", "case: unknown key 'max_iters'; expected one of"),
+    ("  a: [0.5, 0.5]", "  a: [0.5, 0.5]\n  b: [0.5, 0.5]", "case: network unknown key 'b'"),
+    ("  p0: [0.5, 0.5]", "  simplex_random: {sead: 3}", "case: simplex_random unknown key 'sead'"),
+    ("  p0: [0.5, 0.5]", "  p0: [0.5, 0.5]\noutputs:\n  - invariant_test: {sample: 10}",
+     "case: invariant_test unknown key 'sample'"),
+    ("  p0: [0.5, 0.5]", "  p0: [0.5, 0.5]\noutputs:\n  - condition_report: incoming_influence_cap",
+     "case: condition_report needs a list of condition ids"),
+], ids=["top_level", "network", "sampler", "invariant_test", "condition_report_string"])
+def test_misspelt_keys_fail_loudly(tmp_path, old, new, message):
+    with pytest.raises(ConfigValidationError, match=message):
+        load_scenario(_write(tmp_path, MINIMAL.replace(old, new)))
 
 
 def test_mode_and_gamma_pairing(tmp_path):
