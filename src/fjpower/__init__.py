@@ -33,7 +33,6 @@ from .network import (
     validate_arrays,
 )
 from .fj_core import (
-    OpinionState,
     compute_social_power,
     final_opinions,
     influence_matrix,

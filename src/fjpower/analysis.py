@@ -66,6 +66,8 @@ CONDITION_IDS = (
 DEMOCRACY_TOL = 1e-10
 AGREE_TOL = 1e-8  # ∞-norm distance within which two equilibrium limits agree
 FD_STEP = 1e-6  # central finite-difference step of the Jacobian check
+EXIT_SLACK = 1e-12  # how far outside its box a stepped coordinate may land
+MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance report keeps
 
 
 # ---------------------------------------------------------------------------
@@ -549,25 +551,23 @@ def one_step_invariance_test(
     box: Box,
     samples: int,
     seed: int = 0,
-    slack: float = 1e-12,
-    max_examples: int = 20,
 ) -> InvarianceReport:
     """Monte-Carlo one-step invariance trial of the reflected-appraisal map.
 
     Draws ``samples`` uniform points in ``box``, applies the update once and
-    counts coordinates landing outside by more than ``slack``.  Keeps the
-    first ``max_examples`` offending (sample, coordinate) pairs.
+    counts coordinates landing outside by more than ``EXIT_SLACK``.  Keeps the
+    first ``MAX_EXIT_EXAMPLES`` offending (sample, coordinate) pairs.
     """
     rng = np.random.default_rng(seed)
     P = box.sample(rng, samples)
     Q = _batch_step_ra(net, P)
-    below = Q < box.mu - slack
-    above = Q > box.nu + slack
+    below = Q < box.mu - EXIT_SLACK
+    above = Q > box.nu + EXIT_SLACK
     exit_count = int(np.count_nonzero(below | above))
     examples: list[ExitRecord] = []
     if exit_count:
         rows, cols = np.nonzero(below | above)
-        for r, c in zip(rows[:max_examples], cols[:max_examples]):
+        for r, c in zip(rows[:MAX_EXIT_EXAMPLES], cols[:MAX_EXIT_EXAMPLES]):
             side = "lower" if below[r, c] else "upper"
             bound = float(box.mu[c]) if side == "lower" else float(box.nu[c])
             examples.append(

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import simkit
+from .analysis import ConditionReport
 from .errors import FJPowerError
 from .fj_core import compute_social_power
 from .scenario import (
@@ -83,9 +84,10 @@ def _print_result(result: ScenarioResult) -> None:
     print(result.summary_line())
     if result.final is not None:
         print("final: " + " ".join(f"{v:.17e}" for v in result.final))
-    for cid, margin in result.condition_margins.items():
-        verdict = "holds" if margin is not None and margin >= 0.0 else "fails"
-        print(f"condition {cid}: {verdict} (margin {margin:.6g})")
+    for cid, rep in result.reports.items():
+        if isinstance(rep, ConditionReport):
+            verdict = "holds" if rep.margin >= 0.0 else "fails"
+            print(f"condition {cid}: {verdict} (margin {rep.margin:.6g})")
     for path in result.artifacts:
         print(f"wrote {path}")
 

@@ -13,8 +13,6 @@ Conventions
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .errors import SingularSystemError
@@ -34,24 +32,6 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularSystemError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class OpinionState:
-    """Opinions mid-discussion: current vector, anchored initial vector, clocks."""
-
-    y: np.ndarray
-    y0: np.ndarray
-    issue: int = 0
-    step: int = 0
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        y0 = np.asarray(self.y0, dtype=float)
-        if y.shape != y0.shape:
-            raise ValueError(f"y {y.shape} and y0 {y0.shape} differ in length")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "y0", y0)
-
-
 def fj_opinion_map(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray):
     """The opinion update y -> A W(gamma) y + (I - A) y0, with W built once."""
     W = influence_matrix(net.C, gamma)
@@ -60,10 +40,10 @@ def fj_opinion_map(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray):
 
 
 def step_fj_opinions(
-    net: InfluenceNetwork, gamma: np.ndarray, state: OpinionState
-) -> OpinionState:
+    net: InfluenceNetwork, gamma: np.ndarray, y: np.ndarray, y0: np.ndarray
+) -> np.ndarray:
     """One opinion update: y' = A W(gamma) y + (I - A) y0."""
-    return replace(state, y=fj_opinion_map(net, gamma, state.y0)(state.y), step=state.step + 1)
+    return fj_opinion_map(net, gamma, y0)(y)
 
 
 def final_opinions(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray) -> np.ndarray:

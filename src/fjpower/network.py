@@ -8,7 +8,7 @@ package; user-facing output (reports, messages) adds 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
@@ -52,10 +52,11 @@ class ValidationReport:
         return "; ".join(f"{v.name}: {v.message}" for v in self.violations)
 
 
-def validate_arrays(C, a, tol: float = ROW_SUM_TOL) -> ValidationReport:
+def validate_arrays(C, a) -> ValidationReport:
     """Check a candidate (C, a) pair against every network invariant.
 
-    Never raises: all failures are collected into the report.
+    Never raises: all failures are collected into the report.  Rows of C
+    must sum to 1 within ``ROW_SUM_TOL``.
 
     Parameters
     ----------
@@ -63,8 +64,6 @@ def validate_arrays(C, a, tol: float = ROW_SUM_TOL) -> ValidationReport:
         Candidate interaction matrix.
     a : (n,) array_like
         Candidate susceptibilities.
-    tol : float
-        Row-stochasticity tolerance.
     """
     out: list[Violation] = []
     C = np.asarray(C, dtype=float)
@@ -103,11 +102,12 @@ def validate_arrays(C, a, tol: float = ROW_SUM_TOL) -> ValidationReport:
             Violation("nonnegative", f"C[{i + 1},{j + 1}] = {C[i, j]} is negative", int(i))
         )
     for i in range(n):
-        if abs(row_sums[i] - 1.0) > tol:
+        if abs(row_sums[i] - 1.0) > ROW_SUM_TOL:
             out.append(
                 Violation(
                     "row_stochastic",
-                    f"row {i + 1} of C sums to {row_sums[i]!r}, not 1 within {tol}",
+                    f"row {i + 1} of C sums to {float(row_sums[i])!r}, "
+                    f"not 1 within {ROW_SUM_TOL}",
                     i,
                 )
             )
@@ -190,43 +190,17 @@ class InfluenceNetwork:
 
     C: np.ndarray
     a: np.ndarray
-    validated: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "C", _freeze(self.C))
         object.__setattr__(self, "a", _freeze(self.a))
-        if self.validated:
-            report = validate_arrays(self.C, self.a)
-            if not report.ok:
-                raise ValueError(f"invalid network: {report}")
-
-    @classmethod
-    def from_arrays(cls, C, a, renormalize_rows: bool = False) -> "InfluenceNetwork":
-        """Build a validated network; optionally renormalize rows of C first.
-
-        Silent renormalization hides data errors, so it only happens when
-        explicitly asked for.
-        """
-        C = np.array(C, dtype=float)
-        if renormalize_rows:
-            sums = C.sum(axis=1)
-            if np.any(sums <= 0):
-                raise ValueError("cannot renormalize: a row of C sums to <= 0")
-            C = C / sums[:, None]
-        return cls(C=C, a=np.asarray(a, dtype=float))
-
-    @classmethod
-    def unchecked(cls, C, a) -> "InfluenceNetwork":
-        """Carrier without invariant enforcement (for limiting-case math)."""
-        return cls(C=np.asarray(C, dtype=float), a=np.asarray(a, dtype=float), validated=False)
+        report = validate_arrays(self.C, self.a)
+        if not report.ok:
+            raise ValueError(f"invalid network: {report}")
 
     @property
     def n(self) -> int:
         return self.C.shape[0]
-
-    @property
-    def fully_stubborn(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.a == 0.0)[0])
 
     @property
     def partially_stubborn(self) -> tuple[int, ...]:

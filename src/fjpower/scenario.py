@@ -371,7 +371,6 @@ class ScenarioResult:
     final: Optional[np.ndarray]
     trajectories: tuple[Trajectory, ...] = ()
     reports: dict = field(default_factory=dict)
-    condition_margins: dict = field(default_factory=dict)
     artifacts: tuple[str, ...] = ()
     error: Optional[str] = None
 
@@ -427,12 +426,11 @@ def _resolve_out_dir(out_dir: Union[str, Path, None]) -> Path:
     return Path(out_dir)
 
 
-def _write_reports(scn: Scenario, out_dir: Path) -> tuple[dict, dict, tuple[str, ...]]:
+def _write_reports(scn: Scenario, out_dir: Path) -> tuple[dict, tuple[str, ...]]:
     """Produce every non-trajectory artifact the scenario requests and write
-    them to ``<name>_report.txt``; returns the reports, the condition margins
-    and the written path (none when nothing was requested)."""
+    them to ``<name>_report.txt``; returns the reports and the written path
+    (none when nothing was requested)."""
     reports: dict = {}
-    margins: dict = {}
     lines: list[str] = []
     for request in scn.outputs:
         if request.kind == "equilibrium_report":
@@ -444,7 +442,6 @@ def _write_reports(scn: Scenario, out_dir: Path) -> tuple[dict, dict, tuple[str,
             for cid in request.condition_ids:
                 rep = analysis.check_condition(scn.net, cid)
                 reports[cid] = rep
-                margins[cid] = rep.margin
                 lines += [f"== condition {cid} ==", str(rep), ""]
         elif request.kind == "invariant_test":
             box = BOX_BUILDERS[request.box](scn.net)
@@ -455,11 +452,11 @@ def _write_reports(scn: Scenario, out_dir: Path) -> tuple[dict, dict, tuple[str,
             reports[f"invariance_{request.box}"] = inv
             lines += [f"== invariance {request.box} ==", str(inv), ""]
     if not lines:
-        return reports, margins, ()
+        return reports, ()
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{scn.name}_report.txt"
     path.write_text("\n".join(lines))
-    return reports, margins, (str(path),)
+    return reports, (str(path),)
 
 
 def run_scenario(scn: Scenario, out_dir: Union[str, Path, None] = None) -> ScenarioResult:
@@ -484,11 +481,11 @@ def run_scenario(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scena
             for k, traj in enumerate(trajs, start=1):
                 p = write_trajectory_csv(out_dir / f"{scn.name}_traj{k}.csv", traj)
                 artifacts.append(str(p))
-    reports, margins, written = _write_reports(scn, out_dir)
+    reports, written = _write_reports(scn, out_dir)
     return ScenarioResult(
         name=scn.name, mode=scn.mode, status=status, iterations=iterations,
         final=final, trajectories=trajs, reports=reports,
-        condition_margins=margins, artifacts=tuple(artifacts) + written,
+        artifacts=tuple(artifacts) + written,
     )
 
 
@@ -498,12 +495,12 @@ def run_reports(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scenar
     Raises ConfigValidationError when the scenario requests none — asking
     for a report from a trajectory-only scenario is a caller mistake.
     """
-    reports, margins, written = _write_reports(scn, _resolve_out_dir(out_dir))
+    reports, written = _write_reports(scn, _resolve_out_dir(out_dir))
     if not written:
         raise ConfigValidationError(
             f"{scn.name}: no report outputs requested "
             "(add equilibrium_report, condition_report, or invariant_test)")
     return ScenarioResult(
         name=scn.name, mode=scn.mode, status=REPORT_OK, iterations=0,
-        final=None, reports=reports, condition_margins=margins, artifacts=written,
+        final=None, reports=reports, artifacts=written,
     )

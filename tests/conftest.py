@@ -8,6 +8,7 @@ is the divergence demo: same wheel-like topology under two susceptibility
 profiles and two starts.
 """
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,12 @@ import pytest
 from fjpower import InfluenceNetwork
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def carrier(C, a) -> SimpleNamespace:
+    """Duck-typed (C, a, n) for limiting cases no InfluenceNetwork may hold."""
+    a = np.asarray(a, dtype=float)
+    return SimpleNamespace(C=np.asarray(C, dtype=float), a=a, n=len(a))
 
 
 @pytest.fixture

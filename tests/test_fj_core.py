@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from fjpower import (
     CycleBudgetExceededError,
     InfluenceNetwork,
-    OpinionState,
     SingularSystemError,
     compute_social_power,
     enumerate_stubborn_cycles,
@@ -23,6 +22,8 @@ from fjpower import (
     step_power_evolution,
     step_power_evolution_single,
 )
+
+from conftest import carrier
 
 # power of the triad network at self-weights (0.2, 0.5, 0.0): exact fractions
 TRIAD_POWER = np.array([23 / 34, 74 / 255, 1 / 30])
@@ -48,24 +49,16 @@ def test_influence_matrix_rows_sum_to_one_for_any_real_weights(weights):
 
 def test_fully_stubborn_group_keeps_initial_opinions():
     # degenerate carrier: every node anchored, so one step lands back on y0
-    net = InfluenceNetwork.unchecked([[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
-    state = OpinionState(y=np.array([5.0, -2.0]), y0=np.array([1.0, 3.0]))
-    nxt = step_fj_opinions(net, np.array([0.4, 0.6]), state)
-    assert np.array_equal(nxt.y, state.y0)
-    assert nxt.step == 1
-
-
-def test_opinion_state_rejects_length_mismatch():
-    with pytest.raises(ValueError, match="differ in length"):
-        OpinionState(y=np.array([1.0, 2.0]), y0=np.array([1.0]))
+    net = carrier([[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
+    y0 = np.array([1.0, 3.0])
+    assert np.array_equal(step_fj_opinions(net, np.array([0.4, 0.6]), [5.0, -2.0], y0), y0)
 
 
 def test_direct_solve_is_a_fixed_point_of_the_update(triad_net, triad_gamma):
     y0 = np.array([0.3, -1.2, 0.8])
     y_star = final_opinions(triad_net, triad_gamma, y0)
-    state = OpinionState(y=y_star, y0=y0)
-    nxt = step_fj_opinions(triad_net, triad_gamma, state)
-    assert np.max(np.abs(nxt.y - y_star)) < 1e-12
+    nxt = step_fj_opinions(triad_net, triad_gamma, y_star, y0)
+    assert np.max(np.abs(nxt - y_star)) < 1e-12
 
 
 def test_iterated_opinions_reach_the_direct_solve(triad_net, triad_gamma):
@@ -102,7 +95,7 @@ def test_power_is_a_distribution_on_random_networks():
 
 
 def test_singular_carrier_raises():
-    net = InfluenceNetwork.unchecked([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
+    net = carrier([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0])
     with pytest.raises(SingularSystemError):
         final_opinions(net, np.ones(2), np.zeros(2))
 

@@ -30,6 +30,7 @@ from fjpower import (
 from fjpower.analysis import _batch_step_ra
 from fjpower.perception import RULES, _step, local_step
 
+from conftest import carrier
 from test_fj_core import ANCHORED_POWER_EQ
 
 # frozen limits (tol 1e-12 runs)
@@ -148,7 +149,7 @@ def test_pagerank_round_equals_reflected_round_when_susceptibility_is_shared():
 def test_pagerank_requires_one_shared_susceptibility(anchored_net):
     with pytest.raises(InvalidStructureError, match="found values from"):
         step_pagerank_ra(anchored_net, np.full(3, 1 / 3))
-    degenerate = InfluenceNetwork.unchecked([[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
+    degenerate = carrier([[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
     with pytest.raises(InvalidStructureError, match=r"in \(0, 1\)"):
         homogeneous_susceptibility(degenerate)
 

@@ -213,7 +213,7 @@ def test_batch_statuses_across_the_four_star_settings(tmp_path):
     # every run also produced its trajectory CSV and condition report
     for r in results:
         assert len(r.artifacts) == 2
-        assert r.condition_margins["star_center_load"] < 0.0
+        assert r.reports["star_center_load"].margin < 0.0
 
 
 def test_batch_is_deterministic(tmp_path):
