@@ -32,23 +32,25 @@ def _capped_nets(seed: int, count: int) -> list:
     return nets
 
 
+def _assert_all_reach(stepper, starts, target, where: str) -> None:
+    for p0 in starts:
+        traj = run_to_convergence(stepper, p0)
+        gap = float(np.max(np.abs(traj.final - target)))
+        assert traj.converged and gap <= CONVERGENCE_GAP, (
+            f"{where}: run {traj.status}, {gap:.3e} from the target")
+
+
 @pytest.mark.parametrize("seed", [600, 601, 602])
 def test_capped_networks_reach_the_actual_social_power(seed):
     rng = np.random.default_rng(seed + 1000)
     for k, net in enumerate(_capped_nets(seed, 15)):
-        p_star = solve_equilibrium(net).p_star
-        for p0 in two_sided_box(net).sample(rng, 10):
-            traj = run_to_convergence(lambda p: step_perception_ra(net, p), p0)
-            gap = float(np.max(np.abs(traj.final - p_star)))
-            assert traj.converged and gap <= CONVERGENCE_GAP, (
-                f"seed {seed} net {k}: RA run {traj.status}, {gap:.3e} from p*")
+        _assert_all_reach(lambda p: step_perception_ra(net, p),
+                          two_sided_box(net).sample(rng, 10),
+                          solve_equilibrium(net).p_star, f"seed {seed} net {k} RA")
         gamma = rng.uniform(0.0, 1.0, size=net.n)
-        target = compute_social_power(net, gamma)
-        for p0 in rng.uniform(-5.0, 5.0, size=(5, net.n)):
-            traj = run_to_convergence(lambda p: step_perception_no_ra(net, gamma, p), p0)
-            gap = float(np.max(np.abs(traj.final - target)))
-            assert traj.converged and gap <= CONVERGENCE_GAP, (
-                f"seed {seed} net {k}: no-RA run {traj.status}, {gap:.3e} from x")
+        _assert_all_reach(lambda p: step_perception_no_ra(net, gamma, p),
+                          rng.uniform(-5.0, 5.0, size=(5, net.n)),
+                          compute_social_power(net, gamma), f"seed {seed} net {k} no-RA")
 
 
 def test_without_the_influence_cap_the_ra_map_can_diverge():
