@@ -50,7 +50,6 @@ from .perception import (
     NONFINITE,
     STEP,
     LocalView,
-    NeighborInfo,
     Trajectory,
     build_local_views,
     homogeneous_susceptibility,
@@ -85,7 +84,6 @@ from .simkit import (
     MODE_NO_RA,
     MODE_RA,
     Agent,
-    Round,
     advance,
     deliver,
     make_agents,

@@ -74,7 +74,7 @@ MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance rep
 # boxes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned region {p : mu <= p <= nu}; infinite bounds allowed."""
 
@@ -202,7 +202,7 @@ def star_invariant_box(net: InfluenceNetwork, loose: bool = False) -> Box:
 # equilibria
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumReport:
     """Multistart fixed-point search result.
 
@@ -639,7 +639,7 @@ class NodeMonotonicity:
     first_violation: Optional[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotonicityReport:
     """Strictness verdicts per partially stubborn leaf plus the center's tail.
 

@@ -86,8 +86,7 @@ def _print_result(result: ScenarioResult) -> None:
         print("final: " + " ".join(f"{v:.17e}" for v in result.final))
     for cid, rep in result.reports.items():
         if isinstance(rep, ConditionReport):
-            verdict = "holds" if rep.margin >= 0.0 else "fails"
-            print(f"condition {cid}: {verdict} (margin {rep.margin:.6g})")
+            print(f"condition {cid}: {'holds' if rep.holds else 'fails'} (margin {rep.margin:.6g})")
     for path in result.artifacts:
         print(f"wrote {path}")
 

@@ -120,14 +120,14 @@ def validate_arrays(C, a) -> ValidationReport:
                     i,
                 )
             )
-    if a.shape == (n,) and np.all(a == 0.0):
+    if np.all(a == 0.0):
         out.append(
             Violation("not_all_fully_stubborn", "a is the zero vector; at least one a_i > 0 required")
         )
     return ValidationReport(tuple(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Adjacency:
     """The positive entries of C: the one edge list every router reads.
 
@@ -184,7 +184,7 @@ def _split(items: list, offsets: np.ndarray) -> tuple[tuple, ...]:
     return tuple(tuple(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfluenceNetwork:
     """Validated (C, a) pair.  Immutable; safe to share across threads."""
 
@@ -246,8 +246,7 @@ def classify_topology(net: InfluenceNetwork) -> TopologyClass:
     adj = net.adjacency
     senders, receivers = adj.senders, adj.receivers
     # a center touches every edge, so only the ends of one edge can qualify
-    candidates = sorted({int(senders[0]), int(receivers[0])}) if adj.nnz else range(net.n)
-    for c in candidates:
+    for c in sorted({int(senders[0]), int(receivers[0])}):
         if np.all((senders == c) | (receivers == c)):
             if net.a[c] == 0.0:
                 return TopologyClass(STAR_FULL_CENTER, c)

@@ -18,6 +18,7 @@ centralized runs agree bit-for-bit by construction.  Estimates may leave
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -127,7 +128,7 @@ def step_pagerank_ra(net: InfluenceNetwork, p: np.ndarray) -> np.ndarray:
 # trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded orbit of one run: every visited state plus the stop verdict.
 
@@ -221,26 +222,12 @@ def run_to_convergence(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class NeighborInfo:
-    """Static data one node holds about one in-neighbor.
-
-    ``weight`` is the influence the neighbor accords to the view's owner
-    (the neighbor's row entry for the owner's column); ``gamma`` is only
-    present in fixed-self-weight mode.
-    """
-
-    node: int
-    a: float
-    weight: float
-    gamma: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class LocalView:
     """Everything node ``node`` may legally read, besides its own estimate.
 
     Own susceptibility and (in fixed-weight mode) own self-weight, the group
-    size, and one :class:`NeighborInfo` per in-neighbor, ascending by id.
+    size, and one ``(j, a_j, C[j, node], gamma_j)`` tuple per in-neighbor j,
+    ascending by j; ``gamma_j`` is None unless the view was built with gamma.
     Neighbors' current estimates are *not* here — they arrive each round
     through an inbox.
     """
@@ -249,16 +236,12 @@ class LocalView:
     n: int
     a: float
     gamma: Optional[float]
-    neighbors: tuple[NeighborInfo, ...]
-
-    @cached_property
-    def in_neighbor_ids(self) -> tuple[int, ...]:
-        return tuple(nb.node for nb in self.neighbors)
+    in_edges: tuple[tuple[int, float, float, Optional[float]], ...]
 
     @cached_property
     def sender_set(self) -> frozenset[int]:
         """The only senders an inbox may hold, as a set."""
-        return frozenset(self.in_neighbor_ids)
+        return frozenset(j for j, _, _, _ in self.in_edges)
 
 
 def build_local_views(
@@ -266,20 +249,23 @@ def build_local_views(
 ) -> tuple[LocalView, ...]:
     """One view per node; pass ``gamma`` only for the fixed-self-weight mode.
 
-    Reads the network's cached adjacency, so the cost is O(n + nnz).
+    Each view slices the per-edge lists of the network's cached adjacency, so
+    the cost is O(n + nnz).
     """
     adj = net.adjacency
     a = net.a.tolist()
     g = [None] * net.n if gamma is None else np.asarray(gamma, dtype=float).tolist()
-    weights = adj.weights.tolist()
-    views = []
-    for i, (senders, lo) in enumerate(zip(adj.in_lists, adj.offsets.tolist())):
-        nbrs = tuple(
-            NeighborInfo(node=j, a=a[j], weight=w, gamma=g[j])
-            for j, w in zip(senders, weights[lo:lo + len(senders)])
-        )
-        views.append(LocalView(node=i, n=net.n, a=a[i], gamma=g[i], neighbors=nbrs))
-    return tuple(views)
+    # the object array gives each edge its sender's float objects, which are one
+    # per node, not one per edge; edges are sorted by (receiver, sender), so node
+    # i's block is offsets[i]:offsets[i + 1]
+    sender_a, sender_g = np.array([a, g], dtype=object)[:, adj.senders].tolist()
+    edges = list(zip(itertools.chain.from_iterable(adj.in_lists),
+                     sender_a, adj.weights.tolist(), sender_g))
+    bounds = adj.offsets.tolist()
+    return tuple(
+        LocalView(node=i, n=net.n, a=a[i], gamma=g[i], in_edges=tuple(edges[lo:hi]))
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    )
 
 
 def local_step(rule: Rule, view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
@@ -299,6 +285,6 @@ def local_step(rule: Rule, view: LocalView, own_p: float, inbox: Mapping[int, fl
         )
     relay = rule.relay
     acc = 0.0
-    for nb in view.neighbors:
-        acc += relay(nb.a, nb.gamma, inbox[nb.node]) * nb.weight
+    for j, a_j, weight, gamma_j in view.in_edges:
+        acc += relay(a_j, gamma_j, inbox[j]) * weight
     return rule.update(view.a, view.gamma, own_p, view.n, acc)

@@ -63,10 +63,12 @@ from .perception import (
 )
 
 class Mode(NamedTuple):
-    """One row of the mode table: whether the mode reads ``gamma``, and its
+    """One row of the mode table: whether the mode reads ``gamma``, the clock
+    its runs and condition reports use (issue- or step-indexed), and its
     runner ``run(net, gamma, p0, tol, max_iter) -> Trajectory``."""
 
     needs_gamma: bool
+    timescale: str
     run: Callable[..., Trajectory]
 
 
@@ -74,10 +76,11 @@ class Mode(NamedTuple):
 # simkit.run_distributed as module globals at call time, never binding them
 # here, so patching those attributes (to trace or stub them) reaches every mode.
 
-def _iterate(make_stepper, timescale: str = ISSUE):
-    """Runner that iterates ``make_stepper(net, gamma, p0)`` under the shared stop rules."""
-    return lambda net, gamma, p0, tol, max_iter: run_to_convergence(
-        make_stepper(net, gamma, p0), p0, tol, max_iter, timescale=timescale)
+def _iterate(needs_gamma: bool, timescale: str, make_stepper) -> Mode:
+    """Row whose runner iterates ``make_stepper(net, gamma, p0)`` under the
+    shared stop rules, labelling the run with the row's timescale."""
+    return Mode(needs_gamma, timescale, lambda net, gamma, p0, tol, max_iter: run_to_convergence(
+        make_stepper(net, gamma, p0), p0, tol, max_iter, timescale=timescale))
 
 
 def _power_evolution_single(net, gamma, x0):
@@ -93,24 +96,25 @@ def _power_evolution_single(net, gamma, x0):
 
 MODE_TABLE = {
     # a direct solve, recorded as a converged one-state run; there is no start, p0 is None
-    "social_power": Mode(True, lambda net, gamma, p0, tol, max_iter: Trajectory(
-        compute_social_power(net, gamma)[None, :], CONVERGED, ISSUE, tol)),
-    "perception_no_ra": Mode(True, _iterate(
-        lambda net, gamma, p0: lambda p: step_perception_no_ra(net, gamma, p))),
-    "perception_ra": Mode(False, _iterate(
-        lambda net, gamma, p0: lambda p: step_perception_ra(net, p))),
-    "perception_ra_single": Mode(False, _iterate(
-        lambda net, gamma, p0: lambda p: step_perception_ra(net, p), STEP)),
-    "power_evolution": Mode(False, _iterate(
-        lambda net, gamma, p0: lambda x: step_power_evolution(net, x))),
-    "power_evolution_single": Mode(False, _iterate(_power_evolution_single, STEP)),
-    "pagerank_ra": Mode(False, _iterate(
-        lambda net, gamma, p0: lambda p: step_pagerank_ra(net, p))),
-    "fj_opinions": Mode(True, _iterate(  # opinions anchored to the start y0 = p0
-        lambda net, gamma, y0: fj_opinion_map(net, gamma, y0), STEP)),
-    "distributed_no_ra": Mode(True, lambda net, gamma, p0, tol, max_iter: simkit.run_distributed(
+    "social_power": Mode(True, ISSUE, lambda net, gamma, p0, tol, max_iter: Trajectory(
+        compute_social_power(net, gamma)[None, :], CONVERGED, tol=tol)),
+    "perception_no_ra": _iterate(True, ISSUE,
+        lambda net, gamma, p0: lambda p: step_perception_no_ra(net, gamma, p)),
+    "perception_ra": _iterate(False, ISSUE,
+        lambda net, gamma, p0: lambda p: step_perception_ra(net, p)),
+    "perception_ra_single": _iterate(False, STEP,
+        lambda net, gamma, p0: lambda p: step_perception_ra(net, p)),
+    "power_evolution": _iterate(False, ISSUE,
+        lambda net, gamma, p0: lambda x: step_power_evolution(net, x)),
+    "power_evolution_single": _iterate(False, STEP, _power_evolution_single),
+    "pagerank_ra": _iterate(False, ISSUE,
+        lambda net, gamma, p0: lambda p: step_pagerank_ra(net, p)),
+    "fj_opinions": _iterate(True, STEP,  # opinions anchored to the start y0 = p0
+        lambda net, gamma, y0: fj_opinion_map(net, gamma, y0)),
+    # message-passing runs of the issue-indexed perception maps
+    "distributed_no_ra": Mode(True, ISSUE, lambda net, gamma, p0, tol, max_iter: simkit.run_distributed(
         net, simkit.MODE_NO_RA, p0, gamma, tol, max_iter)),
-    "distributed_ra": Mode(False, lambda net, gamma, p0, tol, max_iter: simkit.run_distributed(
+    "distributed_ra": Mode(False, ISSUE, lambda net, gamma, p0, tol, max_iter: simkit.run_distributed(
         net, simkit.MODE_RA, p0, None, tol, max_iter)),
 }
 
@@ -167,7 +171,7 @@ class OutputRequest:
     seed: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     name: str
     net: InfluenceNetwork
@@ -360,7 +364,7 @@ def load_scenario(
 # execution
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioResult:
     """Everything one scenario run produced, plus the overall verdict."""
 
@@ -440,7 +444,7 @@ def _write_reports(scn: Scenario, out_dir: Path) -> tuple[dict, tuple[str, ...]]
             lines += ["== equilibrium ==", str(eq), ""]
         elif request.kind == "condition_report":
             for cid in request.condition_ids:
-                rep = analysis.check_condition(scn.net, cid)
+                rep = analysis.check_condition(scn.net, cid, MODE_TABLE[scn.mode].timescale)
                 reports[cid] = rep
                 lines += [f"== condition {cid} ==", str(rep), ""]
         elif request.kind == "invariant_test":

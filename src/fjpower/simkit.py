@@ -13,7 +13,6 @@ captured in the summaries so a batch never aborts midway.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -49,20 +48,6 @@ class Agent:
     @property
     def node(self) -> int:
         return self.view.node
-
-
-@dataclass(frozen=True)
-class Round:
-    """Bookkeeping for one synchronous round."""
-
-    index: int
-    messages_delivered: int
-    post_state: np.ndarray
-
-    def __post_init__(self):
-        snap = np.array(self.post_state, dtype=float, copy=True)
-        snap.setflags(write=False)
-        object.__setattr__(self, "post_state", snap)
 
 
 def make_agents(
@@ -116,11 +101,10 @@ def advance(agents: Sequence[Agent], mode: str) -> np.ndarray:
     return np.array(new_values)
 
 
-def run_round(net: InfluenceNetwork, agents: Sequence[Agent], mode: str, index: int) -> Round:
-    """One full broadcast+compute round, for inspection in tests."""
-    delivered = deliver(net, agents)
-    snapshot = advance(agents, mode)
-    return Round(index=index, messages_delivered=delivered, post_state=snapshot)
+def run_round(net: InfluenceNetwork, agents: Sequence[Agent], mode: str) -> np.ndarray:
+    """One full broadcast+compute round; returns the new estimates."""
+    deliver(net, agents)
+    return advance(agents, mode)
 
 
 def run_distributed(
@@ -140,13 +124,9 @@ def run_distributed(
     bit-for-bit, even along diverging runs.
     """
     agents = make_agents(net, mode, p0, gamma)
-    rounds = itertools.count()
-
-    def one_round(_p: np.ndarray) -> np.ndarray:
-        # the agents hold the state; the driver's copy is only compared
-        return run_round(net, agents, mode, next(rounds)).post_state
-
-    return run_to_convergence(one_round, [ag.p for ag in agents], tol, max_iter)
+    # the agents hold the state; the stop-rule loop's copy is only compared
+    return run_to_convergence(lambda _p: run_round(net, agents, mode),
+                              [ag.p for ag in agents], tol, max_iter)
 
 
 def run_batch(scenarios: Sequence, out_dir=None) -> list:

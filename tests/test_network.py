@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from fjpower import (
+    CONVERGED,
     GENERAL,
     STAR_FULL_CENTER,
     STAR_PARTIAL_CENTER,
+    Box,
     CycleBudgetExceededError,
     InfluenceNetwork,
+    Trajectory,
     classify_topology,
     enumerate_stubborn_cycles,
     random_doubly_stochastic_ring,
@@ -95,6 +98,18 @@ def test_arrays_are_frozen(anchored_net):
         anchored_net.C[0, 1] = 0.5
     with pytest.raises(ValueError):
         anchored_net.a[0] = 0.5
+
+
+def test_array_holding_types_compare_by_identity(anchored_net):
+    twin = InfluenceNetwork(C=anchored_net.C, a=anchored_net.a)
+    box = Box(np.zeros(3), np.ones(3))
+    traj = Trajectory(path=np.zeros((2, 3)), status=CONVERGED)
+    pairs = [(anchored_net, twin), (box, Box(box.mu, box.nu)),
+             (traj, Trajectory(path=traj.path, status=CONVERGED))]
+    for obj, same_arrays in pairs:
+        assert obj == obj and obj != same_arrays
+        assert obj in [same_arrays, obj] and obj not in [same_arrays]
+        assert len({obj, same_arrays, obj}) == 2
 
 
 def test_neighbor_queries(anchored_net):

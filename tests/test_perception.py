@@ -295,12 +295,12 @@ def test_views_carry_exactly_the_local_data(anchored_net, triad_gamma):
     v1 = views[1]
     assert v1.node == 1 and v1.n == 3 and v1.a == 0.4
     assert v1.gamma is None
-    assert v1.in_neighbor_ids == (0, 2)
-    assert [nb.weight for nb in v1.neighbors] == [0.6, 0.5]
-    assert [nb.a for nb in v1.neighbors] == [0.0, 0.6]
+    # one (j, a_j, C[j, 1], gamma_j) tuple per in-neighbor j, ascending
+    assert v1.in_edges == ((0, 0.0, 0.6, None), (2, 0.6, 0.5, None))
+    assert v1.sender_set == {0, 2}
     with_gamma = build_local_views(anchored_net, triad_gamma)
     assert with_gamma[1].gamma == 0.5
-    assert [nb.gamma for nb in with_gamma[1].neighbors] == [0.2, 0.0]
+    assert with_gamma[1].in_edges == ((0, 0.0, 0.6, 0.2), (2, 0.6, 0.5, 0.0))
 
 
 def test_local_updates_take_only_view_own_value_and_inbox():
@@ -328,13 +328,13 @@ def test_scalar_updates_match_the_vector_steppers(anchored_net, triad_net, triad
     ra_views = build_local_views(anchored_net)
     want_ra = step_perception_ra(anchored_net, p)
     for i, view in enumerate(ra_views):
-        inbox = {j: p[j] for j in view.in_neighbor_ids}
+        inbox = {j: p[j] for j in view.sender_set}
         assert local_step(RULES["ra"], view, p[i], inbox) == pytest.approx(want_ra[i], abs=1e-14)
 
     no_ra_views = build_local_views(triad_net, triad_gamma)
     want = step_perception_no_ra(triad_net, triad_gamma, p)
     for i, view in enumerate(no_ra_views):
-        inbox = {j: p[j] for j in view.in_neighbor_ids}
+        inbox = {j: p[j] for j in view.sender_set}
         assert local_step(RULES["no_ra"], view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
 
 
@@ -345,7 +345,7 @@ def test_scalar_homogeneous_update_matches_the_vector_stepper():
     p = rng.uniform(0.0, 1.0, size=4)
     want = step_pagerank_ra(net, p)
     for i, view in enumerate(build_local_views(net)):
-        inbox = {j: p[j] for j in view.in_neighbor_ids}
+        inbox = {j: p[j] for j in view.sender_set}
         assert local_step(RULES["homogeneous"], view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
 
 
@@ -376,7 +376,7 @@ def test_every_rule_gives_the_same_bits_per_node_and_vectorized(seed, n, kind):
         g = gamma if rule.needs_gamma else None
         want = _step(rule, net, g, p)
         for view in build_local_views(net, g):
-            inbox = {j: inbox_values[j] for j in view.in_neighbor_ids}
+            inbox = {j: inbox_values[j] for j in view.sender_set}
             got = local_step(rule, view, inbox_values[view.node], inbox)
             assert got == want[view.node], (name, view.node)
 

@@ -371,6 +371,21 @@ def test_report_only_entry_point(tmp_path):
         run_reports(bare, out_dir=tmp_path)
 
 
+def test_condition_reports_use_the_timescale_of_the_mode(tmp_path):
+    text = (SCENARIO_DIR / "three_node_ra_single.yaml").read_text()
+    text += "  - condition_report: [uniform_gain_cap]\n"
+    single = load_scenario(_write(tmp_path, text))
+    twin = load_scenario(_write(tmp_path, text.replace("perception_ra_single", "perception_ra"),
+                                name="twin.yaml"))
+    step = run_reports(single, out_dir=tmp_path / "single").reports["uniform_gain_cap"]
+    issue = run_reports(twin, out_dir=tmp_path / "twin").reports["uniform_gain_cap"]
+    assert str(step.detail[0]).startswith("  max_susceptibility[step]: lhs 0.6 vs rhs 0.5 ")
+    assert issue.detail[0].label == "max_susceptibility[issue]"
+    assert issue.detail[0].rhs == pytest.approx(3.0 / 7.0)
+    assert "max_susceptibility[step]" in (
+        tmp_path / "single" / "three_node_ra_single_report.txt").read_text()
+
+
 def test_nonfinite_run_outranks_divergence_and_exits_one(tmp_path):
     scn = load_scenario(_write(tmp_path, MINIMAL))
     # the loader refuses non-finite starts, so the NaN start is put in directly
