@@ -53,6 +53,7 @@ from .perception import (
     Trajectory,
     build_local_views,
     homogeneous_susceptibility,
+    run_stack_to_convergence,
     run_to_convergence,
     step_pagerank_ra,
     step_perception_no_ra,

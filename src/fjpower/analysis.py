@@ -42,6 +42,7 @@ from .perception import (
     RULES,
     Trajectory,
     homogeneous_susceptibility,
+    run_stack_to_convergence,
     run_to_convergence,
     step_perception_ra,
 )
@@ -240,30 +241,26 @@ def solve_equilibrium(
 
     Iterates the issue-to-issue power update (which maps the simplex into
     itself) from the barycenter plus ``multistarts`` seeded random simplex
-    points.  The consensus point is the first converged run's limit;
-    ``starts_agreeing`` counts converged runs within ``AGREE_TOL`` of it in
-    the ∞-norm.
+    points, all of them as one stack: each step is one stacked solve.  The
+    consensus point is the first converged run's limit; ``starts_agreeing``
+    counts converged runs within ``AGREE_TOL`` of it in the ∞-norm.
     """
+    if multistarts < 0:
+        raise ValueError(f"multistarts must be nonnegative, got {multistarts}")
     rng = np.random.default_rng(seed)
     n = net.n
-    starts = [np.full(n, 1.0 / n)]
-    starts += [rng.dirichlet(np.ones(n)) for _ in range(multistarts)]
-    limits: list[np.ndarray] = []
-    iteration_counts: list[int] = []
-    for p0 in starts:
-        traj = run_to_convergence(
-            lambda v: step_power_evolution(net, v), p0, tol=tol, max_iter=max_iter
-        )
-        if traj.converged:
-            limits.append(traj.final)
-            iteration_counts.append(traj.iterations)
-    if not limits:
+    starts = np.vstack([np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), size=multistarts)])
+    trajs = run_stack_to_convergence(
+        lambda P: step_power_evolution(net, P), starts, tol=tol, max_iter=max_iter
+    )
+    converged = [traj for traj in trajs if traj.converged]
+    if not converged:
         raise NoConvergenceError(
             f"no start converged within {max_iter} iterations at tol {tol}"
         )
-    consensus = limits[0]
+    consensus = converged[0].final
     agreeing = sum(
-        1 for lim in limits if np.max(np.abs(lim - consensus)) <= AGREE_TOL
+        1 for traj in converged if np.max(np.abs(traj.final - consensus)) <= AGREE_TOL
     )
     residual = float(np.max(np.abs(step_power_evolution(net, consensus) - consensus)))
     total = float(consensus.sum())
@@ -272,7 +269,7 @@ def solve_equilibrium(
     return EquilibriumReport(
         p_star=consensus,
         residual=residual,
-        iterations=iteration_counts[0],
+        iterations=converged[0].iterations,
         starts_agreeing=agreeing,
         total_starts=len(starts),
         in_simplex=in_simplex,
@@ -680,7 +677,7 @@ def monotonicity_test_star(
             f"monotonicity guarantees need a fully stubborn star center, got {topo}"
         )
     p0 = np.asarray(p0, dtype=float)
-    if np.any(p0 < 0.0) or np.any(p0 > 1.0):
+    if not np.all((p0 >= 0.0) & (p0 <= 1.0)):  # NaN fails too
         raise ValueError("start must lie in [0, 1] per coordinate")
     target = star_equilibrium_closed_form(net)
     traj = run_to_convergence(

@@ -10,6 +10,10 @@ Conventions
 * Social power of a group discussing one issue with fixed ``gamma``:
   ``x = (I - A)(I - W(gamma)^T A)^{-1} 1/n`` — nonnegative, sums to 1.
 * All ``(I - M)^{-1} b`` computations go through LU solves.
+* :func:`influence_matrix`, :func:`compute_social_power` and
+  :func:`step_power_evolution` also take a ``(k, n)`` stack of weight vectors
+  (the last axis is nodes) and make one stacked solve for all k; each row is
+  bit-identical to the call on that row alone.
 """
 from __future__ import annotations
 
@@ -20,9 +24,16 @@ from .network import InfluenceNetwork, enumerate_stubborn_cycles
 
 
 def influence_matrix(C: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """W = diag(weights) + (I - diag(weights)) @ C, for any real weights."""
+    """W = diag(weights) + (I - diag(weights)) @ C, for any real weights; a
+    (k, n) stack of weight vectors gives the (k, n, n) stack of their W."""
     w = np.asarray(weights, dtype=float)
-    return np.diag(w) + (1.0 - w)[:, None] * np.asarray(C, dtype=float)
+    n = w.shape[-1]
+    W = (1.0 - w)[..., :, None] * np.asarray(C, dtype=float)
+    diagonals = W.reshape(w.shape[:-1] + (n * n,))[..., :: n + 1]
+    diag = w + diagonals
+    W += 0.0  # the 0.0 + x of diag(w) + ...: -0.0 becomes +0.0 off the diagonal
+    diagonals[...] = diag
+    return W
 
 
 def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -57,11 +68,19 @@ def compute_social_power(net: InfluenceNetwork, gamma: np.ndarray) -> np.ndarray
     """Social power x = (I - A)(I - W(gamma)^T A)^{-1} 1/n.
 
     Each x_i is the normalized total weight of node i's initial opinion in
-    everyone's final opinion.  Nonnegative with unit sum.
+    everyone's final opinion.  Nonnegative with unit sum.  A (k, n) stack of
+    ``gamma`` rows gives the (k, n) stack of their powers from one solve.
     """
     n = net.n
-    W = influence_matrix(net.C, gamma)
-    u = _solve(np.eye(n) - W.T * net.a[None, :], np.full(n, 1.0 / n))
+    # the transpose I - A W of the system, built in place in W's buffer, so
+    # each pass is contiguous and LAPACK's column-major copy is too
+    M_T = influence_matrix(net.C, gamma)
+    M_T *= net.a[:, None]
+    np.subtract(np.eye(n), M_T, out=M_T)
+    # the right-hand side is a column, (n, 1) or (k, n, 1): numpy 1.x and 2.x
+    # read a 1-D or (k, n) b differently, and (k, n) is ambiguous when k == n
+    b = np.full(M_T.shape[:-1] + (1,), 1.0 / n)
+    u = _solve(np.swapaxes(M_T, -1, -2), b)[..., 0]
     return (1.0 - net.a) * u
 
 
@@ -126,7 +145,8 @@ def resolvent_diag_from_cycles(
 def step_power_evolution(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
     """Issue-to-issue power update: next power when self-appraisals equal x.
 
-    x' = (I - A)(I - W(x)^T A)^{-1} 1/n.  Maps the simplex into itself.
+    x' = (I - A)(I - W(x)^T A)^{-1} 1/n.  Maps the simplex into itself.  A
+    (k, n) stack of powers steps every row with one stacked solve.
     """
     return compute_social_power(net, np.asarray(x, dtype=float))
 

@@ -193,28 +193,86 @@ def run_to_convergence(
     NONFINITE as soon as any coordinate is NaN or infinite (the offending state
     is kept as the last row, and the start is checked too), or MAX_ITER after
     ``max_iter`` steps.  Divergence is classified purely by the magnitude
-    bound, which keeps the verdict deterministic.
+    bound, which keeps the verdict deterministic.  This is
+    :func:`run_stack_to_convergence` on a stack of one start.
+    """
+    p0 = np.asarray(p0, dtype=float)
+    (traj,) = run_stack_to_convergence(
+        lambda P: np.asarray(stepper(P[0]), dtype=float)[None], p0[None],
+        tol=tol, max_iter=max_iter, timescale=timescale)
+    return traj
+
+
+def run_stack_to_convergence(
+    stepper: Callable[[np.ndarray], np.ndarray],
+    P0: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    timescale: str = ISSUE,
+) -> list[Trajectory]:
+    """Run each row of the (k, n) stack ``P0`` under the stop rules of
+    :func:`run_to_convergence`; one Trajectory per row, in row order.
+
+    ``stepper`` maps the (m, n) stack of the rows still running to their next
+    states.  A row leaves the stack at the step where its own rule stops it,
+    so when the stepper treats rows independently each trajectory is the one
+    a single-start run from that row records.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    p = np.asarray(p0, dtype=float)
-    states = [p]  # Trajectory copies the rows into its path once; no array here
-    status = MAX_ITER
-    if not np.all(np.abs(p) <= DIVERGENCE_BOUND):
-        return Trajectory(states, _escape_status(p), timescale, tol)
+    P = np.asarray(P0, dtype=float)
+    if P.ndim != 2:
+        raise ValueError(f"starts must be 2-D (starts x nodes), got shape {P.shape}")
+    k = P.shape[0]
+    status = [MAX_ITER] * k
+    pieces: list[list[np.ndarray]] = [[] for _ in range(k)]
+    live = np.arange(k)  # the start each running row came from
+    block = [P]  # states of the running rows since a row last stopped
+
+    def retire(states: np.ndarray, stop: np.ndarray, escaped: np.ndarray) -> np.ndarray:
+        """Give the rows in ``stop`` their verdicts; return the others' states."""
+        nonlocal live
+        for j in np.flatnonzero(stop).tolist():
+            status[live[j]] = _escape_status(states[j]) if escaped[j] else CONVERGED
+        _cut(block, live, pieces)
+        keep = ~stop
+        live = live[keep]
+        return states[keep]
+
+    escaped = ~(np.abs(P).max(axis=1) <= DIVERGENCE_BOUND)
+    if escaped.any():
+        P = retire(P, escaped, escaped)
     for _ in range(max_iter):
-        p_next = np.asarray(stepper(p), dtype=float)
-        states.append(p_next)
-        if not np.all(np.abs(p_next) <= DIVERGENCE_BOUND):
-            status = _escape_status(p_next)
+        if not live.size:
             break
-        if np.max(np.abs(p_next - p)) < tol:
-            status = CONVERGED
-            break
-        p = p_next
-    return Trajectory(states, status, timescale, tol)
+        P_next = np.asarray(stepper(P), dtype=float)
+        block.append(P_next)
+        gaps = np.abs(P_next - P).max(axis=1)
+        # one fused test per step, which NaN fails; per-row work only on a stop
+        if gaps.min() >= tol and np.abs(P_next).max() <= DIVERGENCE_BOUND:
+            P = P_next
+            continue
+        escaped = ~(np.abs(P_next).max(axis=1) <= DIVERGENCE_BOUND)
+        P = retire(P_next, escaped | (gaps < tol), escaped)
+    _cut(block, live, pieces)
+    return [
+        Trajectory(rows[0] if len(rows) == 1 else np.concatenate(rows), verdict, timescale, tol)
+        for rows, verdict in zip(pieces, status)
+    ]
+
+
+def _cut(block: list, live: np.ndarray, pieces: list) -> None:
+    """Hand each running row its states recorded in ``block``, which empties.
+
+    The block is stacked once, then released before any Trajectory copies
+    its rows, so a single-start run holds two copies of its states at most."""
+    if block:
+        seg = np.array(block)  # (states, rows, n)
+        block.clear()
+        for j, r in enumerate(live.tolist()):
+            pieces[r].append(seg[:, j])
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,12 @@ def test_multistart_search_reports_budget_exhaustion(anchored_net):
         solve_equilibrium(anchored_net, multistarts=2, max_iter=1)
 
 
+def test_multistart_count_must_be_nonnegative(anchored_net):
+    with pytest.raises(ValueError, match="multistarts"):
+        solve_equilibrium(anchored_net, multistarts=-3)
+    assert solve_equilibrium(anchored_net, multistarts=0).total_starts == 1
+
+
 def test_star_closed_form_matches_frozen_values(star3_net, four_settings):
     assert np.max(np.abs(star_equilibrium_closed_form(star3_net) - STAR3_EQ)) < 1e-12
     _, net_a, _ = four_settings[0]
@@ -393,3 +399,11 @@ def test_monotonicity_preconditions(star3_net, triad_net):
         monotonicity_test_star(triad_net, np.array([0.3, 0.3, 0.3]))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         monotonicity_test_star(star3_net, np.array([0.3, -0.1, 0.3]))
+
+
+def test_monotonicity_rejects_a_nonfinite_start():
+    C = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    net = InfluenceNetwork(C=C, a=np.array([0.0, 0.6, 0.4]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            monotonicity_test_star(net, np.array([bad, 0.2, 0.3]))

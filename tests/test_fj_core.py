@@ -17,6 +17,7 @@ from fjpower import (
     random_network,
     random_star_network,
     resolvent_diag_from_cycles,
+    run_stack_to_convergence,
     run_to_convergence,
     step_fj_opinions,
     step_power_evolution,
@@ -220,6 +221,41 @@ def test_uniform_power_is_fixed_under_doubly_stochastic_homogeneous():
     net = InfluenceNetwork(C=C, a=np.full(5, 0.4))
     uniform = np.full(5, 0.2)
     assert np.max(np.abs(step_power_evolution(net, uniform) - uniform)) < 1e-14
+
+
+def test_stacked_power_matches_each_row_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for k in range(40):
+        net = random_network(rng, int(rng.integers(2, 12)))
+        # k == n every fourth time: a (k, n) right-hand side would read as a matrix
+        G = rng.uniform(-0.5, 1.5, size=(net.n if k % 4 == 0 else int(rng.integers(1, 9)), net.n))
+        X = compute_social_power(net, G)
+        W = influence_matrix(net.C, G)
+        for g, x, w in zip(G, X, W):
+            assert x.tobytes() == compute_social_power(net, g).tobytes()
+            assert w.tobytes() == influence_matrix(net.C, g).tobytes()
+
+
+def test_stacked_power_runs_match_single_starts_when_k_equals_n(anchored_net):
+    starts = np.random.default_rng(14).dirichlet(np.ones(3), size=3)
+
+    def step(x):
+        return step_power_evolution(anchored_net, x)
+
+    for x0, traj in zip(starts, run_stack_to_convergence(step, starts)):
+        single = run_to_convergence(step, x0)
+        assert traj.converged and traj.iterations == single.iterations
+        assert traj.path.tobytes() == single.path.tobytes()
+
+
+def test_a_singular_row_makes_the_stacked_solve_raise():
+    net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
+    # self-weights (2, 1) give I - W^T A = [[0, 0], [0.5, 0.5]]
+    stack = np.array([[0.5, 0.5], [2.0, 1.0]])
+    with pytest.raises(SingularSystemError):
+        compute_social_power(net, stack[1])
+    with pytest.raises(SingularSystemError):
+        run_stack_to_convergence(lambda X: step_power_evolution(net, X), stack)
 
 
 def test_single_step_variant_first_step_matches_hand_formula(anchored_net):

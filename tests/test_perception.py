@@ -22,6 +22,7 @@ from fjpower import (
     influence_matrix,
     random_doubly_stochastic_ring,
     random_network,
+    run_stack_to_convergence,
     run_to_convergence,
     step_pagerank_ra,
     step_perception_no_ra,
@@ -284,6 +285,51 @@ def test_a_run_copies_its_states_into_the_path_once():
         tracemalloc.stop()
     assert traj.status == MAX_ITER and traj.iterations == 2000
     assert peak / traj.path.nbytes < 2.5
+
+
+def _square(P):
+    return P * P
+
+
+def _assert_same_run(stacked, single):
+    assert stacked.status == single.status
+    assert stacked.iterations == single.iterations
+    assert stacked.path.tobytes() == single.path.tobytes()
+
+
+def test_each_stacked_row_is_its_single_start_run():
+    # p -> p² coordinatewise: rows inside the unit box converge to 0 at
+    # different steps, a row outside passes the bound, a NaN row stops at once
+    P0 = np.array([[0.5, 0.1], [0.9, 0.2], [1.0, 1.0], [1.5, 0.3],
+                   [np.nan, 0.2], [2e9, 0.0], [0.0, 0.0]])
+    trajs = run_stack_to_convergence(_square, P0)
+    assert [t.status for t in trajs] == [
+        CONVERGED, CONVERGED, CONVERGED, DIVERGED, NONFINITE, DIVERGED, CONVERGED]
+    assert [t.iterations for t in trajs] == [7, 10, 1, 6, 0, 0, 1]
+    for p0, traj in zip(P0, trajs):
+        _assert_same_run(traj, run_to_convergence(_square, p0))
+
+
+def test_a_stacked_max_iter_cut_matches_single_runs():
+    P0 = np.array([[0.5, 0.1], [0.9, 0.2], [0.999, 0.0]])
+    trajs = run_stack_to_convergence(_square, P0, max_iter=8)
+    assert [t.status for t in trajs] == [CONVERGED, MAX_ITER, MAX_ITER]
+    assert [t.iterations for t in trajs] == [7, 8, 8]
+    for p0, traj in zip(P0, trajs):
+        _assert_same_run(traj, run_to_convergence(_square, p0, max_iter=8))
+
+
+def test_the_stepper_sees_only_the_running_rows():
+    seen = []
+    trajs = run_stack_to_convergence(
+        lambda P: seen.append(len(P)) or _square(P), np.array([[0.0], [0.5], [np.nan]]))
+    assert [t.status for t in trajs] == [CONVERGED, CONVERGED, NONFINITE]
+    assert seen == [2] + [1] * 6
+
+
+def test_stacked_runs_take_a_stack_of_starts():
+    with pytest.raises(ValueError, match="2-D"):
+        run_stack_to_convergence(_square, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
