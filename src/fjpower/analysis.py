@@ -69,6 +69,7 @@ AGREE_TOL = 1e-8  # ∞-norm distance within which two equilibrium limits agree
 FD_STEP = 1e-6  # central finite-difference step of the Jacobian check
 EXIT_SLACK = 1e-12  # how far outside its box a stepped coordinate may land
 MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance report keeps
+STACK_ENTRIES = 1 << 22  # matrix entries (32 MB) one stacked equilibrium solve may hold
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +242,29 @@ def solve_equilibrium(
 
     Iterates the issue-to-issue power update (which maps the simplex into
     itself) from the barycenter plus ``multistarts`` seeded random simplex
-    points, all of them as one stack: each step is one stacked solve.  The
-    consensus point is the first converged run's limit; ``starts_agreeing``
-    counts converged runs within ``AGREE_TOL`` of it in the ∞-norm.
+    points, all of them as one stack: each step is one stacked solve, made in
+    chunks of rows where the stack would pass ``STACK_ENTRIES`` matrix
+    entries.  The consensus point is the first converged run's limit;
+    ``starts_agreeing`` counts converged runs within ``AGREE_TOL`` of it in
+    the ∞-norm.
     """
     if multistarts < 0:
         raise ValueError(f"multistarts must be nonnegative, got {multistarts}")
     rng = np.random.default_rng(seed)
     n = net.n
     starts = np.vstack([np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), size=multistarts)])
-    trajs = run_stack_to_convergence(
-        lambda P: step_power_evolution(net, P), starts, tol=tol, max_iter=max_iter
-    )
+    # rows step independently, so bounded chunks of them give the same bits and
+    # keep the stack's memory near one n x n system's at large n
+    rows = max(1, STACK_ENTRIES // (n * n))
+
+    def step(P: np.ndarray) -> np.ndarray:
+        if len(P) <= rows:
+            return step_power_evolution(net, P)
+        return np.concatenate(
+            [step_power_evolution(net, P[i:i + rows]) for i in range(0, len(P), rows)]
+        )
+
+    trajs = run_stack_to_convergence(step, starts, tol=tol, max_iter=max_iter)
     converged = [traj for traj in trajs if traj.converged]
     if not converged:
         raise NoConvergenceError(

@@ -28,7 +28,8 @@ def influence_matrix(C: np.ndarray, weights: np.ndarray) -> np.ndarray:
     (k, n) stack of weight vectors gives the (k, n, n) stack of their W."""
     w = np.asarray(weights, dtype=float)
     n = w.shape[-1]
-    W = (1.0 - w)[..., :, None] * np.asarray(C, dtype=float)
+    # C order whatever C's layout, so the reshape below is a view of W
+    W = np.multiply((1.0 - w)[..., :, None], np.asarray(C, dtype=float), order="C")
     diagonals = W.reshape(w.shape[:-1] + (n * n,))[..., :: n + 1]
     diag = w + diagonals
     W += 0.0  # the 0.0 + x of diag(w) + ...: -0.0 becomes +0.0 off the diagonal

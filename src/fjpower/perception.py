@@ -231,12 +231,23 @@ def run_stack_to_convergence(
     live = np.arange(k)  # the start each running row came from
     block = [P]  # states of the running rows since a row last stopped
 
+    def cut() -> None:
+        """Hand each running row its states recorded in ``block``, which empties.
+
+        The block is stacked once, then released before any Trajectory copies
+        its rows, so a single-start run holds two copies of its states at most."""
+        if block:
+            seg = np.array(block)  # (states, rows, n)
+            block.clear()
+            for j, r in enumerate(live.tolist()):
+                pieces[r].append(seg[:, j])
+
     def retire(states: np.ndarray, stop: np.ndarray, escaped: np.ndarray) -> np.ndarray:
         """Give the rows in ``stop`` their verdicts; return the others' states."""
         nonlocal live
         for j in np.flatnonzero(stop).tolist():
             status[live[j]] = _escape_status(states[j]) if escaped[j] else CONVERGED
-        _cut(block, live, pieces)
+        cut()
         keep = ~stop
         live = live[keep]
         return states[keep]
@@ -256,23 +267,11 @@ def run_stack_to_convergence(
             continue
         escaped = ~(np.abs(P_next).max(axis=1) <= DIVERGENCE_BOUND)
         P = retire(P_next, escaped | (gaps < tol), escaped)
-    _cut(block, live, pieces)
+    cut()
     return [
         Trajectory(rows[0] if len(rows) == 1 else np.concatenate(rows), verdict, timescale, tol)
         for rows, verdict in zip(pieces, status)
     ]
-
-
-def _cut(block: list, live: np.ndarray, pieces: list) -> None:
-    """Hand each running row its states recorded in ``block``, which empties.
-
-    The block is stacked once, then released before any Trajectory copies
-    its rows, so a single-start run holds two copies of its states at most."""
-    if block:
-        seg = np.array(block)  # (states, rows, n)
-        block.clear()
-        for j, r in enumerate(live.tolist()):
-            pieces[r].append(seg[:, j])
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from fjpower import (
     step_perception_ra,
     two_sided_box,
 )
+from fjpower import analysis
 from fjpower.analysis import CONDITION_IDS, star_center_floor
 
 from test_fj_core import ANCHORED_POWER_EQ
@@ -269,6 +270,16 @@ def test_multistart_count_must_be_nonnegative(anchored_net):
     with pytest.raises(ValueError, match="multistarts"):
         solve_equilibrium(anchored_net, multistarts=-3)
     assert solve_equilibrium(anchored_net, multistarts=0).total_starts == 1
+
+
+def test_chunked_multistart_search_gives_the_same_bits(anchored_net, monkeypatch):
+    whole = solve_equilibrium(anchored_net, multistarts=20, seed=3)
+    for rows in (1, 2, 8):  # 21 starts: one, two or eight rows per stacked solve
+        monkeypatch.setattr(analysis, "STACK_ENTRIES", rows * anchored_net.n ** 2)
+        chunked = solve_equilibrium(anchored_net, multistarts=20, seed=3)
+        assert chunked.p_star.tobytes() == whole.p_star.tobytes()
+        assert str(chunked) == str(whole)
+        assert (chunked.residual, chunked.iterations) == (whole.residual, whole.iterations)
 
 
 def test_star_closed_form_matches_frozen_values(star3_net, four_settings):
