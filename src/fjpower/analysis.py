@@ -55,15 +55,6 @@ HOMOGENEOUS_CAP = "homogeneous_susceptibility_cap"
 DEMOCRACY = "democracy"
 UNIFORM_GAIN_CAP = "uniform_gain_cap"
 
-CONDITION_IDS = (
-    INCOMING_INFLUENCE_CAP,
-    INCOMING_VOLATILITY_CAP,
-    STAR_CENTER_LOAD,
-    HOMOGENEOUS_CAP,
-    DEMOCRACY,
-    UNIFORM_GAIN_CAP,
-)
-
 DEMOCRACY_TOL = 1e-10
 AGREE_TOL = 1e-8  # ∞-norm distance within which two equilibrium limits agree
 FD_STEP = 1e-6  # central finite-difference step of the Jacobian check
@@ -385,111 +376,102 @@ def _report(condition: str, rows: list[MarginRow]) -> ConditionReport:
     )
 
 
+def _node_rows(label: str, lhs: np.ndarray, rhs: np.ndarray, nodes) -> list[MarginRow]:
+    """One row lhs_i <= rhs_i per node i in ``nodes``, with margin rhs_i - lhs_i."""
+    return [MarginRow(label, float(lhs[i]), float(rhs[i]), float(rhs[i] - lhs[i]), node=i)
+            for i in nodes]
+
+
+def _influence_cap(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
+    """Σ_j C[j,i] a_j/(1-a_j) <= a_i/(1-a_i) + 2(n-2)/n at each partially stubborn i."""
+    rhs = net.a / (1.0 - net.a) + 2.0 * (net.n - 2) / net.n
+    return _node_rows("influence_in", incoming_influence_load(net), rhs, net.partially_stubborn)
+
+
+def _volatility_cap(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
+    """Σ_{j: a_j > 0} C[j,i] (1+3a_j)/(4a_j) <= 1/a_i + 4/n at each partially
+    stubborn i (strict in the source)."""
+    with np.errstate(divide="ignore"):  # fully stubborn nodes get no row
+        rhs = 1.0 / net.a + 4.0 / net.n
+    return _node_rows("volatility_in", incoming_volatility_load(net), rhs, net.partially_stubborn)
+
+
+def _star_center_load(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
+    """Σ_j a_j/(1-a_j) <= 1/(a_c(1-a_c)) - 4/n over the partially stubborn j != c
+    of a star whose center c is partially stubborn; each such j needs C[c, j] = 0."""
+    topo = classify_topology(net)
+    if topo.kind != STAR_PARTIAL_CENTER:
+        raise WrongTopologyError(f"{STAR_CENTER_LOAD} applies to stars with partially "
+                                 f"stubborn center, got {topo}")
+    c = topo.center
+    a, a_c = net.a, float(net.a[c])
+    leaves = [j for j in net.partially_stubborn if j != c]
+    lhs = float(sum(a[j] / (1.0 - a[j]) for j in leaves))
+    rhs = 1.0 / (a_c * (1.0 - a_c)) - 4.0 / net.n
+    used, alternate = star_center_floor(net, c)
+    return [
+        MarginRow("center_load", lhs, rhs, rhs - lhs, node=c),
+        *(MarginRow("center_row_weight", float(net.C[c, j]), 0.0, -math.inf, node=j)
+          for j in leaves if net.C[c, j] > 0.0),
+        MarginRow("stubborn_floor_used", used, math.nan, None),
+        MarginRow("stubborn_floor_alternate", alternate, math.nan, None),
+    ]
+
+
+def _homogeneous_cap(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
+    """shared a <= (5n-7)/(8(n-1)), when every node has the same a."""
+    try:
+        shared = homogeneous_susceptibility(net)
+    except InvalidStructureError as exc:
+        raise WrongTopologyError(str(exc)) from exc
+    cap = (5.0 * net.n - 7.0) / (8.0 * (net.n - 1))
+    return [MarginRow("shared_susceptibility", shared, cap, cap - shared)]
+
+
+def _democracy(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
+    """|C^T v - v|_i <= DEMOCRACY_TOL at every node, v = a/(1-a) scaled to unit sum."""
+    v = net.a / (1.0 - net.a)
+    v = v / v.sum()
+    return _node_rows("eigenvector_deviation", np.abs(net.C.T @ v - v),
+                      np.full(net.n, DEMOCRACY_TOL), range(net.n))
+
+
+def _uniform_gain_cap(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
+    """max a <= 1/(1+2ζ), ζ = (Σa + 1 - min a)/n, on the issue timescale and
+    max a <= 1/2 on the step one (strict in the source)."""
+    a = net.a
+    zeta = (float(a.sum()) + 1.0 - float(a.min())) / net.n
+    cap = 1.0 / (1.0 + 2.0 * zeta) if timescale == ISSUE else 0.5
+    a_max = float(a.max())
+    return [MarginRow(f"max_susceptibility[{timescale}]", a_max, cap, cap - a_max),
+            MarginRow("gain", zeta, math.nan, None)]
+
+
+# condition id -> its evaluator (net, timescale) -> rows; see _report for the verdict
+CONDITIONS = {
+    INCOMING_INFLUENCE_CAP: _influence_cap,
+    INCOMING_VOLATILITY_CAP: _volatility_cap,
+    STAR_CENTER_LOAD: _star_center_load,
+    HOMOGENEOUS_CAP: _homogeneous_cap,
+    DEMOCRACY: _democracy,
+    UNIFORM_GAIN_CAP: _uniform_gain_cap,
+}
+
+CONDITION_IDS = tuple(CONDITIONS)
+
+
 def check_condition(
     net: InfluenceNetwork, which: str, timescale: str = ISSUE
 ) -> ConditionReport:
-    """Evaluate a named sufficient condition with signed per-node margins.
-
-    ids: ``incoming_influence_cap`` — b_i within a_i/(1-a_i) + 2(n-2)/n on
-    partially stubborn nodes; ``incoming_volatility_cap`` — d_i within
-    1/a_i + 4/n (strict in the source, boundary reported as holding);
-    ``star_center_load`` — the non-center partially stubborn susceptibility
-    load within 1/(a_c(1-a_c)) - 4/n, with the center's structural row
-    requirement folded into the verdict; ``homogeneous_susceptibility_cap`` —
-    shared a within (5n-7)/(8(n-1)); ``democracy`` — normalized a/(1-a) is a
-    left unit eigenvector of C within 1e-10; ``uniform_gain_cap`` — the
-    legacy bound a_max < 1/(1+2ζ) (issue timescale) or < 1/2 (step).
-    """
-    n = net.n
-    a = net.a
-    if which == INCOMING_INFLUENCE_CAP:
-        b = incoming_influence_load(net)
-        rows = [
-            MarginRow(
-                "influence_in",
-                float(b[i]),
-                float(a[i] / (1.0 - a[i]) + 2.0 * (n - 2) / n),
-                float(a[i] / (1.0 - a[i]) + 2.0 * (n - 2) / n - b[i]),
-                node=i,
-            )
-            for i in net.partially_stubborn
-        ]
-        return _report(which, rows)
-    if which == INCOMING_VOLATILITY_CAP:
-        d = incoming_volatility_load(net)
-        rows = [
-            MarginRow(
-                "volatility_in",
-                float(d[i]),
-                float(1.0 / a[i] + 4.0 / n),
-                float(1.0 / a[i] + 4.0 / n - d[i]),
-                node=i,
-            )
-            for i in net.partially_stubborn
-        ]
-        return _report(which, rows)
-    if which == STAR_CENTER_LOAD:
-        topo = classify_topology(net)
-        if topo.kind != STAR_PARTIAL_CENTER:
-            raise WrongTopologyError(
-                f"{which} applies to stars with partially stubborn center, got {topo}"
-            )
-        c = topo.center
-        a_c = float(a[c])
-        lhs = float(sum(a[j] / (1.0 - a[j]) for j in net.partially_stubborn if j != c))
-        rhs = 1.0 / (a_c * (1.0 - a_c)) - 4.0 / n
-        rows = [MarginRow("center_load", lhs, rhs, rhs - lhs, node=c)]
-        offenders = [j for j in net.partially_stubborn if j != c and net.C[c, j] > 0.0]
-        for j in offenders:
-            rows.append(
-                MarginRow(
-                    "center_row_weight",
-                    float(net.C[c, j]),
-                    0.0,
-                    -math.inf,
-                    node=j,
-                )
-            )
-        used, alternate = star_center_floor(net, c)
-        rows.append(MarginRow("stubborn_floor_used", used, math.nan, None))
-        rows.append(MarginRow("stubborn_floor_alternate", alternate, math.nan, None))
-        return _report(which, rows)
-    if which == HOMOGENEOUS_CAP:
-        try:
-            shared = homogeneous_susceptibility(net)
-        except InvalidStructureError as exc:
-            raise WrongTopologyError(str(exc)) from exc
-        cap = (5.0 * n - 7.0) / (8.0 * (n - 1))
-        rows = [MarginRow("shared_susceptibility", shared, cap, cap - shared)]
-        return _report(which, rows)
-    if which == DEMOCRACY:
-        v = a / (1.0 - a)
-        v = v / v.sum()
-        dev = np.abs(net.C.T @ v - v)
-        rows = [
-            MarginRow(
-                "eigenvector_deviation",
-                float(dev[i]),
-                DEMOCRACY_TOL,
-                float(DEMOCRACY_TOL - dev[i]),
-                node=i,
-            )
-            for i in range(n)
-        ]
-        return _report(which, rows)
-    if which == UNIFORM_GAIN_CAP:
-        zeta = (float(a.sum()) + 1.0 - float(a.min())) / n
-        cap = 1.0 / (1.0 + 2.0 * zeta) if timescale == ISSUE else 0.5
-        a_max = float(a.max())
-        rows = [
-            MarginRow(f"max_susceptibility[{timescale}]", a_max, cap, cap - a_max),
-            MarginRow("gain", zeta, math.nan, None),
-        ]
-        return _report(which, rows)
-    raise ValueError(
-        f"unknown condition {which!r}; expected one of {', '.join(CONDITION_IDS)} "
-        "(dominance has its own entry point: check_dominance_necessary)"
-    )
+    """Evaluate the sufficient condition ``CONDITIONS[which]`` with signed
+    margins; ``timescale`` matters to ``uniform_gain_cap`` only."""
+    evaluate = CONDITIONS.get(which)
+    if evaluate is None:
+        raise ValueError(
+            f"unknown condition {which!r}; expected one of {', '.join(CONDITION_IDS)} "
+            "(dominance has its own entry point: check_dominance_necessary)"
+        )
+    return _report(which, evaluate(net, timescale))
 
 
 def check_dominance_necessary(
@@ -505,9 +487,7 @@ def check_dominance_necessary(
     if not 0.5 <= sigma < 1.0:
         raise ValueError(f"sigma must be in [1/2, 1), got {sigma}")
     p_star = np.asarray(p_star, dtype=float)
-    n = net.n
-    a = net.a
-    i = node
+    a, n, i = net.a, net.n, node
     lhs = float(incoming_influence_load(net)[i])
     rhs = float(a[i] / (1.0 - a[i]) + (n * sigma - 1.0) / (n * sigma * (1.0 - sigma)))
     rows = [

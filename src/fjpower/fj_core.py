@@ -27,13 +27,12 @@ def influence_matrix(C: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """W = diag(weights) + (I - diag(weights)) @ C, for any real weights; a
     (k, n) stack of weight vectors gives the (k, n, n) stack of their W."""
     w = np.asarray(weights, dtype=float)
-    n = w.shape[-1]
-    # C order whatever C's layout, so the reshape below is a view of W
-    W = np.multiply((1.0 - w)[..., :, None], np.asarray(C, dtype=float), order="C")
-    diagonals = W.reshape(w.shape[:-1] + (n * n,))[..., :: n + 1]
-    diag = w + diagonals
-    W += 0.0  # the 0.0 + x of diag(w) + ...: -0.0 becomes +0.0 off the diagonal
-    diagonals[...] = diag
+    # C order whatever C's layout, so products with W sum in one order
+    C = np.ascontiguousarray(C, dtype=float)
+    # + 0.0 is the 0.0 + x of diag(w) + ...: -0.0 becomes +0.0 off the diagonal
+    W = (1.0 - w)[..., :, None] * C + 0.0
+    # the diagonal is w + x, whatever the sign of a zero x
+    np.add(w, (1.0 - w) * np.diagonal(C), out=np.einsum("...ii->...i", W))
     return W
 
 
@@ -42,6 +41,13 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.solve(M, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
+
+
+def _system(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
+    """I - A W(x), built in W's buffer; a (k, n) stack of x gives k systems."""
+    M = influence_matrix(net.C, x)
+    M *= net.a[:, None]
+    return np.subtract(np.eye(net.n), M, out=M)
 
 
 def fj_opinion_map(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray):
@@ -60,9 +66,7 @@ def step_fj_opinions(
 
 def final_opinions(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Discussion limit (I - A W(gamma))^{-1} (I - A) y0, by direct solve."""
-    n = net.n
-    W = influence_matrix(net.C, gamma)
-    return _solve(np.eye(n) - net.a[:, None] * W, (1.0 - net.a) * np.asarray(y0, float))
+    return _solve(_system(net, gamma), (1.0 - net.a) * np.asarray(y0, float))
 
 
 def compute_social_power(net: InfluenceNetwork, gamma: np.ndarray) -> np.ndarray:
@@ -72,16 +76,11 @@ def compute_social_power(net: InfluenceNetwork, gamma: np.ndarray) -> np.ndarray
     everyone's final opinion.  Nonnegative with unit sum.  A (k, n) stack of
     ``gamma`` rows gives the (k, n) stack of their powers from one solve.
     """
-    n = net.n
-    # the transpose I - A W of the system, built in place in W's buffer, so
-    # each pass is contiguous and LAPACK's column-major copy is too
-    M_T = influence_matrix(net.C, gamma)
-    M_T *= net.a[:, None]
-    np.subtract(np.eye(n), M_T, out=M_T)
+    M = _system(net, gamma)  # I - A W, whose transpose I - W^T A is solved
     # the right-hand side is a column, (n, 1) or (k, n, 1): numpy 1.x and 2.x
     # read a 1-D or (k, n) b differently, and (k, n) is ambiguous when k == n
-    b = np.full(M_T.shape[:-1] + (1,), 1.0 / n)
-    u = _solve(np.swapaxes(M_T, -1, -2), b)[..., 0]
+    b = np.full(M.shape[:-1] + (1,), 1.0 / net.n)
+    u = _solve(np.swapaxes(M, -1, -2), b)[..., 0]
     return (1.0 - net.a) * u
 
 
@@ -91,9 +90,7 @@ def influence_resolvent(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
     Nonnegative with strictly positive diagonal for x in the open simplex;
     multiplying by (I - A) on the right gives a row-stochastic matrix.
     """
-    n = net.n
-    W = influence_matrix(net.C, np.asarray(x, dtype=float))
-    return _solve(np.eye(n) - net.a[:, None] * W, np.eye(n))
+    return _solve(_system(net, x), np.eye(net.n))
 
 
 def resolvent_diag_from_cycles(

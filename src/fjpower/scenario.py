@@ -151,10 +151,11 @@ def parse_setting(key: str, value, where: str = "") -> Union[int, float]:
     kind, positive = _SETTINGS[key]
     try:
         parsed = kind(value)
+        finite = math.isfinite(parsed)  # an int past float's range overflows here
     except (TypeError, ValueError, OverflowError):
-        parsed = math.nan
+        parsed, finite = math.nan, False
     exact = not isinstance(value, bool) and not (isinstance(value, float) and parsed != value)
-    if not (exact and math.isfinite(parsed) and (parsed > 0 if positive else parsed >= 0)):
+    if not (exact and finite and (parsed > 0 if positive else parsed >= 0)):
         _fail(f"{where}{key} must be {'positive' if positive else 'non-negative'}, "
               f"{'a finite number' if kind is float else 'a whole number'}; got {value!r}")
     return parsed
@@ -199,7 +200,7 @@ def _check_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
 def _vector(raw, n: int, label: str) -> np.ndarray:
     try:
         v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         _fail(f"{label} is not a numeric vector: {exc}")
     if v.shape != (n,):
         _fail(f"{label} must have length {n}, got shape {v.shape}")
@@ -313,7 +314,7 @@ def load_scenario(
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int literal past 4300 digits
         raise ConfigParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigParseError(f"{path}: top level must be a mapping")
@@ -329,7 +330,7 @@ def load_scenario(
     try:
         C = np.asarray(network["C"], dtype=float)
         a = np.asarray(network["a"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         _fail(f"{name}: network arrays are not numeric: {exc}")
     try:
         net = InfluenceNetwork(C=C, a=a)

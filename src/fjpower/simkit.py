@@ -65,10 +65,12 @@ def make_agents(
         raise ValueError(f"{mode} mode needs a self-weight vector gamma")
     if not rule.needs_gamma and gamma is not None:
         raise ValueError(f"{mode} mode takes no gamma")
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (net.n,):
+        raise ValueError(f"p0 must have shape ({net.n},), got {p0.shape}")
     if rule.shared_a:
         homogeneous_susceptibility(net)
     views = build_local_views(net, gamma)
-    p0 = np.asarray(p0, dtype=float)
     return [Agent(view=v, p=float(p0[v.node])) for v in views]
 
 

@@ -21,6 +21,9 @@ from fjpower import (
     nonneg_box,
     one_step_invariance_test,
     perception_jacobian,
+    random_doubly_stochastic_ring,
+    random_network,
+    random_star_network,
     solve_equilibrium,
     star_equilibrium_closed_form,
     star_invariant_box,
@@ -136,6 +139,70 @@ def test_condition_ids_are_stable():
             InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5])),
             "no_such_condition",
         )
+
+
+def _documented_margin(net, which, timescale):
+    """(margin, row count) of condition ``which``, from the formula in its docstring."""
+    C, a, n = net.C, net.a, net.n
+    part = [i for i in range(n) if a[i] > 0.0]
+    if which == "incoming_influence_cap":
+        b = [sum(C[j, i] * a[j] / (1 - a[j]) for j in range(n)) for i in range(n)]
+        caps = [a[i] / (1 - a[i]) + 2 * (n - 2) / n - b[i] for i in part]
+        return min(caps), len(part)
+    if which == "incoming_volatility_cap":
+        d = [sum(C[j, i] * (1 + 3 * a[j]) / (4 * a[j]) for j in part) for i in range(n)]
+        caps = [1 / a[i] + 4 / n - d[i] for i in part]
+        return min(caps), len(part)
+    if which == "star_center_load":
+        c = 0  # random_star_network's center
+        leaves = [j for j in part if j != c]
+        load = 1 / (a[c] * (1 - a[c])) - 4 / n - sum(a[j] / (1 - a[j]) for j in leaves)
+        offenders = [j for j in leaves if C[c, j] > 0.0]
+        return (-math.inf if offenders else load), 1 + len(offenders) + 2
+    if which == "homogeneous_susceptibility_cap":
+        return (5 * n - 7) / (8 * (n - 1)) - a[0], 1
+    if which == "democracy":
+        v = (a / (1 - a)) / np.sum(a / (1 - a))
+        return min(1e-10 - abs(sum(C[j, i] * v[j] for j in range(n)) - v[i]) for i in range(n)), n
+    assert which == "uniform_gain_cap"
+    zeta = (a.sum() + 1 - a.min()) / n
+    return (1 / (1 + 2 * zeta) if timescale == "issue" else 0.5) - a.max(), 2
+
+
+def test_every_condition_margin_follows_its_documented_formula():
+    rng = np.random.default_rng(23)
+    nets = {cid: [] for cid in CONDITION_IDS}
+    for _ in range(12):
+        n = int(rng.integers(2, 12))
+        for cid in ("incoming_influence_cap", "incoming_volatility_cap", "democracy",
+                    "uniform_gain_cap"):
+            nets[cid].append(random_network(rng, n, fully_stubborn_prob=0.3,
+                                            density=float(rng.uniform(0.3, 1.0))))
+        star = random_star_network(rng, n + 1, center_fully_stubborn=False)
+        nets["star_center_load"].append(star)
+        part = [j for j in star.partially_stubborn if j != 0]
+        if part:  # the center also leans on a partially stubborn leaf: a structural failure
+            C = star.C.copy()
+            C[0] *= 0.5
+            C[0, part[0]] += 0.5
+            nets["star_center_load"].append(InfluenceNetwork(C=C, a=star.a))
+        ring = random_doubly_stochastic_ring(rng, n + 1)
+        shared = np.full(n + 1, rng.uniform(0.05, 0.95))
+        nets["homogeneous_susceptibility_cap"].append(InfluenceNetwork(C=ring, a=shared))
+        nets["democracy"].append(InfluenceNetwork(C=ring, a=shared))  # holds: v is uniform
+    assert any(net.C[0, j] > 0 and net.a[j] > 0 for net in nets["star_center_load"]
+               for j in range(1, net.n))
+    for cid, group in nets.items():
+        verdicts = set()
+        for net in group:
+            for timescale in ("issue", "step"):
+                report = check_condition(net, cid, timescale)
+                margin, rows = _documented_margin(net, cid, timescale)
+                assert report.condition == cid and len(report.detail) == rows
+                assert report.margin == pytest.approx(margin, rel=1e-9, abs=1e-13)
+                assert report.holds == (report.margin >= 0.0)
+                verdicts.add(report.holds)
+        assert verdicts == {True, False}, cid
 
 
 def test_incoming_influence_cap_margins(anchored_net):

@@ -229,20 +229,29 @@ def test_stacked_power_matches_each_row_bit_for_bit():
         net = random_network(rng, int(rng.integers(2, 12)))
         # k == n every fourth time: a (k, n) right-hand side would read as a matrix
         G = rng.uniform(-0.5, 1.5, size=(net.n if k % 4 == 0 else int(rng.integers(1, 9)), net.n))
-        X = compute_social_power(net, G)
-        W = influence_matrix(net.C, G)
-        # the same network with C stored column-major must give the same bits
-        net_f = InfluenceNetwork(C=np.asfortranarray(net.C), a=net.a)
-        assert net_f.C.flags.f_contiguous and not net_f.C.flags.c_contiguous
-        assert compute_social_power(net_f, G).tobytes() == X.tobytes()
-        assert influence_matrix(net_f.C, G).tobytes() == W.tobytes()
-        for g, x, w in zip(G, X, W):
-            assert x.tobytes() == compute_social_power(net, g).tobytes()
-            assert x.tobytes() == compute_social_power(net_f, g).tobytes()
-            assert w.tobytes() == influence_matrix(net.C, g).tobytes()
-            assert w.tobytes() == influence_matrix(net_f.C, g).tobytes()
-            # the plain formula, which holds for any memory layout
-            assert w.tobytes() == (np.diag(g) + (1.0 - g)[:, None] * net.C).tobytes()
+        # a sparser copy whose zeros, the diagonal's included, are all -0.0
+        S = np.where(net.C < 0.1, -0.0, net.C)
+        net_z = InfluenceNetwork(C=S / S.sum(axis=1)[:, None], a=net.a)
+        assert np.signbit(np.diag(net_z.C)).all()
+        for net in (net, net_z):
+            X = compute_social_power(net, G)
+            W = influence_matrix(net.C, G)
+            # the same network with C stored column-major must give the same bits
+            net_f = InfluenceNetwork(C=np.asfortranarray(net.C), a=net.a)
+            assert net_f.C.flags.f_contiguous and not net_f.C.flags.c_contiguous
+            assert compute_social_power(net_f, G).tobytes() == X.tobytes()
+            assert influence_matrix(net_f.C, G).tobytes() == W.tobytes()
+            for g, x, w in zip(G, X, W):
+                assert x.tobytes() == compute_social_power(net, g).tobytes()
+                assert x.tobytes() == compute_social_power(net_f, g).tobytes()
+                assert w.tobytes() == influence_matrix(net.C, g).tobytes()
+                assert w.tobytes() == influence_matrix(net_f.C, g).tobytes()
+                # the plain formula, which holds for any memory layout
+                assert w.tobytes() == (np.diag(g) + (1.0 - g)[:, None] * net.C).tobytes()
+            # the formula's sign of zero, also where a -0.0 weight meets a -0.0 diagonal
+            g = np.where(np.arange(net.n) == 0, -0.0, G[0])
+            assert influence_matrix(net.C, g).tobytes() == (
+                np.diag(g) + (1.0 - g)[:, None] * net.C).tobytes()
 
 
 def test_stacked_power_runs_match_single_starts_when_k_equals_n(anchored_net):

@@ -1,4 +1,5 @@
 """Scenario files, artifact export, and the command-line interface."""
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -199,6 +200,27 @@ def test_output_requests_are_validated(tmp_path):
             load_scenario(_write(tmp_path, MINIMAL + snippet))
 
 
+def test_oversized_integer_literals_are_config_errors(tmp_path):
+    # whole numbers past float's range are rejected, not an OverflowError
+    big = "1" + "0" * 400
+    for text, message in [
+        (MINIMAL + f"max_iter: {big}\n", "max_iter must be positive, a whole number; got 1000"),
+        (MINIMAL + f"seed: {big}\n", "seed must be non-negative, a whole number; got 1000"),
+        (MINIMAL + f"outputs:\n  - invariant_test: {{samples: {big}}}\n",
+         "invariant_test samples must be positive"),
+        (MINIMAL.replace("[0.0, 1.0]", f"[0.0, {big}]"), "network arrays are not numeric"),
+        (MINIMAL.replace("p0: [0.5, 0.5]", f"p0: [0.5, {big}]"), "p0.0. is not a numeric vector"),
+    ]:
+        with pytest.raises(ConfigValidationError, match=message):
+            load_scenario(_write(tmp_path, text))
+    # Python caps int <-> str conversion at 4300 digits (3.11, and 3.10.7 on),
+    # so PyYAML cannot even build such a literal; without the cap it is just too big
+    giant = _write(tmp_path, MINIMAL + "max_iter: 1" + "0" * 5000 + "\n")
+    capped = hasattr(sys, "get_int_max_str_digits")
+    with pytest.raises(ConfigParseError if capped else ConfigValidationError):
+        load_scenario(giant)
+
+
 def test_stop_parameters_and_name_are_validated(tmp_path):
     with pytest.raises(ConfigValidationError, match="tol"):
         load_scenario(_write(tmp_path, MINIMAL + "tol: 0\n"))
@@ -251,6 +273,8 @@ def test_overrides_are_validated_like_file_settings(tmp_path):
         ({"tol": 0.0}, "case: override tol must be positive"),
         ({"max_iter": 0}, "case: override max_iter must be positive"),
         ({"seed": -1}, "case: override seed must be non-negative"),
+        ({"seed": 10 ** 400}, "case: override seed must be non-negative, a whole number"),
+        ({"max_iter": 10 ** 400}, "case: override max_iter must be positive, a whole number"),
     ]:
         with pytest.raises(ConfigValidationError, match=message):
             load_scenario(path, **given)
@@ -481,6 +505,28 @@ def test_cli_batch_runs_good_files_beside_a_bad_setting(tmp_path, capsys):
     assert "bad: error after 0 iteration(s) error: ConfigValidationError: bad: tol" in out
     assert "case: converged" in out
     assert (tmp_path / "out" / "case_traj1.csv").exists()
+
+
+def test_cli_batch_reports_oversized_integers_per_file(tmp_path, capsys):
+    (tmp_path / "scn").mkdir()
+    for name, digits in (("a", 400), ("b", 5000)):
+        text = MINIMAL.replace("case", name) + "max_iter: 1" + "0" * digits + "\n"
+        (tmp_path / "scn" / f"{name}.yaml").write_text(text)
+    (tmp_path / "scn" / "c.yaml").write_text(MINIMAL.replace("case", "c"))
+    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
+    assert lines[0].startswith("a: error after 0 iteration(s) error: ConfigValidationError: a: max_iter")
+    assert lines[1].startswith("b: error after 0 iteration(s) error: Config")
+    assert lines[2].startswith("c: converged")
+
+
+def test_cli_rejects_oversized_integer_overrides(tmp_path, capsys):
+    path = _write(tmp_path, MINIMAL)
+    for flag in ("--seed", "--max-iter"):
+        assert main(["run", str(path), "--out", str(tmp_path), flag, "1" + "0" * 400]) == 1
+        assert "must be" in capsys.readouterr().err
 
 
 def test_cli_batch_prints_summaries_in_file_order(tmp_path, capsys):

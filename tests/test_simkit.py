@@ -171,6 +171,15 @@ def test_distributed_stop_parameters_are_validated(anchored_net):
         run_distributed(anchored_net, MODE_RA, p0, max_iter=0)
 
 
+def test_a_start_of_the_wrong_length_is_rejected(anchored_net):
+    # the centralized twin raises on these too; agents must not truncate or overrun
+    for p0 in (np.full(5, 0.2), np.full(2, 0.5)):
+        with pytest.raises(ValueError, match=r"p0 must have shape \(3,\), got \(%d,\)" % len(p0)):
+            make_agents(anchored_net, MODE_RA, p0)
+        with pytest.raises(ValueError, match="p0 must have shape"):
+            run_distributed(anchored_net, MODE_RA, p0)
+
+
 def test_divergent_start_stops_before_any_round(anchored_net):
     dist = run_distributed(anchored_net, MODE_RA, np.array([2e9, 0.0, 0.0]))
     assert dist.status == DIVERGED and dist.iterations == 0
