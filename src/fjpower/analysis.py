@@ -40,6 +40,7 @@ from .perception import (
     DEFAULT_TOL,
     ISSUE,
     RULES,
+    STEP,
     Trajectory,
     homogeneous_susceptibility,
     run_stack_to_convergence,
@@ -61,6 +62,7 @@ FD_STEP = 1e-6  # central finite-difference step of the Jacobian check
 EXIT_SLACK = 1e-12  # how far outside its box a stepped coordinate may land
 MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance report keeps
 STACK_ENTRIES = 1 << 22  # matrix entries (32 MB) one stacked equilibrium solve may hold
+BLOCK_ENTRIES = 1 << 14  # matrix entries (128 KB, cache-sized) per row block of an invariance trial
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +97,35 @@ class Box:
         p = np.asarray(p, dtype=float)
         return bool(np.all(p >= self.mu - slack) and np.all(p <= self.nu + slack))
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` uniform points, one per row.  Bounds must be finite."""
+    def _span(self) -> np.ndarray:
+        """``nu - mu``, which sampling scales by; bounds and widths must be finite."""
         if not (np.all(np.isfinite(self.mu)) and np.all(np.isfinite(self.nu))):
             raise ValueError("cannot sample a box with infinite bounds")
-        return rng.uniform(self.mu, self.nu, size=(size, self.n))
+        with np.errstate(over="ignore"):
+            span = self.nu - self.mu
+        if not np.all(np.isfinite(span)):
+            raise OverflowError("cannot sample a box whose width exceeds the float range")
+        return span
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` uniform points, one per row: the values and draw order of
+        ``rng.uniform(mu, nu, (size, n))``.  Bounds must be finite."""
+        return _fill_uniform(rng, self.mu, self._span(), np.empty((size, self.n)))
 
     def inflated(self, factor: float) -> Box:
         """Control box with the upper bounds scaled by ``factor`` (lower kept)."""
         return Box(self.mu, self.nu * factor)
+
+
+def _fill_uniform(rng: np.random.Generator, mu: np.ndarray, span: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous rows of ``out`` with ``mu + span * U``, U uniform
+    on [0, 1): ``rng.uniform``'s formula and draw order, so filling an array's
+    row blocks in turn gives the same bits as one ``rng.uniform`` call."""
+    rng.random(out=out)
+    out *= span
+    out += mu
+    return out
 
 
 def incoming_influence_load(net: InfluenceNetwork) -> np.ndarray:
@@ -471,6 +493,8 @@ def check_condition(
             f"unknown condition {which!r}; expected one of {', '.join(CONDITION_IDS)} "
             "(dominance has its own entry point: check_dominance_necessary)"
         )
+    if timescale not in (ISSUE, STEP):
+        raise ValueError(f"unknown timescale {timescale!r}; expected {ISSUE!r} or {STEP!r}")
     return _report(which, evaluate(net, timescale))
 
 
@@ -482,10 +506,12 @@ def check_dominance_necessary(
     If the equilibrium share p*_i exceeds σ then
     Σ_j C[j,i] a_j/(1-a_j) > a_i/(1-a_i) + (nσ-1)/(nσ(1-σ)) must hold; the
     contrapositive certifies no dominance at level σ whenever the report
-    fails.  σ must lie in [1/2, 1).
+    fails.  σ must lie in [1/2, 1) and ``node`` in 0…n-1.
     """
     if not 0.5 <= sigma < 1.0:
         raise ValueError(f"sigma must be in [1/2, 1), got {sigma}")
+    if not 0 <= node < net.n:
+        raise ValueError(f"node must be in 0..{net.n - 1}, got {node}")
     p_star = np.asarray(p_star, dtype=float)
     a, n, i = net.a, net.n, node
     lhs = float(incoming_influence_load(net)[i])
@@ -543,28 +569,50 @@ def one_step_invariance_test(
 ) -> InvarianceReport:
     """Monte-Carlo one-step invariance trial of the reflected-appraisal map.
 
-    Draws ``samples`` uniform points in ``box``, applies the update once and
-    counts coordinates landing outside by more than ``EXIT_SLACK``.  Keeps the
-    first ``MAX_EXIT_EXAMPLES`` offending (sample, coordinate) pairs.
+    Draws ``samples`` uniform points in ``box`` (as :meth:`Box.sample` does),
+    applies the update once and counts coordinates landing outside by more
+    than ``EXIT_SLACK``.  Keeps the first ``MAX_EXIT_EXAMPLES`` offending
+    (sample, coordinate) pairs, in sample-then-coordinate order.
+
+    Samples are streamed through cache-sized row blocks of about
+    ``BLOCK_ENTRIES`` entries around one BLAS product for all of them: the
+    draws and relays go block by block, then ``relay @ C`` runs once, then the
+    update and the exit checks go block by block.  The report is bit-identical
+    to the full-array trial's (a row-chunked product would change the last
+    bits), and memory is about three ``(samples, n)`` arrays.
     """
+    if box.n != net.n:
+        raise ValueError(f"box has {box.n} coordinates, the network {net.n} nodes")
+    ra = RULES["ra"]
+    a, n = net.a, net.n
+    span = box._span()
     rng = np.random.default_rng(seed)
-    P = box.sample(rng, samples)
-    Q = _batch_step_ra(net, P)
-    below = Q < box.mu - EXIT_SLACK
-    above = Q > box.nu + EXIT_SLACK
-    exit_count = int(np.count_nonzero(below | above))
+    P = np.empty((samples, n))
+    R = np.empty((samples, n))
+    rows = max(1, BLOCK_ENTRIES // n)
+    starts = range(0, samples, rows)
+    for s in starts:
+        p = _fill_uniform(rng, box.mu, span, P[s:s + rows])
+        R[s:s + rows] = ra.relay(a, None, p)
+    G = R @ net.C
+    del R  # the update needs only P and G
+    low, high = box.mu - EXIT_SLACK, box.nu + EXIT_SLACK
+    exit_count = 0
     examples: list[ExitRecord] = []
-    if exit_count:
-        rows, cols = np.nonzero(below | above)
-        for r, c in zip(rows[:MAX_EXIT_EXAMPLES], cols[:MAX_EXIT_EXAMPLES]):
-            side = "lower" if below[r, c] else "upper"
-            bound = float(box.mu[c]) if side == "lower" else float(box.nu[c])
-            examples.append(
-                ExitRecord(
-                    sample=int(r), coordinate=int(c), value=float(Q[r, c]),
-                    bound=bound, side=side,
-                )
-            )
+    for s in starts:
+        q = ra.update(a, None, P[s:s + rows], n, G[s:s + rows])
+        below = q < low
+        out = below | (q > high)
+        count = int(np.count_nonzero(out))
+        exit_count += count
+        if count and len(examples) < MAX_EXIT_EXAMPLES:
+            hit_rows, hit_cols = np.nonzero(out)
+            keep = MAX_EXIT_EXAMPLES - len(examples)
+            for r, c in zip(hit_rows[:keep], hit_cols[:keep]):
+                side = "lower" if below[r, c] else "upper"
+                bound = float(box.mu[c]) if side == "lower" else float(box.nu[c])
+                examples.append(ExitRecord(sample=s + int(r), coordinate=int(c),
+                                           value=float(q[r, c]), bound=bound, side=side))
     return InvarianceReport(samples=samples, exit_count=exit_count, examples=tuple(examples))
 
 

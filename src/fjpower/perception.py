@@ -304,14 +304,19 @@ class LocalView:
 def build_local_views(
     net: InfluenceNetwork, gamma: Optional[np.ndarray] = None
 ) -> tuple[LocalView, ...]:
-    """One view per node; pass ``gamma`` only for the fixed-self-weight mode.
+    """One view per node; pass ``gamma``, shape ``(n,)``, only for the
+    fixed-self-weight mode.
 
     Each view slices the per-edge lists of the network's cached adjacency, so
     the cost is O(n + nnz).
     """
+    if gamma is not None:
+        gamma = np.asarray(gamma, dtype=float)
+        if gamma.shape != (net.n,):
+            raise ValueError(f"gamma must have shape ({net.n},), got {gamma.shape}")
     adj = net.adjacency
     a = net.a.tolist()
-    g = [None] * net.n if gamma is None else np.asarray(gamma, dtype=float).tolist()
+    g = [None] * net.n if gamma is None else gamma.tolist()
     # the object array gives each edge its sender's float objects, which are one
     # per node, not one per edge; edges are sorted by (receiver, sender), so node
     # i's block is offsets[i]:offsets[i + 1]

@@ -1,5 +1,6 @@
 """Boxes, condition reports, equilibrium evidence, invariance and monotonicity."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from fjpower import (
     two_sided_box,
 )
 from fjpower import analysis
-from fjpower.analysis import CONDITION_IDS, star_center_floor
+from fjpower.analysis import CONDITION_IDS, ExitRecord, InvarianceReport, star_center_floor
 
 from test_fj_core import ANCHORED_POWER_EQ
 from test_perception import STAR3_EQ
@@ -61,10 +62,38 @@ def test_box_sampling_needs_finite_bounds():
     box = Box(mu=np.array([0.0]), nu=np.array([np.inf]))
     with pytest.raises(ValueError, match="infinite"):
         box.sample(rng, 4)
+    wide = Box(mu=np.array([0.0, -1e308]), nu=np.array([1.0, 1e308]))
+    with pytest.raises(OverflowError, match="width"):
+        wide.sample(rng, 4)
+    net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="infinite"):
+        one_step_invariance_test(net, Box(mu=np.zeros(2), nu=np.array([1.0, np.inf])), 4)
+    with pytest.raises(OverflowError, match="width"):
+        one_step_invariance_test(net, wide, 4)
     finite = Box(mu=np.array([-1.0, 0.0]), nu=np.array([1.0, 2.0]))
     pts = finite.sample(rng, 100)
     assert pts.shape == (100, 2)
     assert all(finite.contains(p) for p in pts)
+
+
+def test_box_sampling_matches_rng_uniform_bit_for_bit():
+    boxes = [
+        Box(mu=np.array([-1.0, 0.0]), nu=np.array([1.0, 2.0])),
+        # zero-width coordinates, negative bounds, tiny and huge widths
+        Box(mu=np.array([0.25, -3.0, -1e-300, -7.5, 5.0]),
+            nu=np.array([0.25, -2.0, 1e-300, -7.5, 1e300])),
+        Box(mu=np.full(3, -2.0), nu=np.full(3, -2.0)),
+    ]
+    for k, box in enumerate(boxes):
+        for size in (0, 1, 7, 1000):
+            got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+            got = box.sample(got_rng, size)
+            want = want_rng.uniform(box.mu, box.nu, size=(size, box.n))
+            assert got.shape == want.shape == (size, box.n)
+            assert got.tobytes() == want.tobytes()
+            # the same draws were consumed, so the streams go on in step
+            assert got_rng.random() == want_rng.random()
+            assert all(box.contains(p) for p in got)
 
 
 def test_inflated_box_scales_only_the_ceiling():
@@ -314,6 +343,20 @@ def test_dominance_sigma_range(anchored_net, sigma):
         check_dominance_necessary(anchored_net, ANCHORED_POWER_EQ, 0, sigma)
 
 
+@pytest.mark.parametrize("node", [-1, -3, 3])
+def test_dominance_node_range(anchored_net, node):
+    # a negative index would evaluate a node counted from the end but label it
+    # with its raw index
+    with pytest.raises(ValueError, match=r"node must be in 0\.\.2"):
+        check_dominance_necessary(anchored_net, ANCHORED_POWER_EQ, node, 0.5)
+
+
+@pytest.mark.parametrize("timescale", ["Issue", "STEP", "steps", ""])
+def test_conditions_accept_only_the_two_timescales(anchored_net, timescale):
+    with pytest.raises(ValueError, match="unknown timescale"):
+        check_condition(anchored_net, "uniform_gain_cap", timescale)
+
+
 # ---------------------------------------------------------------------------
 # equilibria
 # ---------------------------------------------------------------------------
@@ -401,6 +444,73 @@ def test_inflated_control_box_leaks(anchored_net):
             assert rec.value > rec.bound
         else:
             assert rec.value < rec.bound
+
+
+def _full_array_trial(net, box, samples, seed=0):
+    """The invariance trial as one pass over full (samples, n) arrays: one
+    ``rng.uniform`` draw, one batched update, one exit mask."""
+    rng = np.random.default_rng(seed)
+    P = rng.uniform(box.mu, box.nu, size=(samples, net.n))
+    Q = analysis._batch_step_ra(net, P)
+    below = Q < box.mu - analysis.EXIT_SLACK
+    above = Q > box.nu + analysis.EXIT_SLACK
+    rows, cols = np.nonzero(below | above)
+    examples = []
+    for r, c in zip(rows[:analysis.MAX_EXIT_EXAMPLES], cols[:analysis.MAX_EXIT_EXAMPLES]):
+        side = "lower" if below[r, c] else "upper"
+        bound = float(box.mu[c]) if side == "lower" else float(box.nu[c])
+        examples.append(ExitRecord(sample=int(r), coordinate=int(c), value=float(Q[r, c]),
+                                   bound=bound, side=side))
+    return InvarianceReport(samples=samples, exit_count=len(rows), examples=tuple(examples))
+
+
+def _fields(report):
+    return (report.samples, report.exit_count,
+            [(e.sample, e.coordinate, e.value.hex(), e.bound.hex(), e.side)
+             for e in report.examples])
+
+
+@pytest.mark.parametrize("block_entries", [None, 1, 7 * 40])
+def test_streamed_trial_matches_the_full_array_trial(monkeypatch, block_entries):
+    """Every report field is identical to the full-array oracle's, whatever the
+    block size: one row per block, ragged last blocks and the default."""
+    if block_entries is not None:
+        monkeypatch.setattr(analysis, "BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(11)
+    straddled = False
+    for n, samples in ((2, 1000), (3, 4097), (7, 1001), (40, 4000), (300, 701)):
+        net = random_network(rng, n)
+        base = two_sided_box(net)
+        for k, box in enumerate((nonneg_box(net), base, base.inflated(1.5), base.inflated(2.0))):
+            for count in (0, 1, samples):
+                got = one_step_invariance_test(net, box, count, seed=n + k)
+                want = _full_array_trial(net, box, count, seed=n + k)
+                assert _fields(got) == _fields(want), (n, k, count)
+                rows = max(1, analysis.BLOCK_ENTRIES // n)
+                if got.exit_count > analysis.MAX_EXIT_EXAMPLES:
+                    straddled |= len({e.sample // rows for e in got.examples}) > 1
+    # some trial leaked past MAX_EXIT_EXAMPLES with its kept records spread over blocks
+    assert straddled
+
+
+def test_streamed_trial_rejects_a_box_of_another_size(anchored_net):
+    with pytest.raises(ValueError, match="box has 2 coordinates"):
+        one_step_invariance_test(anchored_net, Box(mu=np.zeros(2), nu=np.ones(2)), 10)
+
+
+def test_streamed_trial_memory_stays_near_three_sample_arrays():
+    """Draws, relays and the product's result are the only (samples, n) arrays;
+    everything else lives in cache-sized blocks."""
+    net = random_network(np.random.default_rng(5), 300)
+    box = nonneg_box(net)
+    samples = 10_000
+    tracemalloc.start()
+    try:
+        one_step_invariance_test(net, box, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2 * samples * net.n * 8
 
 
 def test_tight_star_box_is_not_invariant_under_the_heavy_load(four_settings):

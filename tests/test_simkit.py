@@ -1,4 +1,5 @@
 """Round-based simulator: locality, equivalence with matrix steppers, batches."""
+import re
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,17 @@ def test_a_start_of_the_wrong_length_is_rejected(anchored_net):
             make_agents(anchored_net, MODE_RA, p0)
         with pytest.raises(ValueError, match="p0 must have shape"):
             run_distributed(anchored_net, MODE_RA, p0)
+
+
+def test_a_self_weight_vector_of_the_wrong_shape_is_rejected(anchored_net):
+    p0 = np.full(3, 0.2)
+    for gamma in (np.array([0.2, 0.3, 0.4, 0.9, 0.9]), np.array([0.5, 0.5]), np.full((3, 1), 0.5)):
+        message = re.escape(f"gamma must have shape (3,), got {gamma.shape}")
+        with pytest.raises(ValueError, match=message):
+            build_local_views(anchored_net, gamma)
+        with pytest.raises(ValueError, match="gamma must have shape"):
+            run_distributed(anchored_net, MODE_NO_RA, p0, gamma=gamma)
+    assert [v.gamma for v in build_local_views(anchored_net, [0.2, 0.3, 0.4])] == [0.2, 0.3, 0.4]
 
 
 def test_divergent_start_stops_before_any_round(anchored_net):
