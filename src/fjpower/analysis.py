@@ -59,6 +59,7 @@ UNIFORM_GAIN_CAP = "uniform_gain_cap"
 DEMOCRACY_TOL = 1e-10
 AGREE_TOL = 1e-8  # ∞-norm distance within which two equilibrium limits agree
 FD_STEP = 1e-6  # central finite-difference step of the Jacobian check
+FD_RTOL = 1e-6  # relative Jacobian/finite-difference mismatch that raises
 EXIT_SLACK = 1e-12  # how far outside its box a stepped coordinate may land
 MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance report keeps
 STACK_ENTRIES = 1 << 22  # matrix entries (32 MB) one stacked equilibrium solve may hold
@@ -81,9 +82,10 @@ class Box:
         nu = np.array(self.nu, dtype=float, copy=True)
         if mu.shape != nu.shape or mu.ndim != 1:
             raise ValueError(f"bounds must be equal-length vectors, got {mu.shape} and {nu.shape}")
-        if np.any(mu > nu):
-            bad = int(np.argmax(mu > nu))
-            raise ValueError(f"lower bound exceeds upper at coordinate {bad + 1}")
+        for bad, why in ((np.isnan(mu) | np.isnan(nu), "a bound is NaN"),
+                         (mu > nu, "lower bound exceeds upper")):
+            if bad.any():
+                raise ValueError(f"{why} at coordinate {int(np.argmax(bad)) + 1}")
         mu.setflags(write=False)
         nu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -637,14 +639,13 @@ def contraction_diagnostic(
     net: InfluenceNetwork,
     p: np.ndarray,
     verify_fd: bool = True,
-    fd_rtol: float = 1e-6,
 ) -> float:
     """1-norm of the transformed Jacobian at ``p``; < 1 signals contraction.
 
     The column-sum structure collapses to max_i a_i (2|p_i| + |1 - 2 p_i|).
     With ``verify_fd`` the analytic derivative (I-A) J (I-A)⁻¹ is checked
     against central finite differences of the update map and a mismatch
-    beyond ``fd_rtol`` raises.
+    beyond ``FD_RTOL`` raises.
     """
     p = np.asarray(p, dtype=float)
     J = perception_jacobian(net, p)
@@ -656,10 +657,10 @@ def contraction_diagnostic(
         fd = (_batch_step_ra(net, p + bumps) - _batch_step_ra(net, p - bumps)).T / (2.0 * FD_STEP)
         scale = max(float(np.max(np.abs(analytic))), 1e-12)
         err = float(np.max(np.abs(analytic - fd))) / scale
-        if err > fd_rtol:
+        if err > FD_RTOL:
             raise FJPowerError(
                 f"Jacobian/finite-difference mismatch: relative error {err:.3e} "
-                f"exceeds {fd_rtol:.1e}"
+                f"exceeds {FD_RTOL:.1e}"
             )
     return float(np.max(np.abs(J).sum(axis=0)))
 

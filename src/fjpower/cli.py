@@ -108,20 +108,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not paths:
         print(f"error: no scenario files in {directory}", file=sys.stderr)
         return 1
-    # one slot per file; None until the loaded scenarios have run
-    results: list[Optional[ScenarioResult]] = []
-    loaded: list[Scenario] = []
+    codes = set()
     for path in paths:
         try:
-            loaded.append(_load_with_overrides(path, args))
-            results.append(None)
+            scn = _load_with_overrides(path, args)
         except FJPowerError as exc:
-            results.append(error_result(path.stem, "?", exc))
-    ran = iter(simkit.run_batch(loaded, out_dir=args.out))
-    results = [next(ran) if r is None else r for r in results]
-    for result in results:
+            result = error_result(path.stem, "?", exc)
+        else:
+            (result,) = simkit.run_batch([scn], out_dir=args.out)
         print(result.summary_line())
-    codes = [r.exit_code for r in results]
+        codes.add(result.exit_code)
     if 1 in codes:
         return 1
     if 2 in codes:
@@ -165,10 +161,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FJPowerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FJPowerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

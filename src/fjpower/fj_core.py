@@ -93,9 +93,7 @@ def influence_resolvent(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
     return _solve(_system(net, x), np.eye(net.n))
 
 
-def resolvent_diag_from_cycles(
-    net: InfluenceNetwork, anchor: int, x: np.ndarray, budget: int = 1_000_000
-) -> float:
+def resolvent_diag_from_cycles(net: InfluenceNetwork, anchor: int, x: np.ndarray) -> float:
     """Diagonal resolvent entry ``Phi_ii`` rebuilt from the cycles through ``anchor``.
 
     With ``M = A W(x)`` (so ``Phi = (I - M)^{-1}``) and ``D_S`` the principal
@@ -126,7 +124,7 @@ def resolvent_diag_from_cycles(
     x = np.asarray(x, dtype=float)
     i = anchor
     M = net.a[:, None] * influence_matrix(net.C, x)
-    cycles = enumerate_stubborn_cycles(net, anchor, budget=budget)
+    cycles = enumerate_stubborn_cycles(net, anchor)
     phi = 0.0
     if cycles and net.a[i] > 0.0:
         rest = np.delete(np.arange(net.n), i)

@@ -8,6 +8,7 @@ package; user-facing output (reports, messages) adds 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import CycleBudgetExceededError
 
 ROW_SUM_TOL = 1e-12
+CYCLE_BUDGET = 1_000_000  # most cycles enumerate_stubborn_cycles returns before it raises
 
 STAR_FULL_CENTER = "star_fully_stubborn_center"
 STAR_PARTIAL_CENTER = "star_partially_stubborn_center"
@@ -91,35 +93,16 @@ def validate_arrays(C, a) -> ValidationReport:
     ]
     if nonfinite:
         return ValidationReport(tuple(out + nonfinite))
-    for i in range(n):
-        if C[i, i] != 0.0:
-            out.append(
-                Violation("zero_diagonal", f"C[{i + 1},{i + 1}] = {C[i, i]} is nonzero", i)
-            )
-    rows, cols = np.nonzero(C < 0)
-    for i, j in zip(rows, cols):
-        out.append(
-            Violation("nonnegative", f"C[{i + 1},{j + 1}] = {C[i, j]} is negative", int(i))
-        )
-    for i in range(n):
-        if abs(row_sums[i] - 1.0) > ROW_SUM_TOL:
-            out.append(
-                Violation(
-                    "row_stochastic",
-                    f"row {i + 1} of C sums to {float(row_sums[i])!r}, "
-                    f"not 1 within {ROW_SUM_TOL}",
-                    i,
-                )
-            )
-    for i in range(n):
-        if not (0.0 <= a[i] < 1.0):
-            out.append(
-                Violation(
-                    "susceptibility_range",
-                    f"a[{i + 1}] = {a[i]} outside [0, 1)",
-                    i,
-                )
-            )
+    # one mask per invariant; each emits its violations in index order
+    out += [Violation("zero_diagonal", f"C[{i + 1},{i + 1}] = {C[i, i]} is nonzero", i)
+            for i in np.flatnonzero(np.diagonal(C) != 0.0).tolist()]
+    out += [Violation("nonnegative", f"C[{i + 1},{j + 1}] = {C[i, j]} is negative", i)
+            for i, j in np.argwhere(C < 0).tolist()]
+    out += [Violation("row_stochastic", f"row {i + 1} of C sums to {float(row_sums[i])!r}, "
+                      f"not 1 within {ROW_SUM_TOL}", i)
+            for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL).tolist()]
+    out += [Violation("susceptibility_range", f"a[{i + 1}] = {a[i]} outside [0, 1)", i)
+            for i in np.flatnonzero((a < 0.0) | (a >= 1.0)).tolist()]
     if np.all(a == 0.0):
         out.append(
             Violation("not_all_fully_stubborn", "a is the zero vector; at least one a_i > 0 required")
@@ -134,16 +117,15 @@ class Adjacency:
     Edge ``j -> i`` (``C[j, i] > 0``, node j accords weight to node i) sits
     at one position of ``senders`` / ``receivers`` / ``weights``; edges are
     sorted by (receiver, sender), so the edges into node ``i`` fill
-    ``offsets[i]:offsets[i + 1]``.  ``in_lists[i]`` and ``out_lists[i]`` hold
-    the same pattern as ascending tuples of ints for per-node Python loops;
-    they share one int object per node.
+    ``offsets[i]:offsets[i + 1]``.  ``out_lists[i]`` holds the receivers of
+    node i's edges as an ascending tuple of ints, one int object per node, for
+    the per-message routing loop.
     """
 
     offsets: np.ndarray
     senders: np.ndarray
     receivers: np.ndarray
     weights: np.ndarray
-    in_lists: tuple[tuple[int, ...], ...]
     out_lists: tuple[tuple[int, ...], ...]
 
     @classmethod
@@ -157,14 +139,14 @@ class Adjacency:
         weights = C[senders, receivers]
         for arr in (offsets, senders, receivers, weights):
             arr.setflags(write=False)
-        nodes = np.array(range(n), dtype=object)  # one int object per node
+        targets = np.array(range(n), dtype=object)[out_dst].tolist()  # one int object per node
+        bounds = _offsets(out_src, n).tolist()
         return cls(
             offsets=offsets,
             senders=senders,
             receivers=receivers,
             weights=weights,
-            in_lists=_split(nodes[senders].tolist(), offsets),
-            out_lists=_split(nodes[out_dst].tolist(), _offsets(out_src, n)),
+            out_lists=tuple(tuple(targets[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
         )
 
     @property
@@ -177,11 +159,6 @@ def _offsets(owners: np.ndarray, n: int) -> np.ndarray:
     offsets = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(owners, minlength=n), out=offsets[1:])
     return offsets
-
-
-def _split(items: list, offsets: np.ndarray) -> tuple[tuple, ...]:
-    bounds = offsets.tolist()
-    return tuple(tuple(items[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +190,8 @@ class InfluenceNetwork:
 
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes j with C[j, i] > 0, ascending."""
-        return self.adjacency.in_lists[i]
+        adj = self.adjacency
+        return tuple(adj.senders[adj.offsets[i]:adj.offsets[i + 1]].tolist())
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes j with C[i, j] > 0, ascending."""
@@ -266,14 +244,12 @@ class StubbornPath:
     value: float
 
 
-def enumerate_stubborn_cycles(
-    net: InfluenceNetwork, anchor: int, budget: int = 1_000_000
-) -> list[StubbornPath]:
+def enumerate_stubborn_cycles(net: InfluenceNetwork, anchor: int) -> list[StubbornPath]:
     """All simple cycles through ``anchor`` whose other nodes are partially stubborn.
 
     The search walks the subgraph induced by the partially stubborn nodes plus
     the anchor, emitting cycles in lexicographic order of their node sequence.
-    Raises :class:`CycleBudgetExceededError` beyond ``budget`` cycles.
+    Raises :class:`CycleBudgetExceededError` beyond ``CYCLE_BUDGET`` cycles.
     """
     n = net.n
     if not (0 <= anchor < n):
@@ -286,19 +262,18 @@ def enumerate_stubborn_cycles(
     on_path[anchor] = True
     # iterative DFS; each stack frame is an iterator over sorted out-neighbors
     stack: list[Iterator[int]] = [iter(net.out_neighbors(anchor))]
-    weight = [1.0]
     while stack:
         advanced = False
         for nxt in stack[-1]:
             if nxt == anchor:
-                nodes = tuple(path) + (anchor,)
-                found.append(StubbornPath(nodes=nodes, value=weight[-1] * C[path[-1], anchor]))
-                if len(found) > budget:
-                    raise CycleBudgetExceededError(anchor, budget)
+                nodes = (*path, anchor)
+                value = math.prod(C[u, v] for u, v in zip(nodes, nodes[1:]))
+                found.append(StubbornPath(nodes=nodes, value=value))
+                if len(found) > CYCLE_BUDGET:
+                    raise CycleBudgetExceededError(anchor, CYCLE_BUDGET)
                 continue
             if partial[nxt] and not on_path[nxt]:
                 on_path[nxt] = True
-                weight.append(weight[-1] * C[path[-1], nxt])
                 path.append(nxt)
                 stack.append(iter(net.out_neighbors(nxt)))
                 advanced = True
@@ -307,7 +282,6 @@ def enumerate_stubborn_cycles(
             stack.pop()
             dropped = path.pop()
             on_path[dropped] = False
-            weight.pop()
     return found
 
 

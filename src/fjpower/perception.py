@@ -18,7 +18,6 @@ centralized runs agree bit-for-bit by construction.  Estimates may leave
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -83,14 +82,22 @@ RULES = {
 }
 
 
+def node_vector(net: InfluenceNetwork, name: str, values) -> np.ndarray:
+    """``values`` as a float array, which must hold one entry per node."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (net.n,):
+        raise ValueError(f"{name} must have shape ({net.n},), got {values.shape}")
+    return values
+
+
 def _step(rule: Rule, net: InfluenceNetwork, gamma, p: np.ndarray) -> np.ndarray:
     """One round of ``rule`` for every node at once.  The relay sum is reduced
     column by column in ascending sender order, as :func:`local_step` adds."""
     if rule.shared_a:
         homogeneous_susceptibility(net)
     a = net.a
-    gamma = None if gamma is None else np.asarray(gamma, dtype=float)
-    p = np.asarray(p, dtype=float)
+    gamma = None if gamma is None else node_vector(net, "gamma", gamma)
+    p = node_vector(net, "p", p)
     relay = (rule.relay(a, gamma, p)[:, None] * net.C).sum(axis=0)
     return rule.update(a, gamma, p, net.n, relay)
 
@@ -310,22 +317,18 @@ def build_local_views(
     Each view slices the per-edge lists of the network's cached adjacency, so
     the cost is O(n + nnz).
     """
-    if gamma is not None:
-        gamma = np.asarray(gamma, dtype=float)
-        if gamma.shape != (net.n,):
-            raise ValueError(f"gamma must have shape ({net.n},), got {gamma.shape}")
+    n = net.n
+    g = [None] * n if gamma is None else node_vector(net, "gamma", gamma).tolist()
     adj = net.adjacency
     a = net.a.tolist()
-    g = [None] * net.n if gamma is None else gamma.tolist()
-    # the object array gives each edge its sender's float objects, which are one
-    # per node, not one per edge; edges are sorted by (receiver, sender), so node
-    # i's block is offsets[i]:offsets[i + 1]
-    sender_a, sender_g = np.array([a, g], dtype=object)[:, adj.senders].tolist()
-    edges = list(zip(itertools.chain.from_iterable(adj.in_lists),
-                     sender_a, adj.weights.tolist(), sender_g))
+    # the object array gives each edge its sender's int and float objects, which
+    # are one per node, not one per edge; edges are sorted by (receiver, sender),
+    # so node i's block is offsets[i]:offsets[i + 1]
+    senders, sender_a, sender_g = np.array([range(n), a, g], dtype=object)[:, adj.senders].tolist()
+    edges = list(zip(senders, sender_a, adj.weights.tolist(), sender_g))
     bounds = adj.offsets.tolist()
     return tuple(
-        LocalView(node=i, n=net.n, a=a[i], gamma=g[i], in_edges=tuple(edges[lo:hi]))
+        LocalView(node=i, n=n, a=a[i], gamma=g[i], in_edges=tuple(edges[lo:hi]))
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     )
 

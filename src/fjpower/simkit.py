@@ -28,6 +28,7 @@ from .perception import (
     build_local_views,
     homogeneous_susceptibility,
     local_step,
+    node_vector,
     run_to_convergence,
 )
 
@@ -65,9 +66,7 @@ def make_agents(
         raise ValueError(f"{mode} mode needs a self-weight vector gamma")
     if not rule.needs_gamma and gamma is not None:
         raise ValueError(f"{mode} mode takes no gamma")
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (net.n,):
-        raise ValueError(f"p0 must have shape ({net.n},), got {p0.shape}")
+    p0 = node_vector(net, "p0", p0)
     if rule.shared_a:
         homogeneous_susceptibility(net)
     views = build_local_views(net, gamma)

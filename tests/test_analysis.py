@@ -50,6 +50,11 @@ FOUR_A_CLOSED = np.array(
 def test_box_validation_and_membership():
     with pytest.raises(ValueError, match="coordinate 2"):
         Box(mu=np.array([0.0, 1.0]), nu=np.array([1.0, 0.5]))
+    # NaN passes the mu <= nu test, so it has its own check
+    with pytest.raises(ValueError, match="NaN at coordinate 1"):
+        Box(mu=[np.nan, 0.0], nu=[1.0, 1.0])
+    with pytest.raises(ValueError, match="NaN at coordinate 2"):
+        Box(mu=[0.0, 0.0], nu=[1.0, np.nan])
     box = Box(mu=np.array([0.0, -1.0]), nu=np.array([1.0, 1.0]))
     assert box.n == 2
     assert box.contains([0.5, 0.0])
@@ -547,10 +552,11 @@ def test_contraction_norm_at_small_states(anchored_net):
     )
 
 
-def test_contraction_diagnostic_cross_checks_finite_differences(anchored_net):
+def test_contraction_diagnostic_cross_checks_finite_differences(anchored_net, monkeypatch):
     contraction_diagnostic(anchored_net, np.array([0.2, -0.4, 1.3]))  # no raise
+    monkeypatch.setattr(analysis, "FD_RTOL", 1e-14)
     with pytest.raises(FJPowerError, match="mismatch"):
-        contraction_diagnostic(anchored_net, np.array([0.2, -0.4, 1.3]), fd_rtol=1e-14)
+        contraction_diagnostic(anchored_net, np.array([0.2, -0.4, 1.3]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from fjpower import (
     step_power_evolution,
     step_power_evolution_single,
 )
+from fjpower import network
 
 from conftest import carrier
 
@@ -189,12 +190,14 @@ def test_cycle_reconstruction_undercounts_on_looped_interiors():
         assert got == pytest.approx(Phi[i, i], rel=1e-12)
 
 
-def test_cycle_reconstruction_forwards_the_budget():
+def test_cycle_reconstruction_forwards_the_budget(monkeypatch):
     rng = np.random.default_rng(5)
     net = random_network(rng, 4, fully_stubborn_prob=0.0)
+    monkeypatch.setattr(network, "CYCLE_BUDGET", 14)
     with pytest.raises(CycleBudgetExceededError):
-        resolvent_diag_from_cycles(net, 0, np.full(4, 0.25), budget=14)
-    resolvent_diag_from_cycles(net, 0, np.full(4, 0.25), budget=15)
+        resolvent_diag_from_cycles(net, 0, np.full(4, 0.25))
+    monkeypatch.setattr(network, "CYCLE_BUDGET", 15)
+    resolvent_diag_from_cycles(net, 0, np.full(4, 0.25))
 
 
 # ---------------------------------------------------------------------------

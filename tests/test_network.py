@@ -20,6 +20,7 @@ from fjpower import (
     random_star_network,
     validate_arrays,
 )
+from fjpower import network
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,23 @@ def test_susceptibility_outside_half_open_unit_interval(bad):
 def test_all_fully_stubborn_vector_is_rejected():
     report = validate_arrays([[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
     assert [v.name for v in report.violations] == ["not_all_fully_stubborn"]
+
+
+def test_violations_of_several_invariants_come_out_invariant_by_invariant():
+    C = [[0.25, 0.75, -0.5], [0.5, 0.0, 0.25], [-0.5, 1.5, 0.5]]
+    report = validate_arrays(C, [1.0, 0.5, -0.25])
+    assert str(report) == (
+        "zero_diagonal: C[1,1] = 0.25 is nonzero; "
+        "zero_diagonal: C[3,3] = 0.5 is nonzero; "
+        "nonnegative: C[1,3] = -0.5 is negative; "
+        "nonnegative: C[3,1] = -0.5 is negative; "
+        "row_stochastic: row 1 of C sums to 0.5, not 1 within 1e-12; "
+        "row_stochastic: row 2 of C sums to 0.75, not 1 within 1e-12; "
+        "row_stochastic: row 3 of C sums to 1.5, not 1 within 1e-12; "
+        "susceptibility_range: a[1] = 1.0 outside [0, 1); "
+        "susceptibility_range: a[3] = -0.25 outside [0, 1)"
+    )
+    assert [v.index for v in report.violations] == [0, 2, 0, 2, 0, 1, 2, 0, 2]
 
 
 def test_shape_and_size_violations():
@@ -224,13 +242,15 @@ def test_cycles_come_out_in_lexicographic_order():
     assert [c.nodes for c in cycles] == sorted(c.nodes for c in cycles)
 
 
-def test_cycle_budget_is_enforced():
+def test_cycle_budget_is_enforced(monkeypatch):
     net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
-    assert len(enumerate_stubborn_cycles(net, 0, budget=1)) == 1
+    monkeypatch.setattr(network, "CYCLE_BUDGET", 1)
+    assert len(enumerate_stubborn_cycles(net, 0)) == 1
+    monkeypatch.setattr(network, "CYCLE_BUDGET", 0)
     with pytest.raises(CycleBudgetExceededError, match="node 1"):
-        enumerate_stubborn_cycles(net, 0, budget=0)
+        enumerate_stubborn_cycles(net, 0)
     try:
-        enumerate_stubborn_cycles(net, 0, budget=0)
+        enumerate_stubborn_cycles(net, 0)
     except CycleBudgetExceededError as exc:
         assert exc.anchor == 0 and exc.budget == 0
 

@@ -1,5 +1,6 @@
 """Perception steppers, trajectories, and the per-node locality layer."""
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,20 @@ def test_run_parameters_are_validated():
         run_to_convergence(lambda p: p, np.zeros(2), max_iter=0)
     with pytest.raises(ValueError, match="tol"):
         run_to_convergence(lambda p: p, np.zeros(2), tol=float("nan"))
+
+
+def test_steppers_reject_a_wrong_length_self_weight_or_state(anchored_net):
+    # a 1-entry vector would broadcast over every node
+    p = np.full(3, 1 / 3)
+    with pytest.raises(ValueError, match=re.escape("gamma must have shape (3,), got (1,)")):
+        step_perception_no_ra(anchored_net, [0.3], p)
+    for step in (lambda q: step_perception_no_ra(anchored_net, np.full(3, 0.3), q),
+                 lambda q: step_perception_ra(anchored_net, q)):
+        with pytest.raises(ValueError, match=re.escape("p must have shape (3,), got (2,)")):
+            step(np.full(2, 0.5))
+    # the stop-rule loop fails at the first step, not after broadcast steps
+    with pytest.raises(ValueError, match=re.escape("p must have shape (3,), got (1,)")):
+        run_to_convergence(lambda q: step_perception_ra(anchored_net, q), [0.3])
 
 
 def test_trajectory_shape_and_views():
