@@ -5,7 +5,9 @@ artifacts:
 
 * multistart equilibrium solving with agreement *evidence* (never proof),
 * closed-form equilibria for star networks,
-* invariant coordinate boxes and Monte-Carlo one-step invariance trials,
+* invariant coordinate boxes, the exact image of a box under the update,
+  and one-step invariance tests: proved from that image when it fits inside
+  the box (to a stated rounding bound), else a Monte-Carlo trial,
 * sufficient/necessary condition evaluators with signed margins,
 * a contraction diagnostic built on the update map's Jacobian,
 * star monotonicity checks.
@@ -537,6 +539,51 @@ def _batch_step_ra(net: InfluenceNetwork, P: np.ndarray) -> np.ndarray:
     return ra.update(net.a, None, P, net.n, ra.relay(net.a, None, P) @ net.C)
 
 
+def box_image(net: InfluenceNetwork, box: Box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate bounds ``(lo, hi)`` of the ``ra`` map over ``box``, and a
+    bound ``err`` on their rounding and on that of any batched step.
+
+    Coordinate i of the map is ``(1-a_i)/n + a_i p_i² + (1-a_i) Σ_j C[j,i] r_j``
+    with ``r_j = a_j/(1-a_j) · p_j(1-p_j)``.  C is nonnegative with a zero
+    diagonal, so each term depends on one coordinate with a nonnegative
+    weight, and the image of a box is the box of the terms' extremes:
+    ``p²`` is convex, largest at the endpoint farther from 0 and smallest at
+    ``clip(0, mu, nu)``; ``r`` is concave, largest at ``clip(1/2, mu, nu)``
+    and smallest at an endpoint.  The relay bounds, and ``|r|``'s bound for
+    the error, go through one ``(3, n) @ C`` product.
+
+    The box is first widened by ``4u(|mu| + |nu|)`` (u the unit roundoff),
+    which holds every point :meth:`Box.sample` can round to.  For every p in
+    it, ``_batch_step_ra``'s value at coordinate i, with its relay product
+    summed in any order and with or without FMA, lies within ``err_i`` of
+    ``[lo_i, hi_i]``; so does the exact image, and ``lo - 2 err`` and
+    ``hi + 2 err`` evaluated in floating point still enclose both.  ``err``
+    is ``γ_{n+16} S`` (Higham's ``γ_k = ku/(1-ku)``), S the map's terms in
+    absolute value at their largest over the box: a step rounds 5 times in a
+    relay, n times in the product and 3 more times in the update, so the
+    step and the bound each err by at most ``γ_{n+8} S``; the 8 further
+    units cover the rounding of S, ``err`` and the final sums (no underflow
+    assumed, n far below 1e8).  Entries may be non-finite when a bound is
+    huge; callers fall back to sampling then.
+    """
+    ra = RULES["ra"]
+    a, n = net.a, net.n
+    u = np.finfo(float).eps / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        widen = 4.0 * u * (np.abs(box.mu) + np.abs(box.nu))
+        mu, nu = box.mu - widen, box.nu + widen
+        r_hi = ra.relay(a, None, np.clip(0.5, mu, nu))
+        r_lo = np.minimum(ra.relay(a, None, mu), ra.relay(a, None, nu))
+        r_abs = np.maximum(np.abs(r_hi), np.abs(r_lo))
+        g_hi, g_lo, g_abs = np.stack([r_hi, r_lo, r_abs]) @ net.C
+        far = np.where(-mu > nu, mu, nu)
+        lo = ra.update(a, None, np.clip(0.0, mu, nu), n, g_lo)
+        hi = ra.update(a, None, far, n, g_hi)
+        k = n + 16
+        err = k * u / (1.0 - k * u) * ra.update(a, None, far, n, g_abs)
+    return lo, hi, err
+
+
 @dataclass(frozen=True)
 class ExitRecord:
     """One sampled point that left the box after a single update."""
@@ -569,12 +616,20 @@ def one_step_invariance_test(
     samples: int,
     seed: int = 0,
 ) -> InvarianceReport:
-    """Monte-Carlo one-step invariance trial of the reflected-appraisal map.
+    """One-step invariance test of the reflected-appraisal map.
 
-    Draws ``samples`` uniform points in ``box`` (as :meth:`Box.sample` does),
-    applies the update once and counts coordinates landing outside by more
-    than ``EXIT_SLACK``.  Keeps the first ``MAX_EXIT_EXAMPLES`` offending
-    (sample, coordinate) pairs, in sample-then-coordinate order.
+    First the certificate: :func:`box_image` bounds the map over ``box``
+    exactly, to within its rounding bound ``err``.  When ``hi + 2 err`` is at
+    most ``nu + EXIT_SLACK`` and ``lo - 2 err`` at least ``mu - EXIT_SLACK``
+    at every coordinate, no point of the box can step out, and the report
+    (no exits out of ``samples``) is returned without drawing: it is the
+    report the trial below would give.
+
+    Otherwise, a Monte-Carlo trial: draws ``samples`` uniform points in
+    ``box`` (as :meth:`Box.sample` does), applies the update once and counts
+    coordinates landing outside by more than ``EXIT_SLACK``.  Keeps the first
+    ``MAX_EXIT_EXAMPLES`` offending (sample, coordinate) pairs, in
+    sample-then-coordinate order.
 
     Samples are streamed through cache-sized row blocks of about
     ``BLOCK_ENTRIES`` entries around one BLAS product for all of them: the
@@ -585,9 +640,17 @@ def one_step_invariance_test(
     """
     if box.n != net.n:
         raise ValueError(f"box has {box.n} coordinates, the network {net.n} nodes")
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     ra = RULES["ra"]
     a, n = net.a, net.n
     span = box._span()
+    low, high = box.mu - EXIT_SLACK, box.nu + EXIT_SLACK
+    lo, hi, err = box_image(net, box)
+    with np.errstate(over="ignore", invalid="ignore"):
+        certified = bool(np.all(hi + 2.0 * err <= high) and np.all(lo - 2.0 * err >= low))
+    if certified:  # a NaN bound compares False and falls through to sampling
+        return InvarianceReport(samples=samples, exit_count=0, examples=())
     rng = np.random.default_rng(seed)
     P = np.empty((samples, n))
     R = np.empty((samples, n))
@@ -598,7 +661,6 @@ def one_step_invariance_test(
         R[s:s + rows] = ra.relay(a, None, p)
     G = R @ net.C
     del R  # the update needs only P and G
-    low, high = box.mu - EXIT_SLACK, box.nu + EXIT_SLACK
     exit_count = 0
     examples: list[ExitRecord] = []
     for s in starts:

@@ -81,7 +81,9 @@ def validate_arrays(C, a) -> ValidationReport:
         return ValidationReport(tuple(out))
     # NaN slips past every comparison below, so non-finite input stops here.
     # A row holding inf or NaN has a non-finite sum: only those rows are scanned.
-    row_sums = C.sum(axis=1)
+    # A finite row may overflow to inf, which row_stochastic then reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_sums = C.sum(axis=1)
     nonfinite = [
         Violation("finite", f"C[{i + 1},{j + 1}] = {C[i, j]} is not finite", int(i))
         for i in np.nonzero(~np.isfinite(row_sums))[0]

@@ -34,6 +34,7 @@ from fjpower import (
 from fjpower import analysis
 from fjpower.analysis import CONDITION_IDS, ExitRecord, InvarianceReport, star_center_floor
 
+from test_acceptance import _conditioned_net
 from test_fj_core import ANCHORED_POWER_EQ
 from test_perception import STAR3_EQ
 
@@ -516,6 +517,119 @@ def test_streamed_trial_memory_stays_near_three_sample_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 3.2 * samples * net.n * 8
+
+
+def test_streamed_trial_on_a_leaky_box_stays_near_three_sample_arrays():
+    """The same memory bound on a box the exact image cannot clear, so the
+    trial has to draw and step every sample."""
+    net = random_network(np.random.default_rng(5), 300)
+    box = two_sided_box(net).inflated(2.0)
+    samples = 10_000
+    tracemalloc.start()
+    try:
+        report = one_step_invariance_test(net, box, samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.exit_count > 0
+    assert peak < 3.2 * samples * net.n * 8
+
+
+def test_certified_trial_allocates_no_sample_arrays():
+    """A box whose exact image lies inside it is answered without drawing."""
+    net = random_network(np.random.default_rng(5), 300)
+    box = nonneg_box(net).inflated(2.0)
+    tracemalloc.start()
+    try:
+        report = one_step_invariance_test(net, box, 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _fields(report) == (10_000, 0, [])
+    assert peak < 1 << 20
+
+
+def test_trial_rejects_a_negative_sample_count(anchored_net):
+    with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
+        one_step_invariance_test(anchored_net, nonneg_box(anchored_net), -1)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """One entry per block of samples drawn since the list was last cleared."""
+    blocks = []
+    fill = analysis._fill_uniform
+
+    def counting(rng, mu, span, out):
+        blocks.append(len(out))
+        return fill(rng, mu, span, out)
+
+    monkeypatch.setattr(analysis, "_fill_uniform", counting)
+    return blocks
+
+
+def _certified(net, box, samples, seed, draws):
+    """The trial's report, and whether it came from the box image (no draws)."""
+    draws.clear()
+    report = one_step_invariance_test(net, box, samples, seed=seed)
+    return report, not draws
+
+
+def test_box_image_encloses_every_step_and_only_certifies_sealed_boxes(draws):
+    """On random networks, each sampled point's batched step lies within
+    ``err`` of the image bounds, the bounds are attained to rounding at the
+    terms' extreme points, and the trial's report is the full-array oracle's
+    whether or not the certificate fired.  The mirrored box puts the larger
+    square at the lower bound."""
+    relay = analysis.RULES["ra"].relay
+    rng = np.random.default_rng(13)
+    fired = leaked = 0
+    for k in range(48):
+        n = int(rng.integers(2, 61))
+        net = random_network(rng, n)
+        base = two_sided_box(net)
+        mirrored = Box(-base.nu, -base.mu)
+        for j, box in enumerate((nonneg_box(net), base, base.inflated(1.5), base.inflated(2.0),
+                                 mirrored)):
+            lo, hi, err = analysis.box_image(net, box)
+            assert np.all(err > 0.0) and np.all(lo <= hi)
+            Q = analysis._batch_step_ra(net, box.sample(np.random.default_rng(k), 2000))
+            assert np.all(Q >= lo - err) and np.all(Q <= hi + err), (k, j)
+            # coordinate i's bound is reached with p_i at the extreme of its square
+            # and every other p_j at the extreme of its relay
+            r_mu, r_nu = relay(net.a, None, box.mu), relay(net.a, None, box.nu)
+            for own, others, bound in (
+                (np.where(-box.mu > box.nu, box.mu, box.nu), np.clip(0.5, box.mu, box.nu), hi),
+                (np.clip(0.0, box.mu, box.nu), np.where(r_mu <= r_nu, box.mu, box.nu), lo),
+            ):
+                P = np.tile(others, (n, 1))
+                np.fill_diagonal(P, own)
+                reached = np.diagonal(analysis._batch_step_ra(net, P))
+                np.testing.assert_allclose(reached, bound, rtol=1e-12, atol=1e-12)
+            got, certified = _certified(net, box, 2000, k, draws)
+            want = _full_array_trial(net, box, 2000, seed=k)
+            assert _fields(got) == _fields(want), (k, j)
+            if certified:
+                assert want.exit_count == 0, (k, j)
+            fired += certified
+            leaked += want.exit_count > 0
+    # both paths ran
+    assert fired and leaked
+
+
+def test_certificate_clears_the_conditioned_boxes_and_no_inflated_control(draws):
+    """Criterion 6's networks, drawn in its order: the exact image proves both
+    constructed boxes invariant on every network and clears no control box."""
+    rng = np.random.default_rng(0)
+    counts = [0, 0, 0]
+    for k in range(20):
+        net = _conditioned_net(rng, require_volatility_cap=False)
+        counts[0] += _certified(net, nonneg_box(net), 1000, k, draws)[1]
+        net = _conditioned_net(rng, require_volatility_cap=True)
+        box = two_sided_box(net)
+        counts[1] += _certified(net, box, 1000, 500 + k, draws)[1]
+        counts[2] += _certified(net, box.inflated(2.0), 1000, 700 + k, draws)[1]
+    assert counts == [20, 20, 0]
 
 
 def test_tight_star_box_is_not_invariant_under_the_heavy_load(four_settings):

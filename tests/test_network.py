@@ -1,5 +1,6 @@
 """Network validation, topology classing, and stubborn-cycle search."""
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def test_row_sum_off_by_one_percent_is_reported():
     report = validate_arrays([[0.0, 0.99], [1.0, 0.0]], [0.3, 0.2])
     assert [v.name for v in report.violations] == ["row_stochastic"]
     assert str(report) == "row_stochastic: row 1 of C sums to 0.99, not 1 within 1e-12"
+
+
+def test_a_finite_row_whose_sum_overflows_is_reported_without_a_warning():
+    C = [[0.0, 1e308, 1e308], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_arrays(C, [0.3, 0.2, 0.1])
+    assert [v.name for v in report.violations] == ["row_stochastic"]
+    assert report.violations[0].index == 0
+    assert "row 1 of C sums to inf" in str(report)
 
 
 def test_negative_entry_is_reported():
