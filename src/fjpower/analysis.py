@@ -45,6 +45,7 @@ from .perception import (
     STEP,
     Trajectory,
     homogeneous_susceptibility,
+    node_vector,
     run_stack_to_convergence,
     run_to_convergence,
     step_perception_ra,
@@ -516,7 +517,7 @@ def check_dominance_necessary(
         raise ValueError(f"sigma must be in [1/2, 1), got {sigma}")
     if not 0 <= node < net.n:
         raise ValueError(f"node must be in 0..{net.n - 1}, got {node}")
-    p_star = np.asarray(p_star, dtype=float)
+    p_star = node_vector(net, "p_star", p_star)
     a, n, i = net.a, net.n, node
     lhs = float(incoming_influence_load(net)[i])
     rhs = float(a[i] / (1.0 - a[i]) + (n * sigma - 1.0) / (n * sigma * (1.0 - sigma)))
@@ -597,9 +598,14 @@ class ExitRecord:
 
 @dataclass(frozen=True)
 class InvarianceReport:
+    """A trial's exits, and ``margin``: the signed slack ``min(nu - hi, lo - mu)``
+    of :func:`box_image` over all coordinates, negative when the exact image
+    leaves the box however few samples landed outside."""
+
     samples: int
     exit_count: int
     examples: tuple[ExitRecord, ...]
+    margin: float = math.nan
 
     @property
     def ok(self) -> bool:
@@ -637,6 +643,9 @@ def one_step_invariance_test(
     update and the exit checks go block by block.  The report is bit-identical
     to the full-array trial's (a row-chunked product would change the last
     bits), and memory is about three ``(samples, n)`` arrays.
+
+    Either way the report's ``margin`` is the exact image's signed slack, so
+    a leak that no sample hit still shows as a negative margin.
     """
     if box.n != net.n:
         raise ValueError(f"box has {box.n} coordinates, the network {net.n} nodes")
@@ -649,8 +658,9 @@ def one_step_invariance_test(
     lo, hi, err = box_image(net, box)
     with np.errstate(over="ignore", invalid="ignore"):
         certified = bool(np.all(hi + 2.0 * err <= high) and np.all(lo - 2.0 * err >= low))
+        margin = float(np.min(np.minimum(box.nu - hi, lo - box.mu)))
     if certified:  # a NaN bound compares False and falls through to sampling
-        return InvarianceReport(samples=samples, exit_count=0, examples=())
+        return InvarianceReport(samples=samples, exit_count=0, examples=(), margin=margin)
     rng = np.random.default_rng(seed)
     P = np.empty((samples, n))
     R = np.empty((samples, n))
@@ -677,7 +687,8 @@ def one_step_invariance_test(
                 bound = float(box.mu[c]) if side == "lower" else float(box.nu[c])
                 examples.append(ExitRecord(sample=s + int(r), coordinate=int(c),
                                            value=float(q[r, c]), bound=bound, side=side))
-    return InvarianceReport(samples=samples, exit_count=exit_count, examples=tuple(examples))
+    return InvarianceReport(samples=samples, exit_count=exit_count, examples=tuple(examples),
+                            margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +702,7 @@ def perception_jacobian(net: InfluenceNetwork, p: np.ndarray) -> np.ndarray:
     derivative is (I-A) J (I-A)⁻¹, so norms of J bound the contraction rate
     in the transformed coordinates.
     """
-    p = np.asarray(p, dtype=float)
+    p = node_vector(net, "p", p)
     J = net.C.T * (net.a * (1.0 - 2.0 * p))[None, :]
     np.fill_diagonal(J, 2.0 * net.a * p)
     return J

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .network import InfluenceNetwork, enumerate_stubborn_cycles
+from .perception import node_vector
 
 
 def influence_matrix(C: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -29,6 +30,9 @@ def influence_matrix(C: np.ndarray, weights: np.ndarray) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     # C order whatever C's layout, so products with W sum in one order
     C = np.ascontiguousarray(C, dtype=float)
+    if w.shape[-1:] != C.shape[:1]:  # a shorter vector would broadcast silently
+        raise ValueError(f"weights must have {len(C)} entries on their last axis, "
+                         f"got shape {w.shape}")
     # + 0.0 is the 0.0 + x of diag(w) + ...: -0.0 becomes +0.0 off the diagonal
     W = (1.0 - w)[..., :, None] * C + 0.0
     # the diagonal is w + x, whatever the sign of a zero x
@@ -53,7 +57,7 @@ def _system(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
 def fj_opinion_map(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray):
     """The opinion update y -> A W(gamma) y + (I - A) y0, with W built once."""
     W = influence_matrix(net.C, gamma)
-    a, anchor = net.a, (1.0 - net.a) * np.asarray(y0, dtype=float)
+    a, anchor = net.a, (1.0 - net.a) * node_vector(net, "y0", y0)
     return lambda y: a * (W @ y) + anchor
 
 
@@ -66,7 +70,7 @@ def step_fj_opinions(
 
 def final_opinions(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Discussion limit (I - A W(gamma))^{-1} (I - A) y0, by direct solve."""
-    return _solve(_system(net, gamma), (1.0 - net.a) * np.asarray(y0, float))
+    return _solve(_system(net, gamma), (1.0 - net.a) * node_vector(net, "y0", y0))
 
 
 def compute_social_power(net: InfluenceNetwork, gamma: np.ndarray) -> np.ndarray:

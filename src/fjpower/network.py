@@ -114,53 +114,33 @@ def validate_arrays(C, a) -> ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class Adjacency:
-    """The positive entries of C: the one edge list every router reads.
+    """The positive entries of C: the one edge list every reader slices.
 
     Edge ``j -> i`` (``C[j, i] > 0``, node j accords weight to node i) sits
     at one position of ``senders`` / ``receivers`` / ``weights``; edges are
     sorted by (receiver, sender), so the edges into node ``i`` fill
-    ``offsets[i]:offsets[i + 1]``.  ``out_lists[i]`` holds the receivers of
-    node i's edges as an ascending tuple of ints, one int object per node, for
-    the per-message routing loop.
+    ``offsets[i]:offsets[i + 1]``.  All four arrays are read-only, and there
+    is no second copy of the edges in another order.
     """
 
     offsets: np.ndarray
     senders: np.ndarray
     receivers: np.ndarray
     weights: np.ndarray
-    out_lists: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_matrix(cls, C: np.ndarray) -> "Adjacency":
-        """One O(n²) scan of C, then O(nnz log nnz) to index it both ways."""
-        n = C.shape[0]
-        out_src, out_dst = np.nonzero(C > 0.0)  # sorted by (sender, receiver)
-        by_receiver = np.argsort(out_dst, kind="stable")
-        senders, receivers = out_src[by_receiver], out_dst[by_receiver]
-        offsets = _offsets(receivers, n)
+        """One O(n²) scan of C; its transpose's nonzeros come out in edge order."""
+        receivers, senders = np.nonzero(C.T > 0.0)  # sorted by (receiver, sender)
+        offsets = np.searchsorted(receivers, np.arange(C.shape[0] + 1))
         weights = C[senders, receivers]
         for arr in (offsets, senders, receivers, weights):
             arr.setflags(write=False)
-        targets = np.array(range(n), dtype=object)[out_dst].tolist()  # one int object per node
-        bounds = _offsets(out_src, n).tolist()
-        return cls(
-            offsets=offsets,
-            senders=senders,
-            receivers=receivers,
-            weights=weights,
-            out_lists=tuple(tuple(targets[lo:hi]) for lo, hi in zip(bounds, bounds[1:])),
-        )
+        return cls(offsets=offsets, senders=senders, receivers=receivers, weights=weights)
 
     @property
     def nnz(self) -> int:
         return len(self.senders)
-
-
-def _offsets(owners: np.ndarray, n: int) -> np.ndarray:
-    """Start of each node's block in an edge list grouped by ``owners``."""
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(owners, minlength=n), out=offsets[1:])
-    return offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +176,9 @@ class InfluenceNetwork:
         return tuple(adj.senders[adj.offsets[i]:adj.offsets[i + 1]].tolist())
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
-        """Nodes j with C[i, j] > 0, ascending."""
-        return self.adjacency.out_lists[i]
+        """Nodes j with C[i, j] > 0, ascending: an O(n) scan of row i, since
+        the edge list is grouped by receiver."""
+        return tuple(np.flatnonzero(self.C[i] > 0.0).tolist())
 
 
 @dataclass(frozen=True)
@@ -262,8 +243,9 @@ def enumerate_stubborn_cycles(net: InfluenceNetwork, anchor: int) -> list[Stubbo
     path = [anchor]
     on_path = np.zeros(n, dtype=bool)
     on_path[anchor] = True
-    # iterative DFS; each stack frame is an iterator over sorted out-neighbors
-    stack: list[Iterator[int]] = [iter(net.out_neighbors(anchor))]
+    succ = [np.flatnonzero(row > 0.0).tolist() for row in C]  # sorted out-neighbors
+    # iterative DFS; each stack frame is an iterator over one successor list
+    stack: list[Iterator[int]] = [iter(succ[anchor])]
     while stack:
         advanced = False
         for nxt in stack[-1]:
@@ -277,7 +259,7 @@ def enumerate_stubborn_cycles(net: InfluenceNetwork, anchor: int) -> list[Stubbo
             if partial[nxt] and not on_path[nxt]:
                 on_path[nxt] = True
                 path.append(nxt)
-                stack.append(iter(net.out_neighbors(nxt)))
+                stack.append(iter(succ[nxt]))
                 advanced = True
                 break
         if not advanced:

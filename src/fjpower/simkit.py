@@ -3,10 +3,10 @@
 Each agent owns exactly its :class:`~fjpower.perception.LocalView`, its own
 current estimate, and an inbox.  A round has two phases: every agent
 broadcasts its estimate to the nodes it accords weight to (the message
-fabric routes by the network's edges), then every agent computes its next
-estimate from its view, its own value and its inbox — nothing else is
-reachable from the update functions.  Rounds are synchronous; inbox slots
-are overwritten each round.
+fabric fills each inbox along its view's in-edges), then every agent
+computes its next estimate from its view, its own value and its inbox —
+nothing else is reachable from the update functions.  Rounds are
+synchronous; inbox slots are overwritten each round.
 
 Batch execution of scenario files also lives here; per-scenario failures are
 captured in the summaries so a batch never aborts midway.
@@ -76,19 +76,20 @@ def make_agents(
 def deliver(net: InfluenceNetwork, agents: Sequence[Agent]) -> int:
     """Broadcast phase: each agent's estimate reaches its out-neighbors.
 
-    Walks the network's cached out-lists, so a round costs O(n + nnz).
-    ``agents[k]`` must be node k's agent, as :func:`make_agents` builds them.
-    Returns the number of messages delivered (one per directed edge).
+    Every inbox is filled along its own view's in-edges from one list of the
+    current estimates, so a round costs O(n + nnz) and each directed edge
+    carries one message.  ``agents[k]`` must be node k's agent, as
+    :func:`make_agents` builds them; ``net`` is the network their views were
+    built from.  Returns the number of messages delivered.
     """
-    out_lists = net.adjacency.out_lists
-    inboxes = [ag.inbox for ag in agents]
+    values = [ag.p for ag in agents]
     count = 0
     for ag in agents:
-        node, value = ag.node, ag.p
-        targets = out_lists[node]
-        for k in targets:
-            inboxes[k][node] = value
-        count += len(targets)
+        inbox = ag.inbox
+        in_edges = ag.view.in_edges
+        for j, _, _, _ in in_edges:
+            inbox[j] = values[j]
+        count += len(in_edges)
     return count
 
 

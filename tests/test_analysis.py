@@ -549,6 +549,23 @@ def test_certified_trial_allocates_no_sample_arrays():
     assert peak < 1 << 20
 
 
+def test_margin_shows_a_leak_that_no_sample_hit():
+    """The exact image of this box leaves it by 0.051 at coordinate 33, where
+    10⁴ samples find no exit; the margin reports the leak, the text does not."""
+    net = random_network(np.random.default_rng(5), 300)
+    box = nonneg_box(net)
+    report = one_step_invariance_test(net, box, 10_000)
+    assert report.exit_count == 0
+    assert str(report) == "one-step invariance: no exits out of 10000 samples"
+    assert report.margin == pytest.approx(-0.0512, abs=1e-4)
+    lo, hi, _ = analysis.box_image(net, box)
+    assert report.margin == np.min(np.minimum(box.nu - hi, lo - box.mu))
+    assert int(np.argmin(box.nu - hi)) == 33
+    # the certified path reports its margin too
+    sealed = one_step_invariance_test(net, box.inflated(2.0), 10_000)
+    assert 0.0 < sealed.margin < math.inf
+
+
 def test_trial_rejects_a_negative_sample_count(anchored_net):
     with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
         one_step_invariance_test(anchored_net, nonneg_box(anchored_net), -1)
@@ -611,6 +628,7 @@ def test_box_image_encloses_every_step_and_only_certifies_sealed_boxes(draws):
             assert _fields(got) == _fields(want), (k, j)
             if certified:
                 assert want.exit_count == 0, (k, j)
+                assert got.margin >= -analysis.EXIT_SLACK, (k, j)
             fired += certified
             leaked += want.exit_count > 0
     # both paths ran
@@ -700,6 +718,17 @@ def test_center_tail_settles_quickly(star3_net):
     assert report.ok
     assert [row.direction for row in report.per_leaf] == ["down", "down"]
     assert report.center_tail_start <= 2
+
+
+def test_a_leaf_starting_at_its_limit_is_constant(star3_net):
+    """A leaf relays only its own estimate's terms, so from its closed-form
+    value it stays there; the other leaf still has a side."""
+    p0 = np.array([0.3, star_equilibrium_closed_form(star3_net)[1], 0.5])
+    report = monotonicity_test_star(star3_net, p0)
+    assert report.ok
+    assert [(row.node, row.direction) for row in report.per_leaf] == [(1, "constant"), (2, "down")]
+    assert report.per_leaf[0].first_violation is None
+    assert report.leaves_one_side
 
 
 def test_monotonicity_preconditions(star3_net, triad_net):

@@ -1,4 +1,6 @@
 """Opinion updates, social power, and resolvent identities."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from fjpower import (
     CycleBudgetExceededError,
     InfluenceNetwork,
     SingularSystemError,
+    check_dominance_necessary,
     compute_social_power,
+    contraction_diagnostic,
     enumerate_stubborn_cycles,
     final_opinions,
     influence_matrix,
@@ -295,3 +299,40 @@ def test_single_step_variant_converges_to_the_same_equilibrium(anchored_net):
         assert abs(x.sum() - 1.0) < 1e-12  # contribution rows stay stochastic
         V, x = step_power_evolution_single(anchored_net, V, x)
     assert np.max(np.abs(x - ANCHORED_POWER_EQ)) < 1e-8
+
+
+def test_a_one_entry_vector_is_rejected_not_broadcast():
+    """Every per-node vector must hold n entries; numpy would stretch a
+    1-entry one over all nodes and return numbers."""
+    net = random_network(np.random.default_rng(0), 4)
+    one, ok = np.array([0.3]), np.full(4, 0.25)
+    weights = re.escape("weights must have 4 entries on their last axis, got shape (1,)")
+    calls = {
+        weights: [
+            lambda: compute_social_power(net, one),
+            lambda: step_power_evolution(net, one),
+            lambda: step_power_evolution_single(net, np.eye(4), one),
+            lambda: influence_resolvent(net, one),
+            lambda: resolvent_diag_from_cycles(net, 0, one),
+            lambda: final_opinions(net, one, ok),
+        ],
+        re.escape("got shape (2, 1)"): [
+            lambda: influence_matrix(net.C, np.full((2, 1), 0.3)),
+        ],
+        re.escape("y0 must have shape (4,), got (1,)"): [
+            lambda: final_opinions(net, ok, one),
+            lambda: step_fj_opinions(net, ok, ok, one),
+        ],
+        re.escape("p must have shape (4,), got (1,)"): [
+            lambda: contraction_diagnostic(net, one),
+        ],
+        re.escape("p_star must have shape (4,), got (1,)"): [
+            lambda: check_dominance_necessary(net, one, 0, 0.5),
+        ],
+    }
+    for message, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match=message):
+                call()
+    # (k, n) stacks of weights stay legal
+    assert compute_social_power(net, np.full((2, 4), 0.25)).shape == (2, 4)

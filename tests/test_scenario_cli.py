@@ -16,6 +16,8 @@ from fjpower import (
     load_scenario,
     run_reports,
     run_scenario,
+    solve_equilibrium,
+    star_equilibrium_closed_form,
     validate_arrays,
     write_trajectory_csv,
 )
@@ -482,6 +484,23 @@ def test_cli_batch_aggregates_divergence(tmp_path, capsys):
     assert code == 2
     assert out.count("star_partial_") == 4
     assert "star_partial_c: diverged" in out
+
+
+def test_cli_batch_of_the_bundled_scenarios_exits_zero(tmp_path, capsys):
+    """Every top-level bundled scenario succeeds, and each equilibrium section
+    is the report of the search under the file's own settings."""
+    code = main(["batch", str(SCENARIO_DIR), "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    for name in ("star_full_center", "three_node_power"):
+        scn = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+        eq = solve_equilibrium(scn.net, seed=scn.seed, tol=scn.tol, max_iter=scn.max_iter)
+        text = (tmp_path / f"{name}_report.txt").read_text()
+        section = text.partition("== equilibrium ==\n")[2].split("\n== ", 1)[0]
+        assert section == f"{eq}\n", name
+        if name == "star_full_center":
+            closed = star_equilibrium_closed_form(scn.net)
+            assert np.max(np.abs(eq.p_star - closed)) < 1e-9
 
 
 def test_cli_batch_surfaces_load_failures(tmp_path, capsys):
