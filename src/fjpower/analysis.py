@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -100,6 +100,8 @@ class Box:
 
     def contains(self, p: np.ndarray, slack: float = 0.0) -> bool:
         p = np.asarray(p, dtype=float)
+        if p.shape != self.mu.shape:
+            raise ValueError(f"point must have shape {self.mu.shape}, got {p.shape}")
         return bool(np.all(p >= self.mu - slack) and np.all(p <= self.nu + slack))
 
     def _span(self) -> np.ndarray:
@@ -297,7 +299,7 @@ def solve_equilibrium(
     in_simplex = abs(total - 1.0) <= 1e-9 and bool(np.all(consensus >= -1e-12))
     interior = bool(np.min(consensus) > 0.0)
     return EquilibriumReport(
-        p_star=consensus,
+        p_star=consensus.copy(),  # a row of the run's path would keep the whole path
         residual=residual,
         iterations=converged[0].iterations,
         starts_agreeing=agreeing,
@@ -380,42 +382,76 @@ class MarginRow:
             f" -> margin {self.margin:.12g}"
         )
 
+    def rows(self) -> tuple[MarginRow, ...]:
+        return (self,)
 
-@dataclass(frozen=True)
+    def margins(self) -> list[float]:
+        return [] if self.margin is None else [self.margin]
+
+
+# one row of a per-node block; a block is one array of these, not three arrays,
+# because three array headers outweigh the data of a typical 3-60 row block
+NODE_ROW = np.dtype([("node", np.intp), ("lhs", float), ("rhs", float)])
+
+
+@dataclass(frozen=True, eq=False)
+class NodeRows:
+    """The rows lhs_i <= rhs_i, margin rhs_i - lhs_i, of several nodes i, held
+    as one ``NODE_ROW`` array rather than as one MarginRow per node."""
+
+    label: str
+    table: np.ndarray
+
+    def rows(self) -> list[MarginRow]:
+        t = self.table
+        return [MarginRow(self.label, lhs, rhs, margin, node=i) for i, lhs, rhs, margin
+                in zip(t["node"].tolist(), t["lhs"].tolist(), t["rhs"].tolist(), self.margins())]
+
+    def margins(self) -> list[float]:
+        return (self.table["rhs"] - self.table["lhs"]).tolist()
+
+
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
-    """Outcome of one condition check: ``holds`` iff ``margin >= 0``."""
+    """Outcome of one condition check: ``holds`` iff ``margin >= 0``.  Its
+    rows are stored as ``parts``; ``detail`` lists them one MarginRow each."""
 
     condition: str
     holds: bool
     margin: float
-    detail: tuple[MarginRow, ...]
+    parts: tuple[Union[MarginRow, NodeRows], ...]
+
+    @property
+    def detail(self) -> tuple[MarginRow, ...]:
+        return tuple(row for part in self.parts for row in part.rows())
 
     def __str__(self) -> str:
         head = f"{self.condition}: {'HOLDS' if self.holds else 'FAILS'} (margin {self.margin:.12g})"
         return "\n".join([head] + [str(row) for row in self.detail])
 
 
-def _report(condition: str, rows: list[MarginRow]) -> ConditionReport:
-    margins = [row.margin for row in rows if row.margin is not None]
-    margin = min(margins) if margins else math.inf
+def _report(condition: str, parts: list[Union[MarginRow, NodeRows]]) -> ConditionReport:
+    margin = min((m for part in parts for m in part.margins()), default=math.inf)
     return ConditionReport(
-        condition=condition, holds=margin >= 0.0, margin=margin, detail=tuple(rows)
+        condition=condition, holds=margin >= 0.0, margin=margin, parts=tuple(parts)
     )
 
 
-def _node_rows(label: str, lhs: np.ndarray, rhs: np.ndarray, nodes) -> list[MarginRow]:
+def _node_rows(label: str, lhs: np.ndarray, rhs: np.ndarray, nodes) -> list[NodeRows]:
     """One row lhs_i <= rhs_i per node i in ``nodes``, with margin rhs_i - lhs_i."""
-    return [MarginRow(label, float(lhs[i]), float(rhs[i]), float(rhs[i] - lhs[i]), node=i)
-            for i in nodes]
+    nodes = np.asarray(nodes, dtype=np.intp)
+    table = np.empty(nodes.size, dtype=NODE_ROW)
+    table["node"], table["lhs"], table["rhs"] = nodes, lhs[nodes], rhs[nodes]
+    return [NodeRows(label, table)]
 
 
-def _influence_cap(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
+def _influence_cap(net: InfluenceNetwork, timescale: str) -> list[NodeRows]:
     """Σ_j C[j,i] a_j/(1-a_j) <= a_i/(1-a_i) + 2(n-2)/n at each partially stubborn i."""
     rhs = net.a / (1.0 - net.a) + 2.0 * (net.n - 2) / net.n
     return _node_rows("influence_in", incoming_influence_load(net), rhs, net.partially_stubborn)
 
 
-def _volatility_cap(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
+def _volatility_cap(net: InfluenceNetwork, timescale: str) -> list[NodeRows]:
     """Σ_{j: a_j > 0} C[j,i] (1+3a_j)/(4a_j) <= 1/a_i + 4/n at each partially
     stubborn i (strict in the source)."""
     with np.errstate(divide="ignore"):  # fully stubborn nodes get no row
@@ -455,7 +491,7 @@ def _homogeneous_cap(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
     return [MarginRow("shared_susceptibility", shared, cap, cap - shared)]
 
 
-def _democracy(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
+def _democracy(net: InfluenceNetwork, timescale: str) -> list[NodeRows]:
     """|C^T v - v|_i <= DEMOCRACY_TOL at every node, v = a/(1-a) scaled to unit sum."""
     v = net.a / (1.0 - net.a)
     v = v / v.sum()

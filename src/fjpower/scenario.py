@@ -131,6 +131,10 @@ BOX_BUILDERS = {
     "star_loose": lambda net: analysis.star_invariant_box(net, loose=True),
 }
 
+# libyaml's parser when PyYAML was built with it; both loaders build documents
+# with SafeConstructor and the same resolver, so they read files identically
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 CSV_STRIDE_THRESHOLD = 10_000
 CSV_STRIDE = 10
 
@@ -303,17 +307,17 @@ def load_scenario(
     ``tol``, ``max_iter`` and ``seed``, when given, override the file's
     top-level settings before anything is drawn, so an overridden ``seed``
     reaches sampled starts (a sampler's own ``seed:`` still wins).
-    Malformed YAML raises ConfigParseError; an unknown key or any structural
+    A file that is not UTF-8 or not YAML raises ConfigParseError; an unknown key or any structural
     or network invariant failure raises ConfigValidationError whose message
     names the key, or the violated invariant and the offending (1-based) index.
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int literal past 4300 digits
         raise ConfigParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):

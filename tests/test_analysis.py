@@ -63,6 +63,13 @@ def test_box_validation_and_membership():
     assert box.contains([1.1, 0.0], slack=0.2)
 
 
+def test_box_membership_needs_one_entry_per_coordinate():
+    box = Box(np.zeros(3), np.ones(3))
+    for point in ([0.3], [0.3, 0.3], np.full((2, 3), 0.3), 0.3):
+        with pytest.raises(ValueError, match=r"point must have shape \(3,\)"):
+            box.contains(point)
+
+
 def test_box_sampling_needs_finite_bounds():
     rng = np.random.default_rng(0)
     box = Box(mu=np.array([0.0]), nu=np.array([np.inf]))
@@ -333,6 +340,63 @@ def test_uniform_gain_cap_depends_on_the_timescale(anchored_net):
     )
 
 
+def test_condition_report_text_is_pinned(anchored_net, four_settings):
+    assert str(check_condition(anchored_net, "incoming_influence_cap")) == (
+        "incoming_influence_cap: HOLDS (margin 0.583333333333)\n"
+        "  influence_in node 2: lhs 0.75 vs rhs 1.33333333333 -> margin 0.583333333333\n"
+        "  influence_in node 3: lhs 0.666666666667 vs rhs 2.16666666667 -> margin 1.5")
+    _, net_d, _ = four_settings[3]
+    assert str(check_condition(net_d, "star_center_load")) == (
+        "star_center_load: FAILS (margin -inf)\n"
+        "  center_load node 1: lhs 6.33333333333 vs rhs 3.16666666667 -> margin -3.16666666667\n"
+        "  center_row_weight node 4: lhs 1 vs rhs 0 -> margin -inf\n"
+        "  stubborn_floor_used: 0.0416666666667\n"
+        "  stubborn_floor_alternate: -0.0416666666667")
+    assert str(check_dominance_necessary(anchored_net, ANCHORED_POWER_EQ, 0, 0.5)) == (
+        "dominance(node=1, sigma=0.5): HOLDS (margin 0.0833333333333)\n"
+        "  influence_in_required node 1: lhs 0.75 vs rhs 0.666666666667 -> margin 0.0833333333333\n"
+        "  power_share node 1: 0.462131198464")
+
+
+def test_per_node_rows_hold_the_evaluated_values():
+    """Rows rebuilt from the stored table carry the evaluator's own floats,
+    as plain Python floats and ints."""
+    net = random_network(np.random.default_rng(8), 40, fully_stubborn_prob=0.3)
+    part = list(net.partially_stubborn)
+    load = incoming_influence_load(net)
+    v = net.a / (1.0 - net.a)
+    v = v / v.sum()
+    expected = {
+        "incoming_influence_cap": (part, load, net.a / (1.0 - net.a) + 2.0 * (net.n - 2) / net.n),
+        "democracy": (list(range(net.n)), np.abs(net.C.T @ v - v),
+                      np.full(net.n, analysis.DEMOCRACY_TOL)),
+    }
+    for cid, (nodes, lhs, rhs) in expected.items():
+        report = check_condition(net, cid)
+        rows = report.detail
+        assert [row.node for row in rows] == nodes
+        assert [(row.lhs, row.rhs, row.margin) for row in rows] == [
+            (lhs[i], rhs[i], rhs[i] - lhs[i]) for i in nodes]
+        assert all(type(row.node) is int and type(row.lhs) is float and type(row.margin) is float
+                   for row in rows)
+        assert report.margin == min(row.margin for row in rows)
+
+
+def test_per_node_report_keeps_arrays_not_row_objects():
+    n = 1000
+    net = InfluenceNetwork(C=np.roll(np.eye(n), 1, axis=1),
+                           a=np.random.default_rng(2).uniform(0.1, 0.9, n))
+    tracemalloc.start()
+    try:
+        report = check_condition(net, "democracy")
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.detail) == n
+    # one n-row table of (node, lhs, rhs), 24 bytes a row; a MarginRow per node took ~200
+    assert kept < 40 * n
+
+
 def test_dominance_check_on_the_anchored_equilibrium(anchored_net):
     report = check_dominance_necessary(anchored_net, ANCHORED_POWER_EQ, 0, 0.5)
     assert report.condition == "dominance(node=1, sigma=0.5)"
@@ -374,6 +438,7 @@ def test_multistart_search_agrees_everywhere(anchored_net):
     assert report.residual < 1e-10
     assert report.in_simplex and report.interior
     assert np.max(np.abs(report.p_star - ANCHORED_POWER_EQ)) < 1e-9
+    assert report.p_star.base is None  # its own n entries, not a row of a start's path
     assert "uniqueness evidence" in str(report)
 
 

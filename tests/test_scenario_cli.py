@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from fjpower import (
     CONVERGED,
@@ -14,6 +15,7 @@ from fjpower import (
     MAX_ITER,
     Trajectory,
     load_scenario,
+    random_network,
     run_reports,
     run_scenario,
     solve_equilibrium,
@@ -72,6 +74,76 @@ def test_malformed_yaml_is_a_parse_error(tmp_path):
     not_mapping = _write(tmp_path, "- 1\n- 2\n")
     with pytest.raises(ConfigParseError, match="mapping"):
         load_scenario(not_mapping)
+
+
+def test_the_loader_is_libyaml_when_pyyaml_has_it():
+    want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert scenario.YAML_LOADER is want
+
+
+def _vec(values) -> str:
+    return "[" + ", ".join(repr(float(x)) for x in values) + "]"
+
+
+def _generated_text(rng, name, mode, n) -> str:
+    """A scenario written as the benchmark generates them: flow-style rows of
+    full-precision floats and every output kind."""
+    net = random_network(rng, n)
+    lines = [f"name: {name}", "network:", "  C:"]
+    lines += [f"    - {_vec(row)}" for row in net.C]
+    lines.append(f"  a: {_vec(net.a)}")
+    if mode in scenario.GAMMA_MODES:
+        lines.append(f"gamma: {_vec(rng.uniform(0.0, 0.5, size=n))}")
+    lines.append(f"mode: {mode}")
+    if mode != "social_power":
+        lines += ["initial:", f"  p0: {_vec(rng.dirichlet(np.ones(n)))}"]
+    lines += ["outputs:", "  - trajectory_csv", "  - equilibrium_report",
+              "  - condition_report: [incoming_influence_cap, democracy, uniform_gain_cap]",
+              "  - invariant_test: {samples: 1000, box: nonneg}"]
+    return "\n".join(lines) + "\n"
+
+
+def _fingerprint(scn):
+    """A loaded scenario's settings, with its arrays as raw bytes."""
+    arrays = (scn.net.C, scn.net.a, scn.gamma) + scn.starts
+    return (scn.name, scn.mode, scn.tol, scn.max_iter, scn.seed, scn.outputs,
+            [None if x is None else x.tobytes() for x in arrays])
+
+
+def test_both_loaders_read_every_scenario_alike(tmp_path, monkeypatch):
+    # CI runners have libyaml, so this and the next test are where the
+    # pure-Python fallback runs
+    rng = np.random.default_rng(3)
+    generated = [_write(tmp_path, _generated_text(rng, f"gen_{mode}_{n}", mode, n),
+                        name=f"gen_{mode}_{n}.yaml")
+                 for mode, n in (("social_power", 2), ("perception_no_ra", 14),
+                                 ("fj_opinions", 22), ("distributed_ra", 60))]
+    for path in ALL_SCENARIOS + generated:
+        loaded = []
+        for loader in (scenario.YAML_LOADER, yaml.SafeLoader):
+            monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+            loaded.append(load_scenario(path))
+        assert _fingerprint(loaded[0]) == _fingerprint(loaded[1]), path
+    assert loaded[0].net.n == 60
+
+
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_unreadable_files_are_parse_errors_under_both_loaders(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    with pytest.raises(ConfigParseError):
+        load_scenario(_write(tmp_path, "name: [unclosed\n"))
+    with pytest.raises(ConfigParseError, match="mapping"):
+        load_scenario(_write(tmp_path, "- 1\n- 2\n"))
+    # a literal past Python's 4300-digit int <-> str cap (see the test above)
+    giant = _write(tmp_path, MINIMAL + "max_iter: 1" + "0" * 5000 + "\n")
+    capped = hasattr(sys, "get_int_max_str_digits")
+    with pytest.raises(ConfigParseError if capped else ConfigValidationError):
+        load_scenario(giant)
+    latin = tmp_path / "latin.yaml"
+    latin.write_bytes(b"name: x\n\xff\xfe: 1\n")
+    with pytest.raises(ConfigParseError, match="cannot read .*utf-8"):
+        load_scenario(latin)
 
 
 def test_network_invariants_are_named_in_the_error(tmp_path):
@@ -512,6 +584,19 @@ def test_cli_batch_surfaces_load_failures(tmp_path, capsys):
     assert code == 1
     assert "broken: error" in out
     assert "case: converged" in out
+
+
+def test_cli_batch_goes_on_past_a_file_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "scn").mkdir()
+    (tmp_path / "scn" / "a.yaml").write_text(MINIMAL.replace("case", "a"))
+    (tmp_path / "scn" / "b.yaml").write_bytes(b"name: x\n\xff\xfe: 1\n")
+    (tmp_path / "scn" / "c.yaml").write_text(MINIMAL.replace("case", "c"))
+    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
+    assert lines[1].startswith("b: error after 0 iteration(s) error: ConfigParseError: cannot read")
+    assert lines[2].startswith("c: converged")
 
 
 def test_cli_batch_runs_good_files_beside_a_bad_setting(tmp_path, capsys):
