@@ -66,7 +66,7 @@ FD_RTOL = 1e-6  # relative Jacobian/finite-difference mismatch that raises
 EXIT_SLACK = 1e-12  # how far outside its box a stepped coordinate may land
 MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance report keeps
 STACK_ENTRIES = 1 << 22  # matrix entries (32 MB) one stacked equilibrium solve may hold
-BLOCK_ENTRIES = 1 << 14  # matrix entries (128 KB, cache-sized) per row block of an invariance trial
+BLOCK_ENTRIES = 1 << 14  # matrix entries (128 KB, cache-sized) per row block of a batched RA step
 
 
 # ---------------------------------------------------------------------------
@@ -115,24 +115,18 @@ class Box:
         return span
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` uniform points, one per row: the values and draw order of
-        ``rng.uniform(mu, nu, (size, n))``.  Bounds must be finite."""
-        return _fill_uniform(rng, self.mu, self._span(), np.empty((size, self.n)))
+        """``size`` uniform points, one per row: ``mu + span * U`` with U from
+        ``rng.random``, the values and draw order of ``rng.uniform(mu, nu,
+        (size, n))``, which is slower with array bounds.  Bounds must be finite."""
+        span = self._span()
+        P = rng.random((size, self.n))
+        P *= span
+        P += self.mu
+        return P
 
     def inflated(self, factor: float) -> Box:
         """Control box with the upper bounds scaled by ``factor`` (lower kept)."""
         return Box(self.mu, self.nu * factor)
-
-
-def _fill_uniform(rng: np.random.Generator, mu: np.ndarray, span: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """Fill the C-contiguous rows of ``out`` with ``mu + span * U``, U uniform
-    on [0, 1): ``rng.uniform``'s formula and draw order, so filling an array's
-    row blocks in turn gives the same bits as one ``rng.uniform`` call."""
-    rng.random(out=out)
-    out *= span
-    out += mu
-    return out
 
 
 def incoming_influence_load(net: InfluenceNetwork) -> np.ndarray:
@@ -569,11 +563,26 @@ def check_dominance_necessary(
 # ---------------------------------------------------------------------------
 
 def _batch_step_ra(net: InfluenceNetwork, P: np.ndarray) -> np.ndarray:
-    """The ``ra`` rule applied to each row of ``P`` at once.  Its relay is one
-    BLAS product (an ordered reduction would need a rows × n × n temporary),
-    so rows match :func:`step_perception_ra` to rounding, not bit-for-bit."""
+    """The ``ra`` rule applied to each row of ``P`` at once, in a fresh array.
+
+    The relay and the update stream through cache-sized row blocks of about
+    ``BLOCK_ENTRIES`` entries around one BLAS product for all rows (a
+    row-chunked product would change the last bits), so the bits do not
+    depend on the block size and memory peaks at about three arrays of
+    ``P``'s shape.  The product is no ordered reduction (that would need a
+    rows × n × n temporary), so rows match :func:`step_perception_ra` to
+    rounding, not bit-for-bit."""
     ra = RULES["ra"]
-    return ra.update(net.a, None, P, net.n, ra.relay(net.a, None, P) @ net.C)
+    a, n = net.a, net.n
+    rows = max(1, BLOCK_ENTRIES // n)
+    blocks = [slice(s, s + rows) for s in range(0, len(P), rows)]
+    G = np.empty(P.shape)
+    for b in blocks:
+        G[b] = ra.relay(a, None, P[b])
+    G = G @ net.C
+    for b in blocks:
+        G[b] = ra.update(a, None, P[b], n, G[b])
+    return G
 
 
 def box_image(net: InfluenceNetwork, box: Box) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -668,17 +677,11 @@ def one_step_invariance_test(
     report the trial below would give.
 
     Otherwise, a Monte-Carlo trial: draws ``samples`` uniform points in
-    ``box`` (as :meth:`Box.sample` does), applies the update once and counts
-    coordinates landing outside by more than ``EXIT_SLACK``.  Keeps the first
-    ``MAX_EXIT_EXAMPLES`` offending (sample, coordinate) pairs, in
-    sample-then-coordinate order.
-
-    Samples are streamed through cache-sized row blocks of about
-    ``BLOCK_ENTRIES`` entries around one BLAS product for all of them: the
-    draws and relays go block by block, then ``relay @ C`` runs once, then the
-    update and the exit checks go block by block.  The report is bit-identical
-    to the full-array trial's (a row-chunked product would change the last
-    bits), and memory is about three ``(samples, n)`` arrays.
+    ``box`` with :meth:`Box.sample`, steps them all with ``_batch_step_ra``
+    and counts coordinates landing outside by more than ``EXIT_SLACK``.
+    Keeps the first ``MAX_EXIT_EXAMPLES`` offending (sample, coordinate)
+    pairs, in sample-then-coordinate order.  Memory peaks at about three
+    ``(samples, n)`` arrays, inside the step.
 
     Either way the report's ``margin`` is the exact image's signed slack, so
     a leak that no sample hit still shows as a negative margin.
@@ -687,9 +690,7 @@ def one_step_invariance_test(
         raise ValueError(f"box has {box.n} coordinates, the network {net.n} nodes")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    ra = RULES["ra"]
-    a, n = net.a, net.n
-    span = box._span()
+    box._span()  # an infinite or overflowing box raises before the certificate
     low, high = box.mu - EXIT_SLACK, box.nu + EXIT_SLACK
     lo, hi, err = box_image(net, box)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -697,33 +698,17 @@ def one_step_invariance_test(
         margin = float(np.min(np.minimum(box.nu - hi, lo - box.mu)))
     if certified:  # a NaN bound compares False and falls through to sampling
         return InvarianceReport(samples=samples, exit_count=0, examples=(), margin=margin)
-    rng = np.random.default_rng(seed)
-    P = np.empty((samples, n))
-    R = np.empty((samples, n))
-    rows = max(1, BLOCK_ENTRIES // n)
-    starts = range(0, samples, rows)
-    for s in starts:
-        p = _fill_uniform(rng, box.mu, span, P[s:s + rows])
-        R[s:s + rows] = ra.relay(a, None, p)
-    G = R @ net.C
-    del R  # the update needs only P and G
-    exit_count = 0
-    examples: list[ExitRecord] = []
-    for s in starts:
-        q = ra.update(a, None, P[s:s + rows], n, G[s:s + rows])
-        below = q < low
-        out = below | (q > high)
-        count = int(np.count_nonzero(out))
-        exit_count += count
-        if count and len(examples) < MAX_EXIT_EXAMPLES:
-            hit_rows, hit_cols = np.nonzero(out)
-            keep = MAX_EXIT_EXAMPLES - len(examples)
-            for r, c in zip(hit_rows[:keep], hit_cols[:keep]):
-                side = "lower" if below[r, c] else "upper"
-                bound = float(box.mu[c]) if side == "lower" else float(box.nu[c])
-                examples.append(ExitRecord(sample=s + int(r), coordinate=int(c),
-                                           value=float(q[r, c]), bound=bound, side=side))
-    return InvarianceReport(samples=samples, exit_count=exit_count, examples=tuple(examples),
+    Q = _batch_step_ra(net, box.sample(np.random.default_rng(seed), samples))
+    below = Q < low
+    exits = np.flatnonzero(below | (Q > high))  # in C order: sample, then coordinate
+    examples = []
+    for k in exits[:MAX_EXIT_EXAMPLES]:
+        r, c = divmod(int(k), net.n)
+        side = "lower" if below[r, c] else "upper"
+        bound = float(box.mu[c]) if side == "lower" else float(box.nu[c])
+        examples.append(ExitRecord(sample=r, coordinate=c, value=float(Q[r, c]),
+                                   bound=bound, side=side))
+    return InvarianceReport(samples=samples, exit_count=len(exits), examples=tuple(examples),
                             margin=margin)
 
 

@@ -293,7 +293,10 @@ def _parse_starts(doc: dict, n: int, mode: str, seed: int, name: str) -> tuple[n
         return tuple(rng.dirichlet(np.ones(n)) for _ in range(count))
     mu = _vector(value.get("mu"), n, f"{name}: uniform_in_box.mu")
     nu = _vector(value.get("nu"), n, f"{name}: uniform_in_box.nu")
-    return tuple(analysis.Box(mu, nu).sample(rng, count))
+    try:
+        return tuple(analysis.Box(mu, nu).sample(rng, count))
+    except (ValueError, OverflowError) as exc:  # an inverted box, or a width past the float range
+        _fail(f"{name}: uniform_in_box {exc}")
 
 
 def load_scenario(
@@ -322,9 +325,10 @@ def load_scenario(
         raise ConfigParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigParseError(f"{path}: top level must be a mapping")
-    name = str(doc.get("name", path.stem))
-    if not name or any(sep in name for sep in "/\\"):
-        _fail(f"scenario name {name!r} must be a plain filename fragment")
+    raw_name = doc.get("name", path.stem)
+    name = str(raw_name)
+    if raw_name is None or not name or any(sep in name for sep in "/\\\0"):
+        _fail(f"scenario name {raw_name!r} must be a plain filename fragment")
     _check_keys(doc, ("name", "network", "gamma", "mode", "initial", "tol", "max_iter",
                       "seed", "outputs"), f"{name}: ")
     network = doc.get("network")

@@ -519,10 +519,11 @@ def test_inflated_control_box_leaks(anchored_net):
 
 def _full_array_trial(net, box, samples, seed=0):
     """The invariance trial as one pass over full (samples, n) arrays: one
-    ``rng.uniform`` draw, one batched update, one exit mask."""
+    ``rng.uniform`` draw, one whole-array ``ra`` step, one exit mask."""
     rng = np.random.default_rng(seed)
     P = rng.uniform(box.mu, box.nu, size=(samples, net.n))
-    Q = analysis._batch_step_ra(net, P)
+    ra = analysis.RULES["ra"]
+    Q = ra.update(net.a, None, P, net.n, ra.relay(net.a, None, P) @ net.C)
     below = Q < box.mu - analysis.EXIT_SLACK
     above = Q > box.nu + analysis.EXIT_SLACK
     rows, cols = np.nonzero(below | above)
@@ -638,16 +639,16 @@ def test_trial_rejects_a_negative_sample_count(anchored_net):
 
 @pytest.fixture
 def draws(monkeypatch):
-    """One entry per block of samples drawn since the list was last cleared."""
-    blocks = []
-    fill = analysis._fill_uniform
+    """One entry per ``Box.sample`` call since the list was last cleared."""
+    sizes = []
+    sample = analysis.Box.sample
 
-    def counting(rng, mu, span, out):
-        blocks.append(len(out))
-        return fill(rng, mu, span, out)
+    def counting(box, rng, size):
+        sizes.append(size)
+        return sample(box, rng, size)
 
-    monkeypatch.setattr(analysis, "_fill_uniform", counting)
-    return blocks
+    monkeypatch.setattr(analysis.Box, "sample", counting)
+    return sizes
 
 
 def _certified(net, box, samples, seed, draws):

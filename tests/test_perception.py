@@ -29,7 +29,7 @@ from fjpower import (
     step_perception_no_ra,
     step_perception_ra,
 )
-from fjpower.analysis import _batch_step_ra
+from fjpower import analysis
 from fjpower.perception import RULES, _step, local_step
 
 from conftest import carrier
@@ -442,12 +442,24 @@ def test_every_rule_gives_the_same_bits_per_node_and_vectorized(seed, n, kind):
             assert got == want[view.node], (name, view.node)
 
 
-@pytest.mark.parametrize("kind", ["dense", "sparse", "homogeneous"])
-def test_batch_kernel_rows_match_the_reflected_stepper(kind):
+@pytest.mark.parametrize("kind, block_entries", [
+    pytest.param(kind, block, id=kind + suffix)
+    for kind in ("dense", "sparse", "homogeneous")
+    for suffix, block in (("", None), ("-block1", 1), ("-block100", 100))
+])
+def test_batch_kernel_rows_match_the_reflected_stepper(monkeypatch, kind, block_entries):
+    """Rows match the vector stepper to rounding, and the streamed kernel gives
+    the whole-array step's bits whatever its block size: one row per block,
+    mostly ragged last blocks (100 entries) and the default."""
+    if block_entries is not None:
+        monkeypatch.setattr(analysis, "BLOCK_ENTRIES", block_entries)
+    ra = RULES["ra"]
     for seed in range(10):
         net = _table_network(seed, 5 + 5 * seed, kind)
         P = np.random.default_rng(seed).uniform(0.0, 1.0, size=(25, net.n))
-        Q = _batch_step_ra(net, P)
+        Q = analysis._batch_step_ra(net, P)
         assert Q.shape == P.shape
+        whole = ra.update(net.a, None, P, net.n, ra.relay(net.a, None, P) @ net.C)
+        assert Q.tobytes() == whole.tobytes(), seed
         for k in range(P.shape[0]):
             assert np.max(np.abs(Q[k] - step_perception_ra(net, P[k]))) <= 1e-13

@@ -300,8 +300,9 @@ def test_stop_parameters_and_name_are_validated(tmp_path):
         load_scenario(_write(tmp_path, MINIMAL + "tol: 0\n"))
     with pytest.raises(ConfigValidationError, match="max_iter"):
         load_scenario(_write(tmp_path, MINIMAL + "max_iter: 0\n"))
-    with pytest.raises(ConfigValidationError, match="filename fragment"):
-        load_scenario(_write(tmp_path, MINIMAL.replace("name: case", "name: a/b")))
+    for bad in ("name: a/b", 'name: "a\\0b"', "name:"):
+        with pytest.raises(ConfigValidationError, match="filename fragment"):
+            load_scenario(_write(tmp_path, MINIMAL.replace("name: case", bad)))
 
 
 @pytest.mark.parametrize("snippet, message", [
@@ -333,6 +334,10 @@ def test_numeric_strings_are_read_as_numbers(tmp_path):
     ("uniform_in_box: {mu: [0.0, 0.0], nu: [1.0, 1.0], count: 0}",
      "uniform_in_box count must be positive"),
     ("simplex_random: [3]", "simplex_random options must be a mapping"),
+    ("uniform_in_box: {mu: [0.5, 0.0], nu: [0.25, 1.0]}",
+     "case: uniform_in_box lower bound exceeds upper at coordinate 1"),
+    ("uniform_in_box: {mu: [-1.0e308, 0.0], nu: [1.0e308, 1.0]}",
+     "case: uniform_in_box cannot sample a box whose width exceeds the float range"),
 ])
 def test_sampler_settings_are_validated(tmp_path, initial, message):
     text = MINIMAL.replace("  p0: [0.5, 0.5]", "  " + initial)
@@ -603,10 +608,14 @@ def test_cli_batch_runs_good_files_beside_a_bad_setting(tmp_path, capsys):
     (tmp_path / "scn").mkdir()
     (tmp_path / "scn" / "good.yaml").write_text(MINIMAL + "outputs: [trajectory_csv]\n")
     (tmp_path / "scn" / "bad.yaml").write_text(MINIMAL.replace("case", "bad") + "tol: abc\n")
+    (tmp_path / "scn" / "box.yaml").write_text(MINIMAL.replace("case", "box").replace(
+        "p0: [0.5, 0.5]", "uniform_in_box: {mu: [0.5, 0.0], nu: [0.25, 1.0]}"))
     code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert code == 1
     assert "bad: error after 0 iteration(s) error: ConfigValidationError: bad: tol" in out
+    assert ("box: error after 0 iteration(s) error: ConfigValidationError: "
+            "box: uniform_in_box lower bound exceeds upper") in out
     assert "case: converged" in out
     assert (tmp_path / "out" / "case_traj1.csv").exists()
 
