@@ -38,6 +38,7 @@ from .network import (
     classify_topology,
 )
 from .perception import (
+    BLOCK_ENTRIES,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ISSUE,
@@ -66,7 +67,6 @@ FD_RTOL = 1e-6  # relative Jacobian/finite-difference mismatch that raises
 EXIT_SLACK = 1e-12  # how far outside its box a stepped coordinate may land
 MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance report keeps
 STACK_ENTRIES = 1 << 22  # matrix entries (32 MB) one stacked equilibrium solve may hold
-BLOCK_ENTRIES = 1 << 14  # matrix entries (128 KB, cache-sized) per row block of a batched RA step
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ self-weights (``no_ra``), reflected appraisals with self-weight = own estimate
 (``ra``), and the shared-susceptibility PageRank variant (``homogeneous``).
 The vectorized steppers evaluate a row for all nodes at once; :func:`local_step`
 evaluates it at one node from that node's view and inbox, as the round-based
-simulator does.  Both add relays in ascending sender order, so distributed and
-centralized runs agree bit-for-bit by construction.  Estimates may leave
-``[0, 1]`` and the simplex; nothing here clips them.
+simulator does.  Both add relays in ascending sender order (the steppers
+stream C through cache-sized row blocks, carrying the running column sums from
+block to block), so distributed and centralized runs agree bit-for-bit by
+construction.  Estimates may leave ``[0, 1]`` and the simplex; nothing here
+clips them.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ STEP = "step"
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 DIVERGENCE_BOUND = 1e9
+BLOCK_ENTRIES = 1 << 14  # matrix entries (128 KB, cache-sized) per row block of a streamed step
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +94,27 @@ def node_vector(net: InfluenceNetwork, name: str, values) -> np.ndarray:
 
 
 def _step(rule: Rule, net: InfluenceNetwork, gamma, p: np.ndarray) -> np.ndarray:
-    """One round of ``rule`` for every node at once.  The relay sum is reduced
-    column by column in ascending sender order, as :func:`local_step` adds."""
+    """One round of ``rule`` for every node at once.
+
+    The relay sum streams through blocks of ``BLOCK_ENTRIES // n`` sender rows
+    (at least one): each block's weighted rows are added to the running
+    column sums in ascending sender order, as :func:`local_step` adds, so the
+    bits do not depend on the block size.  A call takes O(n²) time and
+    O(n + BLOCK_ENTRIES) memory; for n <= 128 it is one block."""
     if rule.shared_a:
         homogeneous_susceptibility(net)
-    a = net.a
+    a, n, C = net.a, net.n, net.C
     gamma = None if gamma is None else node_vector(net, "gamma", gamma)
     p = node_vector(net, "p", p)
-    relay = (rule.relay(a, gamma, p)[:, None] * net.C).sum(axis=0)
-    return rule.update(a, gamma, p, net.n, relay)
+    r = rule.relay(a, gamma, p)
+    rows = max(1, BLOCK_ENTRIES // n)
+    relay = None
+    for s in range(0, n, rows):
+        part = r[s:s + rows, None] * C[s:s + rows]
+        if relay is not None:
+            part[0] += relay  # the senders before this block, summed in order
+        relay = part.sum(axis=0)
+    return rule.update(a, gamma, p, n, relay)
 
 
 def step_perception_no_ra(net: InfluenceNetwork, gamma: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -100,6 +100,24 @@ def test_shape_and_size_violations():
     assert "shape" in [v.name for v in report.violations]
 
 
+@pytest.mark.parametrize("C, a, want", [
+    pytest.param(np.zeros((0, 0)), [], "size: need at least 2 nodes, got 0; "
+                 "not_all_fully_stubborn: a is the zero vector; at least one a_i > 0 required",
+                 id="empty"),
+    pytest.param([[0.0]], [0.3], "size: need at least 2 nodes, got 1; "
+                 "row_stochastic: row 1 of C sums to 0.0, not 1 within 1e-12", id="1x1"),
+    pytest.param([[-1.0]], [0.3], "size: need at least 2 nodes, got 1; "
+                 "zero_diagonal: C[1,1] = -1.0 is nonzero; nonnegative: C[1,1] = -1.0 is negative; "
+                 "row_stochastic: row 1 of C sums to -1.0, not 1 within 1e-12", id="1x1-negative"),
+    pytest.param([[0.0, 1.0], [-0.0, -0.0]], [0.3, 0.2],
+                 "row_stochastic: row 2 of C sums to 0.0, not 1 within 1e-12", id="negative-zero"),
+])
+def test_degenerate_matrices_get_every_report(C, a, want):
+    """The negative-entry scan runs only under a negative minimum; empty and
+    1×1 matrices, and -0.0 entries (not negative), keep their full reports."""
+    assert str(validate_arrays(C, a)) == want
+
+
 def test_non_finite_interaction_weight_is_reported():
     nan_edge = [[0.0, 0.5, float("nan")], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]
     report = validate_arrays(nan_edge, [0.3, 0.2, 0.1])

@@ -29,7 +29,7 @@ from fjpower import (
     step_perception_no_ra,
     step_perception_ra,
 )
-from fjpower import analysis
+from fjpower import analysis, perception
 from fjpower.perception import RULES, _step, local_step
 
 from conftest import carrier
@@ -416,9 +416,11 @@ def test_scalar_homogeneous_update_matches_the_vector_stepper():
 
 def _table_network(seed: int, n: int, kind: str) -> InfluenceNetwork:
     rng = np.random.default_rng(seed)
-    net = random_network(rng, n, density=0.3 if kind == "sparse" else 1.0)
+    net = random_network(rng, n, density=0.3 if kind in ("sparse", "negzero") else 1.0)
     if kind == "homogeneous":
         net = InfluenceNetwork(C=net.C, a=np.full(n, rng.uniform(0.05, 0.95)))
+    if kind == "negzero":  # every zero entry, the diagonal too, is -0.0
+        net = InfluenceNetwork(C=np.where(net.C == 0.0, -0.0, net.C), a=net.a)
     return net
 
 
@@ -426,6 +428,10 @@ def _table_network(seed: int, n: int, kind: str) -> InfluenceNetwork:
 @given(st.integers(0, 2**32 - 1), st.integers(2, 30),
        st.sampled_from(["dense", "sparse", "homogeneous"]))
 def test_every_rule_gives_the_same_bits_per_node_and_vectorized(seed, n, kind):
+    _assert_rules_match_local_steps(seed, n, kind)
+
+
+def _assert_rules_match_local_steps(seed: int, n: int, kind: str) -> None:
     net = _table_network(seed, n, kind)
     rng = np.random.default_rng(seed + 1)
     gamma = rng.uniform(0.0, 1.0, size=n)
@@ -440,6 +446,41 @@ def test_every_rule_gives_the_same_bits_per_node_and_vectorized(seed, n, kind):
             inbox = {j: inbox_values[j] for j in view.sender_set}
             got = local_step(rule, view, inbox_values[view.node], inbox)
             assert got == want[view.node], (name, view.node)
+
+
+@pytest.mark.parametrize("block_entries", [
+    pytest.param(None, id="default"), pytest.param(1, id="block1"), pytest.param(100, id="block100"),
+])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 80),
+       st.sampled_from(["dense", "sparse", "homogeneous", "negzero"]))
+def test_streamed_relay_sums_give_the_same_bits_at_every_block_size(block_entries, seed, n, kind):
+    """The steppers' relay sum streams through blocks of ``BLOCK_ENTRIES // n``
+    sender rows; at one row per block, at several ragged blocks (100 entries
+    for n up to 50) and at the default, every node still gets the bits of its
+    in-order local sum."""
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reruns the body; no fixture
+        if block_entries is not None:
+            mp.setattr(perception, "BLOCK_ENTRIES", block_entries)
+        _assert_rules_match_local_steps(seed, n, kind)
+
+
+def test_a_stepper_call_allocates_no_square_temporary():
+    """One step at n = 2000 holds O(n + BLOCK_ENTRIES) memory, not the
+    32 MB of an n × n array of weighted relays."""
+    rng = np.random.default_rng(5)
+    net = random_network(rng, 2000, density=0.01)
+    p = rng.uniform(0.0, 1.0, size=net.n)
+    gamma = rng.uniform(0.0, 1.0, size=net.n)
+    for step in (lambda: step_perception_ra(net, p), lambda: step_perception_no_ra(net, gamma, p)):
+        step()  # warm every lazy attribute of net
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("kind, block_entries", [

@@ -29,6 +29,7 @@ from fjpower import (
     step_perception_no_ra,
     step_perception_ra,
 )
+from fjpower import perception
 from fjpower.simkit import MODE_HOMOGENEOUS, MODE_NO_RA, MODE_RA
 
 from conftest import SCENARIO_DIR
@@ -142,9 +143,16 @@ def test_distributed_run_tracks_the_homogeneous_stepper():
     assert np.max(np.abs(dist.path - cent.path)) <= 1e-12
 
 
-@pytest.mark.parametrize("mode", [MODE_NO_RA, MODE_RA, MODE_HOMOGENEOUS])
-def test_large_sparse_distributed_runs_equal_the_centralized_twin(mode):
-    # about 20 in-neighbors per node, so a slip in sender order shows
+@pytest.mark.parametrize("mode, block_entries", [
+    pytest.param(mode, block, id=mode + suffix)
+    for mode in (MODE_NO_RA, MODE_RA, MODE_HOMOGENEOUS)
+    for suffix, block in (("", None), ("-block1000", 1000))
+])
+def test_large_sparse_distributed_runs_equal_the_centralized_twin(monkeypatch, mode, block_entries):
+    # about 20 in-neighbors per node, so a slip in sender order shows; 1000
+    # entries stream the twin's relay sum through 40 blocks of 5 sender rows
+    if block_entries is not None:
+        monkeypatch.setattr(perception, "BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(2024)
     net = random_network(rng, 200, density=0.1)
     if mode == MODE_HOMOGENEOUS:
