@@ -272,8 +272,6 @@ def solve_equilibrium(
     rows = max(1, STACK_ENTRIES // (n * n))
 
     def step(P: np.ndarray) -> np.ndarray:
-        if len(P) <= rows:
-            return step_power_evolution(net, P)
         return np.concatenate(
             [step_power_evolution(net, P[i:i + rows]) for i in range(0, len(P), rows)]
         )

@@ -239,6 +239,10 @@ def run_stack_to_convergence(
     states.  A row leaves the stack at the step where its own rule stops it,
     so when the stepper treats rows independently each trajectory is the one
     a single-start run from that row records.
+
+    States gather in a block until a row stops or the budget runs out; the
+    block is then stacked once and released before any Trajectory copies its
+    rows, so a single-start run holds two copies of its states at most.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -251,45 +255,28 @@ def run_stack_to_convergence(
     status = [MAX_ITER] * k
     pieces: list[list[np.ndarray]] = [[] for _ in range(k)]
     live = np.arange(k)  # the start each running row came from
-    block = [P]  # states of the running rows since a row last stopped
-
-    def cut() -> None:
-        """Hand each running row its states recorded in ``block``, which empties.
-
-        The block is stacked once, then released before any Trajectory copies
-        its rows, so a single-start run holds two copies of its states at most."""
-        if block:
-            seg = np.array(block)  # (states, rows, n)
-            block.clear()
-            for j, r in enumerate(live.tolist()):
-                pieces[r].append(seg[:, j])
-
-    def retire(states: np.ndarray, stop: np.ndarray, escaped: np.ndarray) -> np.ndarray:
-        """Give the rows in ``stop`` their verdicts; return the others' states."""
-        nonlocal live
-        for j in np.flatnonzero(stop).tolist():
-            status[live[j]] = _escape_status(states[j]) if escaped[j] else CONVERGED
-        cut()
-        keep = ~stop
-        live = live[keep]
-        return states[keep]
-
-    escaped = ~(np.abs(P).max(axis=1) <= DIVERGENCE_BOUND)
-    if escaped.any():
-        P = retire(P, escaped, escaped)
-    for _ in range(max_iter):
+    block = []  # states of the running rows since a row last stopped
+    gaps = np.full(k, np.inf)  # the starts have no increment to test
+    for t in range(max_iter + 1):
         if not live.size:
             break
-        P_next = np.asarray(stepper(P), dtype=float)
-        block.append(P_next)
-        gaps = np.abs(P_next - P).max(axis=1)
-        # one fused test per step, which NaN fails; per-row work only on a stop
-        if gaps.min() >= tol and np.abs(P_next).max() <= DIVERGENCE_BOUND:
+        if t:
+            P_next = np.asarray(stepper(P), dtype=float)
+            gaps = np.abs(P_next - P).max(axis=1)
             P = P_next
+        block.append(P)
+        # one fused test per step, which NaN fails; per-row work only on a stop
+        if t < max_iter and gaps.min() >= tol and np.abs(P).max() <= DIVERGENCE_BOUND:
             continue
-        escaped = ~(np.abs(P_next).max(axis=1) <= DIVERGENCE_BOUND)
-        P = retire(P_next, escaped | (gaps < tol), escaped)
-    cut()
+        escaped = ~(np.abs(P).max(axis=1) <= DIVERGENCE_BOUND)
+        stop = escaped | (gaps < tol)
+        seg = np.array(block)  # (states, rows, n)
+        block.clear()
+        for j, r in enumerate(live.tolist()):
+            pieces[r].append(seg[:, j])
+            if stop[j]:
+                status[r] = _escape_status(P[j]) if escaped[j] else CONVERGED
+        live, P = live[~stop], P[~stop]
     return [
         Trajectory(rows[0] if len(rows) == 1 else np.concatenate(rows), verdict, timescale, tol)
         for rows, verdict in zip(pieces, status)

@@ -289,14 +289,17 @@ def _parse_starts(doc: dict, n: int, mode: str, seed: int, name: str) -> tuple[n
     _check_keys(value, known, where)
     count = parse_setting("count", value.get("count", 1), where)
     rng = np.random.default_rng(parse_setting("seed", value.get("seed", seed), where))
-    if key == "simplex_random":
-        return tuple(rng.dirichlet(np.ones(n)) for _ in range(count))
-    mu = _vector(value.get("mu"), n, f"{name}: uniform_in_box.mu")
-    nu = _vector(value.get("nu"), n, f"{name}: uniform_in_box.nu")
     try:
+        if key == "simplex_random":  # one call draws the bits of `count` single draws
+            return tuple(rng.dirichlet(np.ones(n), size=count))
+        mu = _vector(value.get("mu"), n, f"{name}: uniform_in_box.mu")
+        nu = _vector(value.get("nu"), n, f"{name}: uniform_in_box.nu")
         return tuple(analysis.Box(mu, nu).sample(rng, count))
-    except (ValueError, OverflowError) as exc:  # an inverted box, or a width past the float range
-        _fail(f"{name}: uniform_in_box {exc}")
+    except MemoryError:
+        _fail(f"{where}count {count} needs more memory than is available")
+    except (ValueError, OverflowError) as exc:
+        # an inverted box, a width past the float range, or a count past numpy's largest array
+        _fail(f"{where}{exc}")
 
 
 def load_scenario(

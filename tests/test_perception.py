@@ -326,12 +326,19 @@ def test_each_stacked_row_is_its_single_start_run():
 
 
 def test_a_stacked_max_iter_cut_matches_single_runs():
-    P0 = np.array([[0.5, 0.1], [0.9, 0.2], [0.999, 0.0]])
-    trajs = run_stack_to_convergence(_square, P0, max_iter=8)
-    assert [t.status for t in trajs] == [CONVERGED, MAX_ITER, MAX_ITER]
-    assert [t.iterations for t in trajs] == [7, 8, 8]
-    for p0, traj in zip(P0, trajs):
-        _assert_same_run(traj, run_to_convergence(_square, p0, max_iter=8))
+    # the second input stops rows at the start, mid-run and on the last
+    # allowed step: [0.9, 0.2] converges exactly at step 10
+    for P0, max_iter, statuses, iterations in [
+        ([[0.5, 0.1], [0.9, 0.2], [0.999, 0.0]], 8, [CONVERGED, MAX_ITER, MAX_ITER], [7, 8, 8]),
+        ([[0.5, 0.1], [0.9, 0.2], [0.999, 0.0], [np.inf, 0.0]], 10,
+         [CONVERGED, CONVERGED, MAX_ITER, NONFINITE], [7, 10, 10, 0]),
+    ]:
+        P0 = np.array(P0)
+        trajs = run_stack_to_convergence(_square, P0, max_iter=max_iter)
+        assert [t.status for t in trajs] == statuses
+        assert [t.iterations for t in trajs] == iterations
+        for p0, traj in zip(P0, trajs):
+            _assert_same_run(traj, run_to_convergence(_square, p0, max_iter=max_iter))
 
 
 def test_the_stepper_sees_only_the_running_rows():

@@ -338,6 +338,12 @@ def test_numeric_strings_are_read_as_numbers(tmp_path):
      "case: uniform_in_box lower bound exceeds upper at coordinate 1"),
     ("uniform_in_box: {mu: [-1.0e308, 0.0], nu: [1.0e308, 1.0]}",
      "case: uniform_in_box cannot sample a box whose width exceeds the float range"),
+    # 10^13 starts of 2 floats are 146 TiB, past a 47-bit address space, so the
+    # allocation fails whatever the host's overcommit policy
+    ("simplex_random: {count: 10000000000000}",
+     "case: simplex_random count 10000000000000 needs more memory than is available"),
+    ("uniform_in_box: {mu: [0.0, 0.0], nu: [1.0, 1.0], count: 10000000000000}",
+     "case: uniform_in_box count 10000000000000 needs more memory than is available"),
 ])
 def test_sampler_settings_are_validated(tmp_path, initial, message):
     text = MINIMAL.replace("  p0: [0.5, 0.5]", "  " + initial)
@@ -376,6 +382,18 @@ def test_seed_override_reaches_sampled_starts_unless_the_sampler_has_one(tmp_pat
     own = _write(tmp_path, MINIMAL.replace("  p0: [0.5, 0.5]", "  simplex_random: {seed: 5}"),
                  name="own.yaml")
     assert np.array_equal(load_scenario(own, seed=1).starts[0], load_scenario(own).starts[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 60])
+def test_simplex_starts_are_the_bits_of_one_draw_per_start(n):
+    # the sampler draws all starts in one call, which must give the bits of one
+    # dirichlet call per start on every numpy the package supports
+    for count in (1, 3, 50):
+        doc = {"initial": {"simplex_random": {"count": count, "seed": 3}}}
+        starts = scenario._parse_starts(doc, n, "perception_ra", 0, "case")
+        rng = np.random.default_rng(3)
+        assert np.array(starts).tobytes() == np.array(
+            [rng.dirichlet(np.ones(n)) for _ in range(count)]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +628,16 @@ def test_cli_batch_runs_good_files_beside_a_bad_setting(tmp_path, capsys):
     (tmp_path / "scn" / "bad.yaml").write_text(MINIMAL.replace("case", "bad") + "tol: abc\n")
     (tmp_path / "scn" / "box.yaml").write_text(MINIMAL.replace("case", "box").replace(
         "p0: [0.5, 0.5]", "uniform_in_box: {mu: [0.5, 0.0], nu: [0.25, 1.0]}"))
+    (tmp_path / "scn" / "big.yaml").write_text(MINIMAL.replace("case", "big").replace(
+        "p0: [0.5, 0.5]", "simplex_random: {count: 10000000000000}"))
     code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert code == 1
     assert "bad: error after 0 iteration(s) error: ConfigValidationError: bad: tol" in out
     assert ("box: error after 0 iteration(s) error: ConfigValidationError: "
             "box: uniform_in_box lower bound exceeds upper") in out
+    assert ("big: error after 0 iteration(s) error: ConfigValidationError: "
+            "big: simplex_random count 10000000000000 needs more memory") in out
     assert "case: converged" in out
     assert (tmp_path / "out" / "case_traj1.csv").exists()
 
