@@ -35,7 +35,9 @@ from .network import (
     STAR_FULL_CENTER,
     STAR_PARTIAL_CENTER,
     InfluenceNetwork,
+    _freeze,
     classify_topology,
+    node_vector,
 )
 from .perception import (
     BLOCK_ENTRIES,
@@ -46,7 +48,6 @@ from .perception import (
     STEP,
     Trajectory,
     homogeneous_susceptibility,
-    node_vector,
     run_stack_to_convergence,
     run_to_convergence,
     step_perception_ra,
@@ -81,16 +82,13 @@ class Box:
     nu: np.ndarray
 
     def __post_init__(self):
-        mu = np.array(self.mu, dtype=float, copy=True)
-        nu = np.array(self.nu, dtype=float, copy=True)
+        mu, nu = _freeze(self.mu), _freeze(self.nu)
         if mu.shape != nu.shape or mu.ndim != 1:
             raise ValueError(f"bounds must be equal-length vectors, got {mu.shape} and {nu.shape}")
         for bad, why in ((np.isnan(mu) | np.isnan(nu), "a bound is NaN"),
                          (mu > nu, "lower bound exceeds upper")):
             if bad.any():
                 raise ValueError(f"{why} at coordinate {int(np.argmax(bad)) + 1}")
-        mu.setflags(write=False)
-        nu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", nu)
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularSystemError
-from .network import InfluenceNetwork, enumerate_stubborn_cycles
-from .perception import node_vector
+from .network import InfluenceNetwork, enumerate_stubborn_cycles, node_vector
 
 
 def influence_matrix(C: np.ndarray, weights: np.ndarray) -> np.ndarray:

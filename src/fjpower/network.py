@@ -183,6 +183,14 @@ class InfluenceNetwork:
         return tuple(np.flatnonzero(self.C[i] > 0.0).tolist())
 
 
+def node_vector(net: InfluenceNetwork, name: str, values) -> np.ndarray:
+    """``values`` as a float array, which must hold one entry per node."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (net.n,):
+        raise ValueError(f"{name} must have shape ({net.n},), got {values.shape}")
+    return values
+
+
 @dataclass(frozen=True)
 class TopologyClass:
     """Structural class. ``center`` is 0-based; only set for star variants."""

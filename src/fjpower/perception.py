@@ -27,7 +27,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidStructureError, ViewViolationError
-from .network import InfluenceNetwork
+from .network import InfluenceNetwork, _freeze, node_vector
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -83,14 +83,6 @@ RULES = {
         relay=lambda a, g, p: p * (1.0 - p),
         update=lambda a, g, p, n, relay: a * (p * p + relay) + (1.0 - a) / n),
 }
-
-
-def node_vector(net: InfluenceNetwork, name: str, values) -> np.ndarray:
-    """``values`` as a float array, which must hold one entry per node."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (net.n,):
-        raise ValueError(f"{name} must have shape ({net.n},), got {values.shape}")
-    return values
 
 
 def _step(rule: Rule, net: InfluenceNetwork, gamma, p: np.ndarray) -> np.ndarray:
@@ -165,10 +157,9 @@ class Trajectory:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        path = np.array(self.path, dtype=float, copy=True)
+        path = _freeze(self.path)
         if path.ndim != 2:
             raise ValueError(f"path must be 2-D (states x nodes), got shape {path.shape}")
-        path.setflags(write=False)
         object.__setattr__(self, "path", path)
 
     @property
@@ -180,20 +171,12 @@ class Trajectory:
         return self.path.shape[0] - 1
 
     @property
-    def initial(self) -> np.ndarray:
-        return self.path[0]
-
-    @property
     def final(self) -> np.ndarray:
         return self.path[-1]
 
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
-
-    def sup_gaps(self) -> np.ndarray:
-        """∞-norm of successive increments, one value per step taken."""
-        return np.max(np.abs(np.diff(self.path, axis=0)), axis=1)
 
 
 def _escape_status(p: np.ndarray) -> str:

@@ -289,17 +289,20 @@ def _parse_starts(doc: dict, n: int, mode: str, seed: int, name: str) -> tuple[n
     _check_keys(value, known, where)
     count = parse_setting("count", value.get("count", 1), where)
     rng = np.random.default_rng(parse_setting("seed", value.get("seed", seed), where))
+    if key == "uniform_in_box":
+        mu = _vector(value.get("mu"), n, f"{name}: uniform_in_box.mu")
+        nu = _vector(value.get("nu"), n, f"{name}: uniform_in_box.nu")
+        try:
+            box = analysis.Box(mu, nu)
+            box._span()
+        except (ValueError, OverflowError) as exc:  # inverted, or wider than the float range
+            _fail(f"{where}{exc}")
     try:
         if key == "simplex_random":  # one call draws the bits of `count` single draws
             return tuple(rng.dirichlet(np.ones(n), size=count))
-        mu = _vector(value.get("mu"), n, f"{name}: uniform_in_box.mu")
-        nu = _vector(value.get("nu"), n, f"{name}: uniform_in_box.nu")
-        return tuple(analysis.Box(mu, nu).sample(rng, count))
-    except MemoryError:
+        return tuple(box.sample(rng, count))
+    except (MemoryError, ValueError, OverflowError):  # ValueError: past numpy's largest array
         _fail(f"{where}count {count} needs more memory than is available")
-    except (ValueError, OverflowError) as exc:
-        # an inverted box, a width past the float range, or a count past numpy's largest array
-        _fail(f"{where}{exc}")
 
 
 def load_scenario(
@@ -461,10 +464,15 @@ def _write_reports(scn: Scenario, out_dir: Path) -> tuple[dict, tuple[str, ...]]
                 lines += [f"== condition {cid} ==", str(rep), ""]
         elif request.kind == "invariant_test":
             box = BOX_BUILDERS[request.box](scn.net)
-            inv = analysis.one_step_invariance_test(
-                scn.net, box, request.samples,
-                seed=scn.seed if request.seed is None else request.seed,
-            )
+            try:
+                inv = analysis.one_step_invariance_test(
+                    scn.net, box, request.samples,
+                    seed=scn.seed if request.seed is None else request.seed,
+                )
+            except (MemoryError, ValueError, OverflowError) as exc:  # a draw too big, or unbounded
+                raise ConfigValidationError(
+                    f"{scn.name}: invariant_test cannot draw {request.samples} samples "
+                    f"from the {request.box} box: {exc}") from exc
             reports[f"invariance_{request.box}"] = inv
             lines += [f"== invariance {request.box} ==", str(inv), ""]
     if not lines:

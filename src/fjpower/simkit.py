@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .network import InfluenceNetwork
+from .network import InfluenceNetwork, node_vector
 from .perception import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -28,7 +28,6 @@ from .perception import (
     build_local_views,
     homogeneous_susceptibility,
     local_step,
-    node_vector,
     run_to_convergence,
 )
 
@@ -45,10 +44,6 @@ class Agent:
     view: LocalView
     p: float
     inbox: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def node(self) -> int:
-        return self.view.node
 
 
 def make_agents(
@@ -73,14 +68,13 @@ def make_agents(
     return [Agent(view=v, p=float(p0[v.node])) for v in views]
 
 
-def deliver(net: InfluenceNetwork, agents: Sequence[Agent]) -> int:
+def deliver(agents: Sequence[Agent]) -> int:
     """Broadcast phase: each agent's estimate reaches its out-neighbors.
 
     Every inbox is filled along its own view's in-edges from one list of the
     current estimates, so a round costs O(n + nnz) and each directed edge
     carries one message.  ``agents[k]`` must be node k's agent, as
-    :func:`make_agents` builds them; ``net`` is the network their views were
-    built from.  Returns the number of messages delivered.
+    :func:`make_agents` builds them.  Returns the number of messages delivered.
     """
     values = [ag.p for ag in agents]
     count = 0
@@ -103,9 +97,9 @@ def advance(agents: Sequence[Agent], mode: str) -> np.ndarray:
     return np.array(new_values)
 
 
-def run_round(net: InfluenceNetwork, agents: Sequence[Agent], mode: str) -> np.ndarray:
+def run_round(agents: Sequence[Agent], mode: str) -> np.ndarray:
     """One full broadcast+compute round; returns the new estimates."""
-    deliver(net, agents)
+    deliver(agents)
     return advance(agents, mode)
 
 
@@ -127,7 +121,7 @@ def run_distributed(
     """
     agents = make_agents(net, mode, p0, gamma)
     # the agents hold the state; the stop-rule loop's copy is only compared
-    return run_to_convergence(lambda _p: run_round(net, agents, mode),
+    return run_to_convergence(lambda _p: run_round(agents, mode),
                               [ag.p for ag in agents], tol, max_iter)
 
 

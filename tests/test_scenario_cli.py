@@ -154,6 +154,9 @@ def test_network_invariants_are_named_in_the_error(tmp_path):
     zeros = MINIMAL.replace("a: [0.5, 0.5]", "a: [0.0, 0.0]")
     with pytest.raises(ConfigValidationError, match="not_all_fully_stubborn"):
         load_scenario(_write(tmp_path, zeros))
+    no_c = MINIMAL.replace("  C:\n    - [0.0, 1.0]\n    - [1.0, 0.0]\n", "")
+    with pytest.raises(ConfigValidationError, match="case: network section must define C and a"):
+        load_scenario(_write(tmp_path, no_c))
 
 
 def test_network_is_validated_once_per_load(tmp_path, monkeypatch):
@@ -229,6 +232,9 @@ def test_initial_block_validation(tmp_path):
     direct = MINIMAL.replace("mode: perception_ra", "mode: social_power\ngamma: [0.1, 0.2]")
     with pytest.raises(ConfigValidationError, match="no initial block"):
         load_scenario(_write(tmp_path, direct))
+    empty = MINIMAL.replace("p0: [0.5, 0.5]", "p0: []")
+    with pytest.raises(ConfigValidationError, match="non-empty list of vectors"):
+        load_scenario(_write(tmp_path, empty))
 
 
 def test_generated_starts(tmp_path):
@@ -269,6 +275,10 @@ def test_output_requests_are_validated(tmp_path):
         ("outputs:\n  - invariant_test: {box: moon}\n", "unknown box"),
         ("outputs:\n  - invariant_test: {samples: 0}\n", "must be positive"),
         ("outputs:\n  - trajectory_csv: {pretty: true}\n", "takes no options"),
+        ("outputs:\n  trajectory_csv: null\n", "outputs must be a list"),
+        ("outputs:\n  - {trajectory_csv: null, equilibrium_report: null}\n",
+         "each output is a string or a single-key mapping"),
+        ("outputs:\n  - invariant_test: [1]\n", "invariant_test options must be a mapping"),
     ]:
         with pytest.raises(ConfigValidationError, match=message):
             load_scenario(_write(tmp_path, MINIMAL + snippet))
@@ -344,6 +354,11 @@ def test_numeric_strings_are_read_as_numbers(tmp_path):
      "case: simplex_random count 10000000000000 needs more memory than is available"),
     ("uniform_in_box: {mu: [0.0, 0.0], nu: [1.0, 1.0], count: 10000000000000}",
      "case: uniform_in_box count 10000000000000 needs more memory than is available"),
+    # past numpy's largest array, where the draw raises ValueError, not MemoryError
+    ("simplex_random: {count: 10000000000000000000}",
+     "case: simplex_random count 10000000000000000000 needs more memory than is available"),
+    ("uniform_in_box: {mu: [0.0, 0.0], nu: [1.0, 1.0], count: 10000000000000000000}",
+     "case: uniform_in_box count 10000000000000000000 needs more memory than is available"),
 ])
 def test_sampler_settings_are_validated(tmp_path, initial, message):
     text = MINIMAL.replace("  p0: [0.5, 0.5]", "  " + initial)
@@ -724,6 +739,28 @@ def test_cli_report_needs_report_outputs(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 1
     assert "no report outputs" in capsys.readouterr().err
+
+
+def test_cli_invariant_test_too_large_to_draw_is_one_error_line(tmp_path, capsys):
+    # no box of this network certifies, so the trial has to draw its samples
+    text = (SCENARIO_DIR / "star_partial" / "star_partial_a.yaml").read_text()
+    (tmp_path / "scn").mkdir()
+    for samples in (10 ** 13, 10 ** 19):  # past the address space; past numpy's largest array
+        path = tmp_path / "scn" / f"big{samples}.yaml"
+        path.write_text(text.replace("name: star_partial_a", f"name: big{samples}").replace(
+            "condition_report: [star_center_load]", f"invariant_test: {{samples: {samples}}}"))
+        message = (f"big{samples}: invariant_test cannot draw {samples} samples "
+                   "from the two_sided box: ")
+        for command in ("run", "report"):
+            assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+    assert main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": invariant_test")[0] for line in lines] == [
+        f"big{s}: error after 0 iteration(s) error: ConfigValidationError: big{s}"
+        for s in (10 ** 13, 10 ** 19)]
 
 
 def test_cli_oracle_prints_the_direct_solve(capsys):

@@ -57,7 +57,7 @@ def test_make_agents_validates_mode_and_gamma(triad_net, triad_gamma, anchored_n
 
 def test_each_round_delivers_one_message_per_edge(anchored_net):
     agents = make_agents(anchored_net, MODE_RA, np.array([0.1, 0.2, 0.3]))
-    delivered = deliver(anchored_net, agents)
+    delivered = deliver(agents)
     assert delivered == np.count_nonzero(anchored_net.C)
     assert agents[1].inbox == {0: 0.1, 2: 0.3}
     assert agents[0].inbox == {2: 0.3}
@@ -82,7 +82,7 @@ def test_adjacency_matches_dense_scans_and_routes_every_edge(net):
         assert net.in_neighbors(i) == tuple(np.nonzero(net.C[:, i])[0].tolist())
         assert net.out_neighbors(i) == tuple(np.nonzero(net.C[i, :])[0].tolist())
     agents = make_agents(net, MODE_RA, np.full(net.n, 1.0 / net.n))
-    assert deliver(net, agents) == np.count_nonzero(net.C)
+    assert deliver(agents) == np.count_nonzero(net.C)
     gamma = np.linspace(0.0, 1.0, net.n)
     for g in (None, gamma):
         for i, view in enumerate(build_local_views(net, g)):
@@ -94,7 +94,7 @@ def test_adjacency_matches_dense_scans_and_routes_every_edge(net):
 def test_round_snapshot_matches_the_vector_stepper(anchored_net):
     p0 = np.array([0.1, 0.2, 0.3])
     agents = make_agents(anchored_net, MODE_RA, p0)
-    after = run_round(anchored_net, agents, MODE_RA)
+    after = run_round(agents, MODE_RA)
     want = step_perception_ra(anchored_net, p0)
     assert np.max(np.abs(after - want)) <= 1e-14
 
@@ -104,7 +104,7 @@ def test_agents_hold_a_fixed_point(star3_net):
 
     eq = star_equilibrium_closed_form(star3_net)
     agents = make_agents(star3_net, MODE_RA, eq)
-    deliver(star3_net, agents)
+    deliver(agents)
     after = advance(agents, MODE_RA)
     assert np.max(np.abs(after - eq)) < 1e-12
 
