@@ -67,7 +67,7 @@ FD_STEP = 1e-6  # central finite-difference step of the Jacobian check
 FD_RTOL = 1e-6  # relative Jacobian/finite-difference mismatch that raises
 EXIT_SLACK = 1e-12  # how far outside its box a stepped coordinate may land
 MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance report keeps
-STACK_ENTRIES = 1 << 22  # matrix entries (32 MB) one stacked equilibrium solve may hold
+STACK_ENTRIES = 1 << 17  # matrix entries (1 MB) one stacked equilibrium solve may hold
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +254,11 @@ def solve_equilibrium(
 
     Iterates the issue-to-issue power update (which maps the simplex into
     itself) from the barycenter plus ``multistarts`` seeded random simplex
-    points, all of them as one stack: each step is one stacked solve, made in
-    chunks of rows where the stack would pass ``STACK_ENTRIES`` matrix
-    entries.  The consensus point is the first converged run's limit;
+    points, all of them as one stack: each step builds and solves the
+    systems in chunks of ``max(1, STACK_ENTRIES // n²)`` rows, one allocation
+    per chunk, so all 21 default starts share one solve up to n = 79 and each
+    start has its own from n = 257.  The consensus point is the first
+    converged run's limit;
     ``starts_agreeing`` counts converged runs within ``AGREE_TOL`` of it in
     the ∞-norm.
     """
@@ -265,8 +267,8 @@ def solve_equilibrium(
     rng = np.random.default_rng(seed)
     n = net.n
     starts = np.vstack([np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), size=multistarts)])
-    # rows step independently, so bounded chunks of them give the same bits and
-    # keep the stack's memory near one n x n system's at large n
+    # rows step independently, so cache-sized chunks of them give the same bits
+    # and keep the stack's memory near one n x n system's at large n
     rows = max(1, STACK_ENTRIES // (n * n))
 
     def step(P: np.ndarray) -> np.ndarray:
@@ -735,18 +737,26 @@ def contraction_diagnostic(
     The column-sum structure collapses to max_i a_i (2|p_i| + |1 - 2 p_i|).
     With ``verify_fd`` the analytic derivative (I-A) J (I-A)⁻¹ is checked
     against central finite differences of the update map and a mismatch
-    beyond ``FD_RTOL`` raises.
+    beyond ``FD_RTOL`` raises.  The check steps the bumped points in blocks
+    of ``max(1, BLOCK_ENTRIES // n)`` coordinates, so it holds J and
+    cache-sized blocks: about two n × n arrays in all.
     """
     p = np.asarray(p, dtype=float)
     J = perception_jacobian(net, p)
     if verify_fd:
-        a = net.a
-        analytic = (1.0 - a)[:, None] * J / (1.0 - a)[None, :]
-        bumps = FD_STEP * np.eye(net.n)
-        # row j of each batch is the map at p ± FD_STEP e_j, so column j of fd
-        fd = (_batch_step_ra(net, p + bumps) - _batch_step_ra(net, p - bumps)).T / (2.0 * FD_STEP)
-        scale = max(float(np.max(np.abs(analytic))), 1e-12)
-        err = float(np.max(np.abs(analytic - fd))) / scale
+        a, n = net.a, net.n
+        rows = max(1, BLOCK_ENTRIES // n)
+        # running max |analytic| and max |analytic - fd|; np.maximum keeps a NaN
+        top = diff = 0.0
+        for s in range(0, n, rows):
+            b = slice(s, s + rows)
+            analytic = (1.0 - a)[:, None] * J[:, b] / (1.0 - a)[None, b]
+            bumps = FD_STEP * np.eye(analytic.shape[1], n, s)
+            # row j of each batch is the map at p ± FD_STEP e_(s+j), so column j of fd
+            fd = (_batch_step_ra(net, p + bumps) - _batch_step_ra(net, p - bumps)).T / (2.0 * FD_STEP)
+            top = np.maximum(top, np.max(np.abs(analytic)))
+            diff = np.maximum(diff, np.max(np.abs(analytic - fd)))
+        err = float(diff) / max(float(top), 1e-12)
         if err > FD_RTOL:
             raise FJPowerError(
                 f"Jacobian/finite-difference mismatch: relative error {err:.3e} "

@@ -9,7 +9,8 @@ Conventions
   ``C`` is row-stochastic.
 * Social power of a group discussing one issue with fixed ``gamma``:
   ``x = (I - A)(I - W(gamma)^T A)^{-1} 1/n`` — nonnegative, sums to 1.
-* All ``(I - M)^{-1} b`` computations go through LU solves.
+* All ``(I - M)^{-1} b`` computations go through LU solves; their systems
+  ``I - A W(x)`` are written in one array each, without building W first.
 * :func:`influence_matrix`, :func:`compute_social_power` and
   :func:`step_power_evolution` also take a ``(k, n)`` stack of weight vectors
   (the last axis is nodes) and make one stacked solve for all k; each row is
@@ -23,15 +24,21 @@ from .errors import SingularSystemError
 from .network import InfluenceNetwork, enumerate_stubborn_cycles, node_vector
 
 
-def influence_matrix(C: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """W = diag(weights) + (I - diag(weights)) @ C, for any real weights; a
-    (k, n) stack of weight vectors gives the (k, n, n) stack of their W."""
+def _blend_operands(C: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(C, w)`` as float arrays, with one weight per node on w's last axis."""
     w = np.asarray(weights, dtype=float)
     # C order whatever C's layout, so products with W sum in one order
     C = np.ascontiguousarray(C, dtype=float)
     if w.shape[-1:] != C.shape[:1]:  # a shorter vector would broadcast silently
         raise ValueError(f"weights must have {len(C)} entries on their last axis, "
                          f"got shape {w.shape}")
+    return C, w
+
+
+def influence_matrix(C: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """W = diag(weights) + (I - diag(weights)) @ C, for any real weights; a
+    (k, n) stack of weight vectors gives the (k, n, n) stack of their W."""
+    C, w = _blend_operands(C, weights)
     # + 0.0 is the 0.0 + x of diag(w) + ...: -0.0 becomes +0.0 off the diagonal
     W = (1.0 - w)[..., :, None] * C + 0.0
     # the diagonal is w + x, whatever the sign of a zero x
@@ -47,10 +54,19 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _system(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
-    """I - A W(x), built in W's buffer; a (k, n) stack of x gives k systems."""
-    M = influence_matrix(net.C, x)
-    M *= net.a[:, None]
-    return np.subtract(np.eye(net.n), M, out=M)
+    """I - A W(x) in one array; a (k, n) stack of x gives k systems.
+
+    Off the diagonal an entry is 0.0 - a_i (1 - x_i) C_ij.  W's + 0.0 only
+    turns a -0.0 product into +0.0, and 0.0 - y is +0.0 for either zero, so
+    skipping it keeps the bits of I - A W(x), signed zeros included.
+    """
+    C, w = _blend_operands(net.C, x)
+    a = net.a
+    M = (1.0 - w)[..., :, None] * C
+    M *= a[:, None]
+    np.subtract(0.0, M, out=M)
+    np.subtract(1.0, a * (w + (1.0 - w) * np.diagonal(C)), out=np.einsum("...ii->...i", M))
+    return M
 
 
 def fj_opinion_map(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray):

@@ -105,8 +105,13 @@ def validate_arrays(C, a) -> ValidationReport:
     out += [Violation("row_stochastic", f"row {i + 1} of C sums to {float(row_sums[i])!r}, "
                       f"not 1 within {ROW_SUM_TOL}", i)
             for i in np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL).tolist()]
-    out += [Violation("susceptibility_range", f"a[{i + 1}] = {a[i]} outside [0, 1)", i)
-            for i in np.flatnonzero((a < 0.0) | (a >= 1.0)).tolist()]
+    # a positive a_i below the smallest normal float overflows the 1/a_i of
+    # the box and load formulas, so it is out of range too, with its own text
+    tiny = np.finfo(float).tiny
+    out += [Violation("susceptibility_range", f"a[{i + 1}] = {a[i]} " + (
+                f"is subnormal: a positive a_i must be at least {tiny}" if 0.0 < a[i] < tiny
+                else "outside [0, 1)"), i)
+            for i in np.flatnonzero((a < 0.0) | (a >= 1.0) | ((a > 0.0) & (a < tiny))).tolist()]
     if np.all(a == 0.0):
         out.append(
             Violation("not_all_fully_stubborn", "a is the zero vector; at least one a_i > 0 required")

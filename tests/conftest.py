@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fjpower import InfluenceNetwork
+from fjpower import InfluenceNetwork, random_network
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -22,6 +22,18 @@ def carrier(C, a) -> SimpleNamespace:
     """Duck-typed (C, a, n) for limiting cases no InfluenceNetwork may hold."""
     a = np.asarray(a, dtype=float)
     return SimpleNamespace(C=np.asarray(C, dtype=float), a=a, n=len(a))
+
+
+def table_network(seed: int, n: int, kind: str) -> InfluenceNetwork:
+    """A seeded random network of one kind: dense, sparse, homogeneous (one
+    shared susceptibility) or negzero (sparse, every zero entry -0.0)."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n, density=0.3 if kind in ("sparse", "negzero") else 1.0)
+    if kind == "homogeneous":
+        net = InfluenceNetwork(C=net.C, a=np.full(n, rng.uniform(0.05, 0.95)))
+    if kind == "negzero":  # every zero entry, the diagonal too, is -0.0
+        net = InfluenceNetwork(C=np.where(net.C == 0.0, -0.0, net.C), a=net.a)
+    return net
 
 
 @pytest.fixture

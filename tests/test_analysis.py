@@ -465,6 +465,24 @@ def test_chunked_multistart_search_gives_the_same_bits(anchored_net, monkeypatch
         assert (chunked.residual, chunked.iterations) == (whole.residual, whole.iterations)
 
 
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_equilibrium_search_builds_its_systems_a_chunk_at_a_time():
+    """At n = 300 each of the 21 starts gets its own chunk, so one search holds
+    about one 0.7 MB system at a time, not the 15 MB stack of all 21."""
+    net = random_network(np.random.default_rng(5), 300)
+    solve_equilibrium(net, multistarts=1)  # warm every lazy attribute of net
+    peak = _traced_peak(lambda: solve_equilibrium(net, multistarts=20))
+    assert peak < 2 << 20, peak
+
+
 def test_star_closed_form_matches_frozen_values(star3_net, four_settings):
     assert np.max(np.abs(star_equilibrium_closed_form(star3_net) - STAR3_EQ)) < 1e-12
     _, net_a, _ = four_settings[0]
@@ -757,6 +775,47 @@ def test_contraction_diagnostic_cross_checks_finite_differences(anchored_net, mo
     monkeypatch.setattr(analysis, "FD_RTOL", 1e-14)
     with pytest.raises(FJPowerError, match="mismatch"):
         contraction_diagnostic(anchored_net, np.array([0.2, -0.4, 1.3]))
+
+
+@pytest.mark.parametrize("block_entries", [
+    pytest.param(None, id="default"), pytest.param(1, id="block1"), pytest.param(100, id="block100"),
+])
+def test_blocked_jacobian_check_gives_the_same_verdicts(anchored_net, monkeypatch, block_entries):
+    """The finite-difference check steps blocks of ``BLOCK_ENTRIES // n``
+    coordinates (one per block, ragged blocks of 2 at n = 45, or one block);
+    the value, the passes and the raises are those of the whole-matrix check."""
+    if block_entries is not None:
+        monkeypatch.setattr(analysis, "BLOCK_ENTRIES", block_entries)
+    p = np.array([0.2, -0.4, 1.3])
+    assert contraction_diagnostic(anchored_net, p) == contraction_diagnostic(
+        anchored_net, p, verify_fd=False)
+    net = random_network(np.random.default_rng(3), 45)
+    q = np.random.default_rng(4).uniform(-0.5, 1.5, size=45)
+    assert contraction_diagnostic(net, q) == contraction_diagnostic(net, q, verify_fd=False)
+    # a wrong derivative in the first or the last column is caught in its block
+    jacobian = analysis.perception_jacobian
+    for col in (0, 44):
+        def skewed(net, p, col=col):
+            J = jacobian(net, p)
+            J[7, col] += 1e-3
+            return J
+        with monkeypatch.context() as mp:
+            mp.setattr(analysis, "perception_jacobian", skewed)
+            with pytest.raises(FJPowerError, match="mismatch"):
+                contraction_diagnostic(net, q)
+    monkeypatch.setattr(analysis, "FD_RTOL", 1e-14)
+    with pytest.raises(FJPowerError, match="mismatch"):
+        contraction_diagnostic(anchored_net, p)
+
+
+def test_the_jacobian_check_allocates_no_bumped_square():
+    """At n = 300 the check holds J and cache-sized blocks, not the seven
+    n × n arrays (4.8 MB) of bumps, stepped points and differences."""
+    net = random_network(np.random.default_rng(5), 300)
+    p = solve_equilibrium(net, multistarts=0).p_star
+    contraction_diagnostic(net, p)  # warm every lazy attribute of net
+    peak = _traced_peak(lambda: contraction_diagnostic(net, p))
+    assert peak < 3 << 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from fjpower import (
     step_power_evolution_single,
 )
 from fjpower import network
+from fjpower.fj_core import _system
 
-from conftest import carrier
+from conftest import carrier, table_network
 
 # power of the triad network at self-weights (0.2, 0.5, 0.0): exact fractions
 TRIAD_POWER = np.array([23 / 34, 74 / 255, 1 / 30])
@@ -259,6 +260,30 @@ def test_stacked_power_matches_each_row_bit_for_bit():
             g = np.where(np.arange(net.n) == 0, -0.0, G[0])
             assert influence_matrix(net.C, g).tobytes() == (
                 np.diag(g) + (1.0 - g)[:, None] * net.C).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.sampled_from([1, 3]),
+       st.sampled_from(["dense", "sparse", "homogeneous", "negzero"]),
+       st.sampled_from(["simplex", "negative", "above_one", "negzero"]))
+def test_systems_are_built_with_the_bits_of_i_minus_a_w(seed, n, k, c_kind, w_kind):
+    """``_system`` writes I - A W(x) in one array without building W; its bytes
+    and signs of zero are those of the formula through W, for weights in
+    the simplex, negative, above 1 or holding -0.0, and for C with -0.0."""
+    net = table_network(seed, n, c_kind)
+    rng = np.random.default_rng(seed + 1)
+    X = {
+        "simplex": lambda: rng.dirichlet(np.ones(n), size=k),
+        "negative": lambda: -rng.uniform(0.0, 2.0, size=(k, n)),
+        "above_one": lambda: rng.uniform(1.0, 3.0, size=(k, n)),
+        "negzero": lambda: np.where(rng.random((k, n)) < 0.5, -0.0, rng.uniform(-1.0, 2.0, (k, n))),
+    }[w_kind]()
+    for x in (X, X[0]):  # the stack and its first row alone
+        want = np.eye(n) - net.a[:, None] * influence_matrix(net.C, x)
+        got = _system(net, x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_stacked_power_runs_match_single_starts_when_k_equals_n(anchored_net):

@@ -71,6 +71,23 @@ def test_susceptibility_outside_half_open_unit_interval(bad):
     assert "susceptibility_range" in [v.name for v in report.violations]
 
 
+def test_subnormal_susceptibility_is_out_of_range():
+    """A positive a_i below the smallest normal float would overflow the
+    1/a_i of the box and load formulas; it is reported in index order with
+    the other range violations, under its own text."""
+    tiny = np.finfo(float).tiny
+    with pytest.raises(ValueError, match=r"susceptibility_range: a\[1\] = 1e-320 is subnormal"):
+        InfluenceNetwork(C=[[0.0, 1.0], [1.0, 0.0]], a=[1e-320, 0.5])
+    ring = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    assert str(validate_arrays(ring, [1.0, 5e-324, -1e-320])) == (
+        "susceptibility_range: a[1] = 1.0 outside [0, 1); "
+        f"susceptibility_range: a[2] = 5e-324 is subnormal: a positive a_i must be at least {tiny}; "
+        "susceptibility_range: a[3] = -1e-320 outside [0, 1)"
+    )
+    # the smallest normal value and -0.0 stay legal
+    assert validate_arrays(ring, [tiny, -0.0, 0.5]).ok
+
+
 def test_all_fully_stubborn_vector_is_rejected():
     report = validate_arrays([[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0])
     assert [v.name for v in report.violations] == ["not_all_fully_stubborn"]

@@ -32,7 +32,7 @@ from fjpower import (
 from fjpower import analysis, perception
 from fjpower.perception import RULES, _step, local_step
 
-from conftest import carrier
+from conftest import carrier, table_network
 from test_fj_core import ANCHORED_POWER_EQ
 
 # frozen limits (tol 1e-12 runs)
@@ -421,16 +421,6 @@ def test_scalar_homogeneous_update_matches_the_vector_stepper():
 # the rule table: one formula per rule, vectorized and per node
 # ---------------------------------------------------------------------------
 
-def _table_network(seed: int, n: int, kind: str) -> InfluenceNetwork:
-    rng = np.random.default_rng(seed)
-    net = random_network(rng, n, density=0.3 if kind in ("sparse", "negzero") else 1.0)
-    if kind == "homogeneous":
-        net = InfluenceNetwork(C=net.C, a=np.full(n, rng.uniform(0.05, 0.95)))
-    if kind == "negzero":  # every zero entry, the diagonal too, is -0.0
-        net = InfluenceNetwork(C=np.where(net.C == 0.0, -0.0, net.C), a=net.a)
-    return net
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 30),
        st.sampled_from(["dense", "sparse", "homogeneous"]))
@@ -439,7 +429,7 @@ def test_every_rule_gives_the_same_bits_per_node_and_vectorized(seed, n, kind):
 
 
 def _assert_rules_match_local_steps(seed: int, n: int, kind: str) -> None:
-    net = _table_network(seed, n, kind)
+    net = table_network(seed, n, kind)
     rng = np.random.default_rng(seed + 1)
     gamma = rng.uniform(0.0, 1.0, size=n)
     p = rng.uniform(-1.0, 1.0, size=n)
@@ -503,7 +493,7 @@ def test_batch_kernel_rows_match_the_reflected_stepper(monkeypatch, kind, block_
         monkeypatch.setattr(analysis, "BLOCK_ENTRIES", block_entries)
     ra = RULES["ra"]
     for seed in range(10):
-        net = _table_network(seed, 5 + 5 * seed, kind)
+        net = table_network(seed, 5 + 5 * seed, kind)
         P = np.random.default_rng(seed).uniform(0.0, 1.0, size=(25, net.n))
         Q = analysis._batch_step_ra(net, P)
         assert Q.shape == P.shape

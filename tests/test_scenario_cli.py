@@ -1,4 +1,5 @@
 """Scenario files, artifact export, and the command-line interface."""
+import re
 import sys
 from dataclasses import replace
 
@@ -157,6 +158,30 @@ def test_network_invariants_are_named_in_the_error(tmp_path):
     no_c = MINIMAL.replace("  C:\n    - [0.0, 1.0]\n    - [1.0, 0.0]\n", "")
     with pytest.raises(ConfigValidationError, match="case: network section must define C and a"):
         load_scenario(_write(tmp_path, no_c))
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_susceptibility_is_one_config_error(tmp_path, capsys):
+    """``a: [1.0e-320, 0.5]`` would overflow the two-sided box's bound
+    (1 + a)/(4a); validation rejects it before any numpy warning."""
+    tiny = MINIMAL.replace("case", "tiny").replace("a: [0.5, 0.5]", "a: [1.0e-320, 0.5]")
+    tiny += "outputs:\n  - invariant_test: {box: two_sided, samples: 10}\n"
+    message = "tiny: invalid network: susceptibility_range: a[1] = 1e-320 is subnormal"
+    with pytest.raises(ConfigValidationError, match=re.escape(message)):
+        load_scenario(_write(tmp_path, tiny))
+    (tmp_path / "scn").mkdir()
+    path = tmp_path / "scn" / "tiny.yaml"
+    path.write_text(tiny)
+    (tmp_path / "scn" / "z.yaml").write_text(MINIMAL.replace("case", "z"))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(
+        f"tiny: error after 0 iteration(s) error: ConfigValidationError: {message}")
+    assert lines[1].startswith("z: converged")
 
 
 def test_network_is_validated_once_per_load(tmp_path, monkeypatch):
