@@ -267,8 +267,8 @@ def solve_equilibrium(
     rng = np.random.default_rng(seed)
     n = net.n
     starts = np.vstack([np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), size=multistarts)])
-    # rows step independently, so cache-sized chunks of them give the same bits
-    # and keep the stack's memory near one n x n system's at large n
+    # rows step independently, so bounded chunks of them give the same bits and
+    # keep the stack's memory near one n x n system's at large n
     rows = max(1, STACK_ENTRIES // (n * n))
 
     def step(P: np.ndarray) -> np.ndarray:

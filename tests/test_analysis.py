@@ -476,7 +476,7 @@ def _traced_peak(call) -> int:
 
 def test_an_equilibrium_search_builds_its_systems_a_chunk_at_a_time():
     """At n = 300 each of the 21 starts gets its own chunk, so one search holds
-    about one 0.7 MB system at a time, not the 15 MB stack of all 21."""
+    about one 0.7 MB system at a time, not the 16 MB stack of all 21."""
     net = random_network(np.random.default_rng(5), 300)
     solve_equilibrium(net, multistarts=1)  # warm every lazy attribute of net
     peak = _traced_peak(lambda: solve_equilibrium(net, multistarts=20))
@@ -809,8 +809,8 @@ def test_blocked_jacobian_check_gives_the_same_verdicts(anchored_net, monkeypatc
 
 
 def test_the_jacobian_check_allocates_no_bumped_square():
-    """At n = 300 the check holds J and cache-sized blocks, not the seven
-    n × n arrays (4.8 MB) of bumps, stepped points and differences."""
+    """At n = 300 the check holds J and cache-sized blocks, not the 5 MB of
+    n × n bumps, stepped points and differences."""
     net = random_network(np.random.default_rng(5), 300)
     p = solve_equilibrium(net, multistarts=0).p_star
     contraction_diagnostic(net, p)  # warm every lazy attribute of net
