@@ -384,6 +384,12 @@ class MarginRow:
 # one row of a per-node block; a block is one array of these, not three arrays,
 # because three array headers outweigh the data of a typical 3-60 row block
 NODE_ROW = np.dtype([("node", np.intp), ("lhs", float), ("rhs", float)])
+# one sampled point's coordinate that left its box after a single update;
+# an invariance report holds its first MAX_EXIT_EXAMPLES exits as one array
+EXIT_ROW = np.dtype([("sample", np.intp), ("coordinate", np.intp), ("value", float),
+                     ("bound", float), ("side", "U5")])  # side: "lower" | "upper"
+_NO_EXITS = np.recarray(0, dtype=EXIT_ROW)  # shared by every report without exits
+_NO_EXITS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -628,26 +634,17 @@ def box_image(net: InfluenceNetwork, box: Box) -> tuple[np.ndarray, np.ndarray, 
     return lo, hi, err
 
 
-@dataclass(frozen=True)
-class ExitRecord:
-    """One sampled point that left the box after a single update."""
-
-    sample: int
-    coordinate: int
-    value: float
-    bound: float
-    side: str  # "lower" | "upper"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvarianceReport:
     """A trial's exits, and ``margin``: the signed slack ``min(nu - hi, lo - mu)``
     of :func:`box_image` over all coordinates, negative when the exact image
-    leaves the box however few samples landed outside."""
+    leaves the box however few samples landed outside.  ``examples`` is a
+    read-only ``EXIT_ROW`` record array of the first ``MAX_EXIT_EXAMPLES``
+    exits; every report without exits shares one empty table."""
 
     samples: int
     exit_count: int
-    examples: tuple[ExitRecord, ...]
+    examples: np.recarray
     margin: float = math.nan
 
     @property
@@ -678,8 +675,9 @@ def one_step_invariance_test(
     ``box`` with :meth:`Box.sample`, steps them all with ``_batch_step_ra``
     and counts coordinates landing outside by more than ``EXIT_SLACK``.
     Keeps the first ``MAX_EXIT_EXAMPLES`` offending (sample, coordinate)
-    pairs, in sample-then-coordinate order.  Memory peaks at about three
-    ``(samples, n)`` arrays, inside the step.
+    pairs, in sample-then-coordinate order, as one read-only ``EXIT_ROW``
+    record array.  Memory peaks at about three ``(samples, n)`` arrays,
+    inside the step.
 
     Either way the report's ``margin`` is the exact image's signed slack, so
     a leak that no sample hit still shows as a negative margin.
@@ -695,18 +693,20 @@ def one_step_invariance_test(
         certified = bool(np.all(hi + 2.0 * err <= high) and np.all(lo - 2.0 * err >= low))
         margin = float(np.min(np.minimum(box.nu - hi, lo - box.mu)))
     if certified:  # a NaN bound compares False and falls through to sampling
-        return InvarianceReport(samples=samples, exit_count=0, examples=(), margin=margin)
+        return InvarianceReport(samples=samples, exit_count=0, examples=_NO_EXITS,
+                                margin=margin)
     Q = _batch_step_ra(net, box.sample(np.random.default_rng(seed), samples))
     below = Q < low
     exits = np.flatnonzero(below | (Q > high))  # in C order: sample, then coordinate
-    examples = []
-    for k in exits[:MAX_EXIT_EXAMPLES]:
-        r, c = divmod(int(k), net.n)
-        side = "lower" if below[r, c] else "upper"
-        bound = float(box.mu[c]) if side == "lower" else float(box.nu[c])
-        examples.append(ExitRecord(sample=r, coordinate=c, value=float(Q[r, c]),
-                                   bound=bound, side=side))
-    return InvarianceReport(samples=samples, exit_count=len(exits), examples=tuple(examples),
+    examples = _NO_EXITS
+    if exits.size:
+        r, c = np.divmod(exits[:MAX_EXIT_EXAMPLES], net.n)
+        lower = below[r, c]
+        examples = np.rec.fromarrays(
+            (r, c, Q[r, c], np.where(lower, box.mu[c], box.nu[c]),
+             np.where(lower, "lower", "upper")), dtype=EXIT_ROW)
+        examples.flags.writeable = False
+    return InvarianceReport(samples=samples, exit_count=len(exits), examples=examples,
                             margin=margin)
 
 

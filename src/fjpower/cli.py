@@ -1,11 +1,10 @@
 """Command-line entry point.
 
-Subcommands:
-
-    fjpower run <config>      load a scenario, run it, write artifacts
-    fjpower batch <dir>       run every scenario file in a directory
-    fjpower report <config>   produce only the report artifacts
-    fjpower oracle <config>   direct linear solve for the power vector
+Each subcommand is one row of ``_COMMANDS``: its handler, its positional
+argument and its help text (``fjpower --help`` lists them).  The parser is
+built from that table, every subcommand takes the same ``--tol``,
+``--max-iter``, ``--seed`` and ``--out`` flags, and ``main`` dispatches
+through it.
 
 Exit codes: 0 converged / report success, 2 diverged (an expected outcome
 class, not an error), 1 anything else (parse/validation failures, hitting
@@ -36,44 +35,6 @@ from .scenario import (
 )
 
 SCENARIO_SUFFIXES = (".yaml", ".yml")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fjpower",
-        description="Simulate and analyze perceived social power in "
-                    "stubborn-agent influence networks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the scenario's convergence tolerance")
-        p.add_argument("--max-iter", type=int, default=None,
-                       help="override the scenario's iteration budget")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario's random seed")
-        p.add_argument("--out", type=Path, default=None,
-                       help="output directory (default: $FJPOWER_OUT or cwd)")
-
-    run_p = sub.add_parser("run", help="run one scenario file")
-    run_p.add_argument("config", type=Path)
-    add_common(run_p)
-
-    batch_p = sub.add_parser("batch", help="run every scenario in a directory")
-    batch_p.add_argument("directory", type=Path)
-    add_common(batch_p)
-
-    report_p = sub.add_parser("report", help="emit only report artifacts")
-    report_p.add_argument("config", type=Path)
-    add_common(report_p)
-
-    oracle_p = sub.add_parser(
-        "oracle", help="print the power vector from the direct linear solve")
-    oracle_p.add_argument("config", type=Path)
-    add_common(oracle_p)
-
-    return parser
 
 
 def _load_with_overrides(config: Path, args: argparse.Namespace) -> Scenario:
@@ -149,18 +110,39 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "batch": _cmd_batch,
-    "report": _cmd_report,
-    "oracle": _cmd_oracle,
+_COMMANDS = {  # subcommand: (handler, positional argument, help text)
+    "run": (_cmd_run, "config", "run one scenario file"),
+    "batch": (_cmd_batch, "directory", "run every scenario in a directory"),
+    "report": (_cmd_report, "config", "emit only report artifacts"),
+    "oracle": (_cmd_oracle, "config", "print the power vector from the direct linear solve"),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fjpower",
+        description="Simulate and analyze perceived social power in "
+                    "stubborn-agent influence networks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, positional, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional, type=Path)
+        p.add_argument("--tol", type=float, default=None,
+                       help="override the scenario's convergence tolerance")
+        p.add_argument("--max-iter", type=int, default=None,
+                       help="override the scenario's iteration budget")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario's random seed")
+        p.add_argument("--out", type=Path, default=None,
+                       help="output directory (default: $FJPOWER_OUT or cwd)")
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (FJPowerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

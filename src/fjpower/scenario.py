@@ -50,6 +50,8 @@ from .fj_core import (
 from .network import InfluenceNetwork
 from .perception import (
     CONVERGED,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     DIVERGED,
     ISSUE,
     MAX_ITER,
@@ -245,11 +247,12 @@ def _parse_outputs(raw, name: str) -> tuple[OutputRequest, ...]:
             if not isinstance(options, dict):
                 _fail(f"{name}: invariant_test options must be a mapping")
             _check_keys(options, ("samples", "box", "seed"), f"{name}: invariant_test ")
-            box = options.get("box", "two_sided")
+            box = options.get("box", OutputRequest.box)
             if box not in BOX_BUILDERS:
                 _fail(f"{name}: unknown box {box!r}; expected one of {sorted(BOX_BUILDERS)}")
             where = f"{name}: invariant_test "
-            samples = parse_setting("samples", options.get("samples", 1000), where)
+            samples = parse_setting("samples", options.get("samples", OutputRequest.samples),
+                                    where)
             seed = options.get("seed")
             requests.append(
                 OutputRequest(kind=kind, samples=samples, box=box,
@@ -366,7 +369,7 @@ def load_scenario(
     tol, max_iter, seed = (
         parse_setting(key, doc.get(key, default), f"{name}: ") if overrides[key] is None
         else parse_setting(key, overrides[key], f"{name}: override ")
-        for key, default in (("tol", 1e-12), ("max_iter", 100_000), ("seed", 0)))
+        for key, default in (("tol", DEFAULT_TOL), ("max_iter", DEFAULT_MAX_ITER), ("seed", 0)))
     starts = _parse_starts(doc, net.n, mode, seed, name)
     outputs = _parse_outputs(doc.get("outputs"), name)
     return Scenario(

@@ -1,6 +1,7 @@
 """Boxes, condition reports, equilibrium evidence, invariance and monotonicity."""
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from fjpower import (
     two_sided_box,
 )
 from fjpower import analysis
-from fjpower.analysis import CONDITION_IDS, ExitRecord, InvarianceReport, star_center_floor
+from fjpower.analysis import CONDITION_IDS, InvarianceReport, star_center_floor
 
 from test_acceptance import _conditioned_net
 from test_fj_core import ANCHORED_POWER_EQ
@@ -551,8 +552,8 @@ def _full_array_trial(net, box, samples, seed=0):
     for r, c in zip(rows[:analysis.MAX_EXIT_EXAMPLES], cols[:analysis.MAX_EXIT_EXAMPLES]):
         side = "lower" if below[r, c] else "upper"
         bound = float(box.mu[c]) if side == "lower" else float(box.nu[c])
-        examples.append(ExitRecord(sample=int(r), coordinate=int(c), value=float(Q[r, c]),
-                                   bound=bound, side=side))
+        examples.append(SimpleNamespace(sample=int(r), coordinate=int(c), value=float(Q[r, c]),
+                                        bound=bound, side=side))
     return InvarianceReport(samples=samples, exit_count=len(rows), examples=tuple(examples))
 
 
@@ -583,6 +584,44 @@ def test_streamed_trial_matches_the_full_array_trial(monkeypatch, block_entries)
                     straddled |= len({e.sample // rows for e in got.examples}) > 1
     # some trial leaked past MAX_EXIT_EXAMPLES with its kept records spread over blocks
     assert straddled
+
+
+def test_a_report_keeps_its_exits_in_one_small_table(anchored_net):
+    """Twenty exits are one EXIT_ROW record array, not twenty objects each
+    with its own floats and ints: dropping the report frees about 1.5 kB."""
+    box = two_sided_box(anchored_net).inflated(2.0)
+    one_step_invariance_test(anchored_net, box, 2000)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        report = one_step_invariance_test(anchored_net, box, 2000)
+        assert report.exit_count > analysis.MAX_EXIT_EXAMPLES
+        assert len(report.examples) == analysis.MAX_EXIT_EXAMPLES
+        assert report.examples.dtype.names == analysis.EXIT_ROW.names
+        with_report, _ = tracemalloc.get_traced_memory()
+        del report
+        kept = with_report - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2500, kept
+
+
+def test_reports_without_exits_share_one_read_only_table(anchored_net):
+    certified = one_step_invariance_test(anchored_net, two_sided_box(anchored_net), 100)
+    net = random_network(np.random.default_rng(5), 300)
+    sampled = one_step_invariance_test(net, nonneg_box(net), 100)  # the image leaks; no sample hits
+    assert sampled.margin < 0.0 and sampled.exit_count == 0
+    assert certified.examples is sampled.examples
+    assert len(certified.examples) == 0
+    assert not certified.examples.flags.writeable
+
+
+def test_the_exit_table_is_read_only(anchored_net):
+    box = two_sided_box(anchored_net).inflated(2.0)
+    examples = one_step_invariance_test(anchored_net, box, 2000).examples
+    with pytest.raises(ValueError, match="read-only"):
+        examples.value[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        examples[0] = examples[1]
 
 
 def test_streamed_trial_rejects_a_box_of_another_size(anchored_net):
@@ -775,6 +814,19 @@ def test_contraction_diagnostic_cross_checks_finite_differences(anchored_net, mo
     monkeypatch.setattr(analysis, "FD_RTOL", 1e-14)
     with pytest.raises(FJPowerError, match="mismatch"):
         contraction_diagnostic(anchored_net, np.array([0.2, -0.4, 1.3]))
+
+
+def test_the_contraction_norm_is_one_at_the_corners_of_the_two_sided_box():
+    """The column sums a_j (2|p_j| + |1 - 2p_j|) equal 1 at both corners of
+    ``two_sided_box``, so criterion 8's "< 1" holds on the open box only: it
+    passes because 200 samples per box never land on the boundary."""
+    rng = np.random.default_rng(9)
+    for _ in range(50):  # criterion 8's family: both incoming caps hold
+        net = _conditioned_net(rng, require_volatility_cap=True)
+        box = two_sided_box(net)
+        for corner in (box.mu, box.nu):
+            norm = contraction_diagnostic(net, corner, verify_fd=False)
+            assert abs(norm - 1.0) <= 8 * np.finfo(float).eps, norm
 
 
 @pytest.mark.parametrize("block_entries", [

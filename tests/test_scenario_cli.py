@@ -2,6 +2,7 @@
 import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fjpower import (
     write_trajectory_csv,
 )
 from fjpower import network, scenario
-from fjpower.cli import main
+from fjpower.cli import _build_parser, main
 from fjpower.scenario import MODES, ScenarioResult, _csv_steps
 
 from conftest import SCENARIO_DIR
@@ -806,3 +807,40 @@ def test_cli_oracle_requires_fixed_self_weights(capsys):
 def test_cli_missing_config_is_an_error(capsys):
     assert main(["run", "/does/not/exist.yaml"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+SUBCOMMANDS = (  # name, positional argument, help text
+    ("run", "config", "run one scenario file"),
+    ("batch", "directory", "run every scenario in a directory"),
+    ("report", "config", "emit only report artifacts"),
+    ("oracle", "config", "print the power vector from the direct linear solve"),
+)
+
+
+@pytest.mark.parametrize("command, positional", [row[:2] for row in SUBCOMMANDS])
+def test_every_subcommand_parses_its_argument_and_the_shared_flags(command, positional):
+    args = _build_parser().parse_args([command, "in.yaml", "--tol", "1e-9", "--max-iter", "7",
+                                       "--seed", "3", "--out", "out"])
+    assert args.command == command
+    assert getattr(args, positional) == Path("in.yaml")
+    assert (args.tol, args.max_iter, args.seed, args.out) == (1e-9, 7, 3, Path("out"))
+    args = _build_parser().parse_args([command, "in.yaml"])
+    assert (args.tol, args.max_iter, args.seed, args.out) == (None, None, None, None)
+
+
+def test_help_lists_the_four_subcommands(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: fjpower [-h] {run,batch,report,oracle} ...\n")
+    for command, _, text in SUBCOMMANDS:
+        assert re.search(rf"^    {command} +{re.escape(text)}$", out, re.M), command
+
+
+def test_unknown_subcommand_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "in.yaml"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'simulate'" in capsys.readouterr().err
