@@ -27,9 +27,6 @@ from .network import (
     ValidationReport,
     classify_topology,
     enumerate_stubborn_cycles,
-    random_doubly_stochastic_ring,
-    random_network,
-    random_star_network,
     validate_arrays,
 )
 from .fj_core import (

@@ -67,7 +67,6 @@ FD_STEP = 1e-6  # central finite-difference step of the Jacobian check
 FD_RTOL = 1e-6  # relative Jacobian/finite-difference mismatch that raises
 EXIT_SLACK = 1e-12  # how far outside its box a stepped coordinate may land
 MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance report keeps
-STACK_ENTRIES = 1 << 17  # matrix entries (1 MB) one stacked equilibrium solve may hold
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +253,10 @@ def solve_equilibrium(
 
     Iterates the issue-to-issue power update (which maps the simplex into
     itself) from the barycenter plus ``multistarts`` seeded random simplex
-    points, all of them as one stack: each step builds and solves the
-    systems in chunks of ``max(1, STACK_ENTRIES // n²)`` rows, one allocation
-    per chunk, so all 21 default starts share one solve up to n = 79 and each
-    start has its own from n = 257.  The consensus point is the first
-    converged run's limit;
+    points, all of them as one stack, which each step solves in the chunks of
+    :func:`~fjpower.fj_core.compute_social_power`: all 21 default starts share
+    one solve up to n = 79 and each start has its own from n = 257.  The
+    consensus point is the first converged run's limit;
     ``starts_agreeing`` counts converged runs within ``AGREE_TOL`` of it in
     the ∞-norm.
     """
@@ -267,16 +265,8 @@ def solve_equilibrium(
     rng = np.random.default_rng(seed)
     n = net.n
     starts = np.vstack([np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), size=multistarts)])
-    # rows step independently, so bounded chunks of them give the same bits and
-    # keep the stack's memory near one n x n system's at large n
-    rows = max(1, STACK_ENTRIES // (n * n))
-
-    def step(P: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [step_power_evolution(net, P[i:i + rows]) for i in range(0, len(P), rows)]
-        )
-
-    trajs = run_stack_to_convergence(step, starts, tol=tol, max_iter=max_iter)
+    trajs = run_stack_to_convergence(lambda P: step_power_evolution(net, P), starts,
+                                     tol=tol, max_iter=max_iter)
     converged = [traj for traj in trajs if traj.converged]
     if not converged:
         raise NoConvergenceError(

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import simkit
 from .analysis import ConditionReport
-from .errors import FJPowerError
+from .errors import ConfigValidationError, FJPowerError
 from .fj_core import compute_social_power
 from .scenario import (
     GAMMA_MODES,
@@ -70,13 +70,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: no scenario files in {directory}", file=sys.stderr)
         return 1
     codes = set()
+    named: dict[str, Path] = {}  # scenario name -> the file that took it first
     for path in paths:
         try:
             scn = _load_with_overrides(path, args)
         except FJPowerError as exc:
             result = error_result(path.stem, "?", exc)
         else:
-            (result,) = simkit.run_batch([scn], out_dir=args.out)
+            first = named.setdefault(scn.name, path)
+            if first is path:
+                (result,) = simkit.run_batch([scn], out_dir=args.out)
+            else:  # its outputs would overwrite the first file's
+                result = error_result(scn.name, scn.mode, ConfigValidationError(
+                    f"{path.name} repeats the name {scn.name!r} of {first.name}"))
         print(result.summary_line())
         codes.add(result.exit_code)
     if 1 in codes:

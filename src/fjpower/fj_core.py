@@ -13,8 +13,8 @@ Conventions
   ``I - A W(x)`` are written in one array each, without building W first.
 * :func:`influence_matrix`, :func:`compute_social_power` and
   :func:`step_power_evolution` also take a ``(k, n)`` stack of weight vectors
-  (the last axis is nodes) and make one stacked solve for all k; each row is
-  bit-identical to the call on that row alone.
+  (the last axis is nodes); the power maps solve it in bounded chunks of
+  rows.  Each row is bit-identical to the call on that row alone.
 """
 from __future__ import annotations
 
@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import SingularSystemError
 from .network import InfluenceNetwork, enumerate_stubborn_cycles, node_vector
+
+STACK_ENTRIES = 1 << 17  # matrix entries (1 MB) one stacked power solve may hold
 
 
 def _blend_operands(C: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,19 +90,31 @@ def final_opinions(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray) -> 
     return _solve(_system(net, gamma), (1.0 - net.a) * node_vector(net, "y0", y0))
 
 
-def compute_social_power(net: InfluenceNetwork, gamma: np.ndarray) -> np.ndarray:
-    """Social power x = (I - A)(I - W(gamma)^T A)^{-1} 1/n.
-
-    Each x_i is the normalized total weight of node i's initial opinion in
-    everyone's final opinion.  Nonnegative with unit sum.  A (k, n) stack of
-    ``gamma`` rows gives the (k, n) stack of their powers from one solve.
-    """
+def _power(net: InfluenceNetwork, gamma: np.ndarray) -> np.ndarray:
+    """compute_social_power with every row of ``gamma`` in one stacked solve."""
     M = _system(net, gamma)  # I - A W, whose transpose I - W^T A is solved
     # the right-hand side is a column, (n, 1) or (k, n, 1): numpy 1.x and 2.x
     # read a 1-D or (k, n) b differently, and (k, n) is ambiguous when k == n
     b = np.full(M.shape[:-1] + (1,), 1.0 / net.n)
     u = _solve(np.swapaxes(M, -1, -2), b)[..., 0]
     return (1.0 - net.a) * u
+
+
+def compute_social_power(net: InfluenceNetwork, gamma: np.ndarray) -> np.ndarray:
+    """Social power x = (I - A)(I - W(gamma)^T A)^{-1} 1/n.
+
+    Each x_i is the normalized total weight of node i's initial opinion in
+    everyone's final opinion.  Nonnegative with unit sum.  A (k, n) stack of
+    ``gamma`` rows gives the (k, n) stack of their powers, solved in chunks of
+    ``max(1, STACK_ENTRIES // n²)`` rows: rows solve independently, so the
+    chunks give the same bits and hold the stack's memory near one n x n
+    system's at large n.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    rows = max(1, STACK_ENTRIES // (net.n * net.n))
+    if gamma.ndim < 2:
+        return _power(net, gamma)
+    return np.concatenate([_power(net, gamma[i:i + rows]) for i in range(0, len(gamma), rows)])
 
 
 def influence_resolvent(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
@@ -161,9 +175,10 @@ def step_power_evolution(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
     """Issue-to-issue power update: next power when self-appraisals equal x.
 
     x' = (I - A)(I - W(x)^T A)^{-1} 1/n.  Maps the simplex into itself.  A
-    (k, n) stack of powers steps every row with one stacked solve.
+    (k, n) stack of powers steps every row, in the chunks of
+    :func:`compute_social_power`.
     """
-    return compute_social_power(net, np.asarray(x, dtype=float))
+    return compute_social_power(net, x)
 
 
 def step_power_evolution_single(

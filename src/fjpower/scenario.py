@@ -217,11 +217,20 @@ def _vector(raw, n: int, label: str) -> np.ndarray:
 
 
 def _parse_outputs(raw, name: str) -> tuple[OutputRequest, ...]:
+    """The typed output requests; each artifact or report may be asked for
+    once, since a repeat would replace the earlier one's result."""
     if raw is None:
         return ()
     if not isinstance(raw, list):
         _fail(f"{name}: outputs must be a list")
     requests: list[OutputRequest] = []
+    seen: set[str] = set()
+
+    def claim(what: str) -> None:
+        if what in seen:
+            _fail(f"{name}: {what} is requested twice")
+        seen.add(what)
+
     for entry in raw:
         if isinstance(entry, str):
             kind, options = entry, None
@@ -241,6 +250,7 @@ def _parse_outputs(raw, name: str) -> tuple[OutputRequest, ...]:
                         f"{name}: unknown condition id {cid!r}; "
                         f"expected one of {analysis.CONDITION_IDS}"
                     )
+                claim(f"condition {cid!r}")
             requests.append(OutputRequest(kind=kind, condition_ids=ids))
         elif kind == "invariant_test":
             options = options or {}
@@ -250,6 +260,7 @@ def _parse_outputs(raw, name: str) -> tuple[OutputRequest, ...]:
             box = options.get("box", OutputRequest.box)
             if box not in BOX_BUILDERS:
                 _fail(f"{name}: unknown box {box!r}; expected one of {sorted(BOX_BUILDERS)}")
+            claim(f"invariant_test on the {box!r} box")
             where = f"{name}: invariant_test "
             samples = parse_setting("samples", options.get("samples", OutputRequest.samples),
                                     where)
@@ -261,6 +272,7 @@ def _parse_outputs(raw, name: str) -> tuple[OutputRequest, ...]:
         else:
             if options is not None:
                 _fail(f"{name}: output {kind} takes no options")
+            claim(f"output {kind}")
             requests.append(OutputRequest(kind=kind))
     return tuple(requests)
 

@@ -20,9 +20,6 @@ from fjpower import (
     load_scenario,
     nonneg_box,
     one_step_invariance_test,
-    random_doubly_stochastic_ring,
-    random_network,
-    random_star_network,
     resolvent_diag_from_cycles,
     run_batch,
     run_distributed,
@@ -39,7 +36,12 @@ from fjpower import (
 )
 from fjpower.simkit import MODE_HOMOGENEOUS, MODE_NO_RA, MODE_RA
 
-from conftest import SCENARIO_DIR
+from conftest import (
+    SCENARIO_DIR,
+    random_doubly_stochastic_ring,
+    random_network,
+    random_star_network,
+)
 
 
 def test_criterion_01_fixed_weight_perception_reaches_the_direct_solve(

@@ -23,18 +23,16 @@ from fjpower import (
     nonneg_box,
     one_step_invariance_test,
     perception_jacobian,
-    random_doubly_stochastic_ring,
-    random_network,
-    random_star_network,
     solve_equilibrium,
     star_equilibrium_closed_form,
     star_invariant_box,
     step_perception_ra,
     two_sided_box,
 )
-from fjpower import analysis
+from fjpower import analysis, fj_core
 from fjpower.analysis import CONDITION_IDS, InvarianceReport, star_center_floor
 
+from conftest import random_doubly_stochastic_ring, random_network, random_star_network
 from test_acceptance import _conditioned_net
 from test_fj_core import ANCHORED_POWER_EQ
 from test_perception import STAR3_EQ
@@ -459,7 +457,7 @@ def test_multistart_count_must_be_nonnegative(anchored_net):
 def test_chunked_multistart_search_gives_the_same_bits(anchored_net, monkeypatch):
     whole = solve_equilibrium(anchored_net, multistarts=20, seed=3)
     for rows in (1, 2, 8):  # 21 starts: one, two or eight rows per stacked solve
-        monkeypatch.setattr(analysis, "STACK_ENTRIES", rows * anchored_net.n ** 2)
+        monkeypatch.setattr(fj_core, "STACK_ENTRIES", rows * anchored_net.n ** 2)
         chunked = solve_equilibrium(anchored_net, multistarts=20, seed=3)
         assert chunked.p_star.tobytes() == whole.p_star.tobytes()
         assert str(chunked) == str(whole)

@@ -8,13 +8,14 @@ from fjpower import (
     DIVERGED,
     check_condition,
     compute_social_power,
-    random_network,
     run_to_convergence,
     solve_equilibrium,
     step_perception_no_ra,
     step_perception_ra,
     two_sided_box,
 )
+
+from conftest import random_network
 
 CONVERGENCE_GAP = 1e-9
 

@@ -1,5 +1,6 @@
 """Opinion updates, social power, and resolvent identities."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,6 @@ from fjpower import (
     final_opinions,
     influence_matrix,
     influence_resolvent,
-    random_doubly_stochastic_ring,
-    random_network,
-    random_star_network,
     resolvent_diag_from_cycles,
     run_stack_to_convergence,
     run_to_convergence,
@@ -30,7 +28,13 @@ from fjpower import (
 from fjpower import network
 from fjpower.fj_core import _system
 
-from conftest import carrier, table_network
+from conftest import (
+    carrier,
+    random_doubly_stochastic_ring,
+    random_network,
+    random_star_network,
+    table_network,
+)
 
 # power of the triad network at self-weights (0.2, 0.5, 0.0): exact fractions
 TRIAD_POWER = np.array([23 / 34, 74 / 255, 1 / 30])
@@ -260,6 +264,24 @@ def test_stacked_power_matches_each_row_bit_for_bit():
             g = np.where(np.arange(net.n) == 0, -0.0, G[0])
             assert influence_matrix(net.C, g).tobytes() == (
                 np.diag(g) + (1.0 - g)[:, None] * net.C).tobytes()
+
+
+def test_a_large_power_stack_is_solved_a_chunk_at_a_time():
+    """At n = 300 each row is its own chunk, so a (40, 300) stack holds about
+    one 0.7 MB system at a time, not the 28.8 MB systems of all 40."""
+    net = random_network(np.random.default_rng(5), 300)
+    G = np.random.default_rng(6).dirichlet(np.ones(net.n), size=40)
+    compute_social_power(net, G[0])  # warm every lazy attribute of net
+    tracemalloc.start()
+    try:
+        X = compute_social_power(net, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    assert X.shape == G.shape
+    for g, x in zip(G, X):
+        assert x.tobytes() == compute_social_power(net, g).tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -16,12 +16,11 @@ from fjpower import (
     Trajectory,
     classify_topology,
     enumerate_stubborn_cycles,
-    random_doubly_stochastic_ring,
-    random_network,
-    random_star_network,
     validate_arrays,
 )
 from fjpower import network
+
+from conftest import random_doubly_stochastic_ring, random_network, random_star_network
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from fjpower import (
     compute_social_power,
     homogeneous_susceptibility,
     influence_matrix,
-    random_doubly_stochastic_ring,
-    random_network,
     run_stack_to_convergence,
     run_to_convergence,
     step_pagerank_ra,
@@ -32,7 +30,7 @@ from fjpower import (
 from fjpower import analysis, perception
 from fjpower.perception import RULES, _step, local_step
 
-from conftest import carrier, table_network
+from conftest import carrier, random_doubly_stochastic_ring, random_network, table_network
 from test_fj_core import ANCHORED_POWER_EQ
 
 # frozen limits (tol 1e-12 runs)

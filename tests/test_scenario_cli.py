@@ -17,7 +17,6 @@ from fjpower import (
     MAX_ITER,
     Trajectory,
     load_scenario,
-    random_network,
     run_reports,
     run_scenario,
     solve_equilibrium,
@@ -29,7 +28,7 @@ from fjpower import network, scenario
 from fjpower.cli import _build_parser, main
 from fjpower.scenario import MODES, ScenarioResult, _csv_steps
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, random_network
 from test_fj_core import ANCHORED_POWER_EQ, TRIAD_POWER
 
 ALL_SCENARIOS = sorted(SCENARIO_DIR.rglob("*.yaml"))
@@ -308,6 +307,37 @@ def test_output_requests_are_validated(tmp_path):
     ]:
         with pytest.raises(ConfigValidationError, match=message):
             load_scenario(_write(tmp_path, MINIMAL + snippet))
+
+
+def test_repeated_output_requests_are_config_errors(tmp_path, capsys):
+    """A repeat would write both sections to the report file but keep only the
+    last in ScenarioResult.reports and on ``fjpower report``'s stdout."""
+    for snippet, repeat in [
+        ("  - invariant_test: {samples: 10}\n  - invariant_test: {seed: 3}\n",
+         "invariant_test on the 'two_sided' box"),
+        ("  - condition_report: [democracy, democracy]\n", "condition 'democracy'"),
+        ("  - condition_report: [democracy]\n  - condition_report: [incoming_influence_cap, "
+         "democracy]\n", "condition 'democracy'"),
+        ("  - trajectory_csv\n  - trajectory_csv\n", "output trajectory_csv"),
+        ("  - equilibrium_report\n  - {equilibrium_report: null}\n", "output equilibrium_report"),
+    ]:
+        message = re.escape(f"case: {repeat} is requested twice")
+        with pytest.raises(ConfigValidationError, match=message):
+            load_scenario(_write(tmp_path, MINIMAL + "outputs:\n" + snippet))
+    distinct = ("outputs:\n  - invariant_test: {samples: 10}\n"
+                "  - invariant_test: {box: nonneg, samples: 10}\n"
+                "  - condition_report: [democracy]\n"
+                "  - condition_report: [incoming_influence_cap]\n")
+    assert len(load_scenario(_write(tmp_path, MINIMAL + distinct)).outputs) == 4
+    (tmp_path / "scn").mkdir()
+    (tmp_path / "scn" / "a.yaml").write_text(
+        MINIMAL.replace("case", "a") + "outputs:\n  - trajectory_csv\n  - trajectory_csv\n")
+    (tmp_path / "scn" / "b.yaml").write_text(MINIMAL.replace("case", "b"))
+    assert main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("a: error after 0 iteration(s) error: ConfigValidationError: "
+                        "a: output trajectory_csv is requested twice")
+    assert lines[1].startswith("b: converged")
 
 
 def test_oversized_integer_literals_are_config_errors(tmp_path):
@@ -715,6 +745,27 @@ def test_cli_batch_prints_summaries_in_file_order(tmp_path, capsys):
     assert code == 1
     assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
     assert lines[1].startswith("b: error")
+
+
+def test_cli_batch_rejects_a_name_an_earlier_file_took(tmp_path, capsys):
+    """Two files named alike would write the same output files, the later over
+    the earlier; the later one is an error instead, and the batch exits 1."""
+    (tmp_path / "scn").mkdir()
+    outputs = "outputs: [trajectory_csv]\n"
+    (tmp_path / "scn" / "a.yaml").write_text(MINIMAL.replace("case", "same") + outputs)
+    (tmp_path / "scn" / "b.yaml").write_text(
+        MINIMAL.replace("case", "same").replace("p0: [0.5, 0.5]", "p0: [0.9, 0.1]") + outputs)
+    (tmp_path / "scn" / "c.yaml").write_text(MINIMAL.replace("case", "c"))
+    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("same: converged")
+    assert lines[1] == ("same: error after 0 iteration(s) error: ConfigValidationError: "
+                        "b.yaml repeats the name 'same' of a.yaml")
+    assert lines[2].startswith("c: converged")
+    assert main(["run", str(tmp_path / "scn" / "a.yaml"), "--out", str(tmp_path / "alone")]) == 0
+    csv = "same_traj1.csv"
+    assert (tmp_path / "out" / csv).read_bytes() == (tmp_path / "alone" / csv).read_bytes()
 
 
 def test_cli_seed_reaches_sampled_starts(tmp_path, capsys):

@@ -19,8 +19,6 @@ from fjpower import (
     deliver,
     load_scenario,
     make_agents,
-    random_network,
-    random_star_network,
     run_batch,
     run_distributed,
     run_round,
@@ -32,7 +30,7 @@ from fjpower import (
 from fjpower import perception
 from fjpower.simkit import MODE_HOMOGENEOUS, MODE_NO_RA, MODE_RA
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, random_network, random_star_network
 
 
 def _ring_net() -> InfluenceNetwork:
