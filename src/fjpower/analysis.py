@@ -825,7 +825,6 @@ def monotonicity_test_star(
             continue
         rising = seq[0] < t
         direction = "up" if rising else "down"
-        ok = True
         first_violation: Optional[int] = None
         for s in range(len(seq) - 1):
             if abs(seq[s] - t) <= active_gap:
@@ -833,10 +832,9 @@ def monotonicity_test_star(
             step_up = seq[s + 1] > seq[s]
             crossed = (seq[s + 1] > t + active_gap) if rising else (seq[s + 1] < t - active_gap)
             if step_up != rising or crossed:
-                ok = False
                 first_violation = s
                 break
-        rows.append(NodeMonotonicity(j, direction, ok, first_violation))
+        rows.append(NodeMonotonicity(j, direction, first_violation is None, first_violation))
     c = topo.center
     inc = np.diff(traj.path[:, c])
     flat = 1e-14

@@ -70,26 +70,22 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: no scenario files in {directory}", file=sys.stderr)
         return 1
     codes = set()
-    named: dict[str, Path] = {}  # scenario name -> the file that took it first
+    named: dict[str, str] = {}  # scenario name -> the file that took it first
     for path in paths:
         try:
             scn = _load_with_overrides(path, args)
         except FJPowerError as exc:
             result = error_result(path.stem, "?", exc)
         else:
-            first = named.setdefault(scn.name, path)
-            if first is path:
+            try:  # a repeated name's outputs would overwrite the first file's
+                simkit.claim_name(named, scn.name, path.name)
+            except ConfigValidationError as exc:
+                result = error_result(scn.name, scn.mode, exc)
+            else:
                 (result,) = simkit.run_batch([scn], out_dir=args.out)
-            else:  # its outputs would overwrite the first file's
-                result = error_result(scn.name, scn.mode, ConfigValidationError(
-                    f"{path.name} repeats the name {scn.name!r} of {first.name}"))
         print(result.summary_line())
         codes.add(result.exit_code)
-    if 1 in codes:
-        return 1
-    if 2 in codes:
-        return 2
-    return 0
+    return 1 if 1 in codes else 2 if 2 in codes else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -274,13 +274,14 @@ def run_stack_to_convergence(
 class LocalView:
     """Everything node ``node`` may legally read, besides its own estimate.
 
-    Own susceptibility and (in fixed-weight mode) own self-weight, the group
-    size, and one ``(j, a_j, C[j, node], gamma_j)`` tuple per in-neighbor j,
-    ascending by j; ``gamma_j`` is None unless the view was built with gamma.
-    Neighbors' current estimates are *not* here — they arrive each round
-    through an inbox.
+    The rule it was built for, own susceptibility and (in fixed-weight mode)
+    own self-weight, the group size, and one ``(j, a_j, C[j, node], gamma_j)``
+    tuple per in-neighbor j, ascending by j; ``gamma_j`` is None unless the
+    rule needs gamma.  Neighbors' current estimates are *not* here — they
+    arrive each round through an inbox.
     """
 
+    rule: Rule
     node: int
     n: int
     a: float
@@ -294,14 +295,22 @@ class LocalView:
 
 
 def build_local_views(
-    net: InfluenceNetwork, gamma: Optional[np.ndarray] = None
+    net: InfluenceNetwork, mode: str, gamma: Optional[np.ndarray] = None
 ) -> tuple[LocalView, ...]:
-    """One view per node; pass ``gamma``, shape ``(n,)``, only for the
-    fixed-self-weight mode.
+    """One view per node for the rule ``RULES[mode]``: ``gamma``, shape ``(n,)``, is given
+    exactly when the rule needs it, and a shared-``a`` rule needs one susceptibility.
 
     Each view slices the per-edge lists of the network's cached adjacency, so
     the cost is O(n + nnz).
     """
+    rule = RULES.get(mode)
+    if rule is None:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(RULES)}")
+    if rule.needs_gamma != (gamma is not None):
+        raise ValueError(f"{mode} mode needs a self-weight vector gamma" if rule.needs_gamma
+                         else f"{mode} mode takes no gamma")
+    if rule.shared_a:
+        homogeneous_susceptibility(net)
     n = net.n
     g = [None] * n if gamma is None else node_vector(net, "gamma", gamma).tolist()
     adj = net.adjacency
@@ -313,19 +322,15 @@ def build_local_views(
     edges = list(zip(senders, sender_a, adj.weights.tolist(), sender_g))
     bounds = adj.offsets.tolist()
     return tuple(
-        LocalView(node=i, n=n, a=a[i], gamma=g[i], in_edges=tuple(edges[lo:hi]))
+        LocalView(rule=rule, node=i, n=n, a=a[i], gamma=g[i], in_edges=tuple(edges[lo:hi]))
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     )
 
 
-def local_step(rule: Rule, view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
-    """One node's update under ``rule`` from its view, own estimate and inbox
-    only; the inbox must hold one value per in-neighbor and nothing else."""
-    if rule.needs_gamma and view.gamma is None:
-        raise ViewViolationError(
-            f"node {view.node + 1} has no self-weight in its view; "
-            "fixed-weight mode needs gamma"
-        )
+def local_step(view: LocalView, own_p: float, inbox: Mapping[int, float]) -> float:
+    """One node's update under the rule its view was built for, from that
+    view, its own estimate and its inbox only; the inbox must hold one value
+    per in-neighbor and nothing else."""
     if inbox.keys() != view.sender_set:
         got = set(inbox)
         raise ViewViolationError(
@@ -333,8 +338,8 @@ def local_step(rule: Rule, view: LocalView, own_p: float, inbox: Mapping[int, fl
             f"unexpected senders {[k + 1 for k in sorted(got - view.sender_set)]}, "
             f"missing senders {[k + 1 for k in sorted(view.sender_set - got)]}"
         )
-    relay = rule.relay
+    relay = view.rule.relay
     acc = 0.0
     for j, a_j, weight, gamma_j in view.in_edges:
         acc += relay(a_j, gamma_j, inbox[j]) * weight
-    return rule.update(view.a, view.gamma, own_p, view.n, acc)
+    return view.rule.update(view.a, view.gamma, own_p, view.n, acc)

@@ -18,15 +18,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import ConfigValidationError
 from .network import InfluenceNetwork, node_vector
 from .perception import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    RULES,
     LocalView,
     Trajectory,
     build_local_views,
-    homogeneous_susceptibility,
     local_step,
     run_to_convergence,
 )
@@ -46,26 +45,12 @@ class Agent:
     inbox: dict[int, float] = field(default_factory=dict)
 
 
-def make_agents(
-    net: InfluenceNetwork,
-    mode: str,
-    p0: np.ndarray,
-    gamma: Optional[np.ndarray] = None,
-) -> list[Agent]:
-    """Agents with freshly built views for the rule ``RULES[mode]``; ``gamma``
-    is given exactly when the rule needs it (no_ra mode)."""
-    rule = RULES.get(mode)
-    if rule is None:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(RULES)}")
-    if rule.needs_gamma and gamma is None:
-        raise ValueError(f"{mode} mode needs a self-weight vector gamma")
-    if not rule.needs_gamma and gamma is not None:
-        raise ValueError(f"{mode} mode takes no gamma")
+def make_agents(net: InfluenceNetwork, mode: str, p0: np.ndarray,
+                gamma: Optional[np.ndarray] = None) -> list[Agent]:
+    """Agents starting at ``p0``, with the views that
+    :func:`~fjpower.perception.build_local_views` builds and checks for ``mode``."""
     p0 = node_vector(net, "p0", p0)
-    if rule.shared_a:
-        homogeneous_susceptibility(net)
-    views = build_local_views(net, gamma)
-    return [Agent(view=v, p=float(p0[v.node])) for v in views]
+    return [Agent(view=v, p=float(p0[v.node])) for v in build_local_views(net, mode, gamma)]
 
 
 def deliver(agents: Sequence[Agent]) -> int:
@@ -73,9 +58,15 @@ def deliver(agents: Sequence[Agent]) -> int:
 
     Every inbox is filled along its own view's in-edges from one list of the
     current estimates, so a round costs O(n + nnz) and each directed edge
-    carries one message.  ``agents[k]`` must be node k's agent, as
-    :func:`make_agents` builds them.  Returns the number of messages delivered.
+    carries one message.  ``agents[k]`` must be node k's agent, for every
+    node, as :func:`make_agents` builds them; the first agent missing or out
+    of place is a ValueError.  Returns the number of messages delivered.
     """
+    nodes = [ag.view.node for ag in agents]
+    if agents and nodes != list(range(agents[0].view.n)):
+        k = next((k for k, i in enumerate(nodes) if i != k), len(nodes))
+        raise ValueError(f"agents[{k}] must be node {k + 1}'s agent, but "
+                         + (f"it is node {nodes[k] + 1}'s" if k < len(nodes) else "it is missing"))
     values = [ag.p for ag in agents]
     count = 0
     for ag in agents:
@@ -87,20 +78,19 @@ def deliver(agents: Sequence[Agent]) -> int:
     return count
 
 
-def advance(agents: Sequence[Agent], mode: str) -> np.ndarray:
+def advance(agents: Sequence[Agent]) -> np.ndarray:
     """Compute phase: every agent updates from (view, own value, inbox) only,
-    under the rule ``RULES[mode]``."""
-    rule = RULES[mode]
-    new_values = [local_step(rule, ag.view, ag.p, ag.inbox) for ag in agents]
+    under the rule its view was built for."""
+    new_values = [local_step(ag.view, ag.p, ag.inbox) for ag in agents]
     for ag, value in zip(agents, new_values):
         ag.p = value
     return np.array(new_values)
 
 
-def run_round(agents: Sequence[Agent], mode: str) -> np.ndarray:
+def run_round(agents: Sequence[Agent]) -> np.ndarray:
     """One full broadcast+compute round; returns the new estimates."""
     deliver(agents)
-    return advance(agents, mode)
+    return advance(agents)
 
 
 def run_distributed(
@@ -121,12 +111,21 @@ def run_distributed(
     """
     agents = make_agents(net, mode, p0, gamma)
     # the agents hold the state; the stop-rule loop's copy is only compared
-    return run_to_convergence(lambda _p: run_round(agents, mode),
+    return run_to_convergence(lambda _p: run_round(agents),
                               [ag.p for ag in agents], tol, max_iter)
 
 
+def claim_name(taken: dict, name: str, label: str) -> None:
+    """Record ``label`` as the batch item that takes the scenario name ``name``, or
+    raise ConfigValidationError if an earlier item did: both would write one file set."""
+    first = taken.setdefault(name, label)
+    if first != label:
+        raise ConfigValidationError(f"{label} repeats the name {name!r} of {first}")
+
+
 def run_batch(scenarios: Sequence, out_dir=None) -> list:
-    """Run many scenarios in order; per-scenario errors become summary entries.
+    """Run many scenarios in order; per-scenario errors, and a name an earlier
+    scenario took (named by 1-based position), become summary entries.
 
     ``scenarios`` holds loaded scenario objects; results keep the input
     order.  ``out_dir`` is forwarded to each run.
@@ -134,8 +133,10 @@ def run_batch(scenarios: Sequence, out_dir=None) -> list:
     from .scenario import run_scenario, error_result  # lazy: scenario imports simkit
 
     results = []
-    for scn in scenarios:
+    taken: dict[str, str] = {}
+    for k, scn in enumerate(scenarios, start=1):
         try:
+            claim_name(taken, scn.name, f"scenario {k}")
             results.append(run_scenario(scn, out_dir=out_dir))
         except Exception as exc:  # noqa: BLE001 — batch must never abort
             results.append(error_result(scn.name, scn.mode, exc))

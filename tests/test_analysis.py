@@ -908,6 +908,26 @@ def test_a_leaf_starting_at_its_limit_is_constant(star3_net):
     assert report.leaves_one_side
 
 
+def test_an_overshooting_leaf_fails_at_its_first_crossing(star3_net, monkeypatch):
+    """A leaf of a fully-stubborn-center star follows p' = (1-a)/n + a p², so
+    from a start in [0, 1] it can neither turn back nor cross its target; a
+    stand-in stepper does: one half-step toward the target, then a reflection
+    through it at every later step."""
+    target = star_equilibrium_closed_form(star3_net)
+    steps = []
+
+    def overshoot(net, p):
+        steps.append(p)
+        return target + (0.5 if len(steps) == 1 else -0.5) * (p - target)
+
+    monkeypatch.setattr(analysis, "step_perception_ra", overshoot)
+    report = monotonicity_test_star(star3_net, np.array([0.3, 0.4, 0.5]))
+    assert not report.ok
+    assert [(row.node, row.direction, row.strict_ok, row.first_violation)
+            for row in report.per_leaf] == [(1, "down", False, 1), (2, "down", False, 1)]
+    assert report.trajectory.converged
+
+
 def test_monotonicity_preconditions(star3_net, triad_net):
     with pytest.raises(WrongTopologyError):
         monotonicity_test_star(triad_net, np.array([0.3, 0.3, 0.3]))

@@ -357,51 +357,50 @@ def test_stacked_runs_take_a_stack_of_starts():
 # ---------------------------------------------------------------------------
 
 def test_views_carry_exactly_the_local_data(anchored_net, triad_gamma):
-    views = build_local_views(anchored_net)
+    views = build_local_views(anchored_net, "ra")
     v1 = views[1]
     assert v1.node == 1 and v1.n == 3 and v1.a == 0.4
     assert v1.gamma is None
     # one (j, a_j, C[j, 1], gamma_j) tuple per in-neighbor j, ascending
     assert v1.in_edges == ((0, 0.0, 0.6, None), (2, 0.6, 0.5, None))
     assert v1.sender_set == {0, 2}
-    with_gamma = build_local_views(anchored_net, triad_gamma)
+    with_gamma = build_local_views(anchored_net, "no_ra", triad_gamma)
     assert with_gamma[1].gamma == 0.5
     assert with_gamma[1].in_edges == ((0, 0.0, 0.6, 0.2), (2, 0.6, 0.5, 0.0))
 
 
 def test_local_updates_take_only_view_own_value_and_inbox():
-    assert list(inspect.signature(local_step).parameters) == ["rule", "view", "own_p", "inbox"]
+    assert list(inspect.signature(local_step).parameters) == ["view", "own_p", "inbox"]
 
 
 def test_fixed_weight_local_update_needs_a_self_weight(anchored_net):
-    view = build_local_views(anchored_net)[1]
-    with pytest.raises(ViewViolationError, match="needs gamma"):
-        local_step(RULES["no_ra"], view, 0.3, {0: 0.1, 2: 0.2})
+    with pytest.raises(ValueError, match="no_ra mode needs a self-weight vector gamma"):
+        build_local_views(anchored_net, "no_ra")
 
 
 def test_inbox_mismatch_is_rejected_with_one_based_ids(anchored_net):
-    view = build_local_views(anchored_net)[1]
+    view = build_local_views(anchored_net, "ra")[1]
     with pytest.raises(ViewViolationError, match=r"missing senders \[3\]"):
-        local_step(RULES["ra"], view, 0.3, {0: 0.1})
+        local_step(view, 0.3, {0: 0.1})
     with pytest.raises(ViewViolationError, match=r"unexpected senders \[2\]"):
-        local_step(RULES["ra"], view, 0.3, {0: 0.1, 1: 0.4, 2: 0.2})
+        local_step(view, 0.3, {0: 0.1, 1: 0.4, 2: 0.2})
 
 
 def test_scalar_updates_match_the_vector_steppers(anchored_net, triad_net, triad_gamma):
     rng = np.random.default_rng(3)
     p = rng.uniform(-1.0, 1.0, size=3)
 
-    ra_views = build_local_views(anchored_net)
+    ra_views = build_local_views(anchored_net, "ra")
     want_ra = step_perception_ra(anchored_net, p)
     for i, view in enumerate(ra_views):
         inbox = {j: p[j] for j in view.sender_set}
-        assert local_step(RULES["ra"], view, p[i], inbox) == pytest.approx(want_ra[i], abs=1e-14)
+        assert local_step(view, p[i], inbox) == pytest.approx(want_ra[i], abs=1e-14)
 
-    no_ra_views = build_local_views(triad_net, triad_gamma)
+    no_ra_views = build_local_views(triad_net, "no_ra", triad_gamma)
     want = step_perception_no_ra(triad_net, triad_gamma, p)
     for i, view in enumerate(no_ra_views):
         inbox = {j: p[j] for j in view.sender_set}
-        assert local_step(RULES["no_ra"], view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
+        assert local_step(view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
 
 
 def test_scalar_homogeneous_update_matches_the_vector_stepper():
@@ -410,9 +409,9 @@ def test_scalar_homogeneous_update_matches_the_vector_stepper():
     net = InfluenceNetwork(C=C, a=np.full(4, 0.35))
     p = rng.uniform(0.0, 1.0, size=4)
     want = step_pagerank_ra(net, p)
-    for i, view in enumerate(build_local_views(net)):
+    for i, view in enumerate(build_local_views(net, "homogeneous")):
         inbox = {j: p[j] for j in view.sender_set}
-        assert local_step(RULES["homogeneous"], view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
+        assert local_step(view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +436,9 @@ def _assert_rules_match_local_steps(seed: int, n: int, kind: str) -> None:
             continue
         g = gamma if rule.needs_gamma else None
         want = _step(rule, net, g, p)
-        for view in build_local_views(net, g):
+        for view in build_local_views(net, name, g):
             inbox = {j: inbox_values[j] for j in view.sender_set}
-            got = local_step(rule, view, inbox_values[view.node], inbox)
+            got = local_step(view, inbox_values[view.node], inbox)
             assert got == want[view.node], (name, view.node)
 
 

@@ -83,7 +83,7 @@ def test_adjacency_matches_dense_scans_and_routes_every_edge(net):
     assert deliver(agents) == np.count_nonzero(net.C)
     gamma = np.linspace(0.0, 1.0, net.n)
     for g in (None, gamma):
-        for i, view in enumerate(build_local_views(net, g)):
+        for i, view in enumerate(build_local_views(net, MODE_RA if g is None else MODE_NO_RA, g)):
             assert view.in_edges == tuple(
                 (j, net.a[j], net.C[j, i], None if g is None else g[j])
                 for j in np.nonzero(net.C[:, i])[0].tolist())
@@ -92,9 +92,37 @@ def test_adjacency_matches_dense_scans_and_routes_every_edge(net):
 def test_round_snapshot_matches_the_vector_stepper(anchored_net):
     p0 = np.array([0.1, 0.2, 0.3])
     agents = make_agents(anchored_net, MODE_RA, p0)
-    after = run_round(agents, MODE_RA)
+    after = run_round(agents)
     want = step_perception_ra(anchored_net, p0)
     assert np.max(np.abs(after - want)) <= 1e-14
+
+
+def test_views_are_built_and_checked_for_one_rule(anchored_net, triad_net, triad_gamma):
+    """A view carries the rule it was built for, so a round reads the rule
+    from its agents: ra agents step the ra map, never the fixed-weight one."""
+    assert all(v.rule is perception.RULES[MODE_RA] for v in build_local_views(anchored_net, MODE_RA))
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        build_local_views(anchored_net, "bogus")
+    with pytest.raises(ValueError, match="ra mode takes no gamma"):
+        build_local_views(anchored_net, MODE_RA, triad_gamma)
+    with pytest.raises(InvalidStructureError, match="one shared susceptibility"):
+        build_local_views(anchored_net, MODE_HOMOGENEOUS)
+    p0 = np.array([0.1, 0.2, 0.3])
+    after = run_round(make_agents(triad_net, MODE_NO_RA, p0, triad_gamma))
+    assert np.array_equal(after, step_perception_no_ra(triad_net, triad_gamma, p0))
+
+
+def test_a_round_needs_node_k_agent_at_position_k(anchored_net):
+    """A reversed list would pair each inbox with another node's view, and a
+    prefix would index past its end; both are rejected before any inbox fills."""
+    p0 = np.array([0.1, 0.2, 0.3])
+    agents = make_agents(anchored_net, MODE_RA, p0)
+    with pytest.raises(ValueError, match=re.escape("agents[0] must be node 1's agent, but it is node 3's")):
+        run_round(agents[::-1])
+    with pytest.raises(ValueError, match=re.escape("agents[2] must be node 3's agent, but it is missing")):
+        deliver(agents[:2])
+    assert all(not ag.inbox for ag in agents)
+    assert np.array_equal(run_round(agents), step_perception_ra(anchored_net, p0))
 
 
 def test_agents_hold_a_fixed_point(star3_net):
@@ -103,7 +131,7 @@ def test_agents_hold_a_fixed_point(star3_net):
     eq = star_equilibrium_closed_form(star3_net)
     agents = make_agents(star3_net, MODE_RA, eq)
     deliver(agents)
-    after = advance(agents, MODE_RA)
+    after = advance(agents)
     assert np.max(np.abs(after - eq)) < 1e-12
 
 
@@ -192,10 +220,10 @@ def test_a_self_weight_vector_of_the_wrong_shape_is_rejected(anchored_net):
     for gamma in (np.array([0.2, 0.3, 0.4, 0.9, 0.9]), np.array([0.5, 0.5]), np.full((3, 1), 0.5)):
         message = re.escape(f"gamma must have shape (3,), got {gamma.shape}")
         with pytest.raises(ValueError, match=message):
-            build_local_views(anchored_net, gamma)
+            build_local_views(anchored_net, MODE_NO_RA, gamma)
         with pytest.raises(ValueError, match="gamma must have shape"):
             run_distributed(anchored_net, MODE_NO_RA, p0, gamma=gamma)
-    assert [v.gamma for v in build_local_views(anchored_net, [0.2, 0.3, 0.4])] == [0.2, 0.3, 0.4]
+    assert [v.gamma for v in build_local_views(anchored_net, MODE_NO_RA, [0.2, 0.3, 0.4])] == [0.2, 0.3, 0.4]
 
 
 def test_divergent_start_stops_before_any_round(anchored_net):
@@ -272,6 +300,27 @@ def test_batch_captures_per_scenario_failures(tmp_path, anchored_net):
     assert "InvalidStructureError" in results[0].error
     assert results[0].exit_code == 1
     assert results[1].status == CONVERGED
+
+
+def test_batch_does_not_run_a_scenario_whose_name_an_earlier_one_took(tmp_path):
+    """Both would write ``same_traj1.csv``; the later one is an error result,
+    named by its position, and the file keeps the first scenario's run."""
+    from dataclasses import replace
+
+    from fjpower.scenario import OutputRequest
+
+    base = replace(load_scenario(SCENARIO_DIR / "three_node_ra.yaml"), name="same",
+                   outputs=(OutputRequest("trajectory_csv"),))
+    first = replace(base, starts=(np.array([0.1, 0.2, 0.7]),))
+    second = replace(base, starts=(np.array([0.9, 0.05, 0.05]),))
+    results = run_batch([first, second], out_dir=tmp_path / "batch")
+    assert [r.status for r in results] == [CONVERGED, "error"]
+    assert results[1].error == ("ConfigValidationError: "
+                                "scenario 2 repeats the name 'same' of scenario 1")
+    assert results[1].artifacts == ()
+    run_batch([first], out_dir=tmp_path / "alone")
+    csv = "same_traj1.csv"
+    assert (tmp_path / "batch" / csv).read_bytes() == (tmp_path / "alone" / csv).read_bytes()
 
 
 def test_empty_batch():
