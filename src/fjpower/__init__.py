@@ -78,9 +78,6 @@ from .analysis import (
     two_sided_box,
 )
 from .simkit import (
-    MODE_HOMOGENEOUS,
-    MODE_NO_RA,
-    MODE_RA,
     Agent,
     advance,
     deliver,

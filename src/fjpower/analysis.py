@@ -169,6 +169,15 @@ def two_sided_box(net: InfluenceNetwork) -> Box:
     return Box(mu, nu)
 
 
+def _star_center(net: InfluenceNetwork, kind: str, needs: str) -> int:
+    """The center of ``net`` when it is a star of ``kind``; otherwise a
+    WrongTopologyError that says what the caller ``needs``."""
+    topo = classify_topology(net)
+    if topo.kind != kind:
+        raise WrongTopologyError(f"{needs}, got {topo}")
+    return topo.center
+
+
 def star_center_floor(net: InfluenceNetwork, center: int) -> tuple[float, float]:
     """Fully-stubborn-node floor pair for the partial-center star box.
 
@@ -192,12 +201,8 @@ def star_invariant_box(net: InfluenceNetwork, loose: bool = False) -> Box:
     1/(2a_c) at the center, 1 elsewhere — the basin used for convergence
     statements.
     """
-    topo = classify_topology(net)
-    if topo.kind != STAR_PARTIAL_CENTER:
-        raise WrongTopologyError(
-            f"star box needs a star with partially stubborn center, got {topo}"
-        )
-    c = topo.center
+    c = _star_center(net, STAR_PARTIAL_CENTER,
+                     "star box needs a star with partially stubborn center")
     n = net.n
     a_c = float(net.a[c])
     nu = np.ones(n)
@@ -450,11 +455,8 @@ def _volatility_cap(net: InfluenceNetwork, timescale: str) -> list[NodeRows]:
 def _star_center_load(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
     """Σ_j a_j/(1-a_j) <= 1/(a_c(1-a_c)) - 4/n over the partially stubborn j != c
     of a star whose center c is partially stubborn; each such j needs C[c, j] = 0."""
-    topo = classify_topology(net)
-    if topo.kind != STAR_PARTIAL_CENTER:
-        raise WrongTopologyError(f"{STAR_CENTER_LOAD} applies to stars with partially "
-                                 f"stubborn center, got {topo}")
-    c = topo.center
+    c = _star_center(net, STAR_PARTIAL_CENTER,
+                     f"{STAR_CENTER_LOAD} applies to stars with partially stubborn center")
     a, a_c = net.a, float(net.a[c])
     leaves = [j for j in net.partially_stubborn if j != c]
     lhs = float(sum(a[j] / (1.0 - a[j]) for j in leaves))
@@ -802,11 +804,8 @@ def monotonicity_test_star(
     earliest all-one-direction tail; guaranteed to appear early when every
     leaf approaches from the same side.
     """
-    topo = classify_topology(net)
-    if topo.kind != STAR_FULL_CENTER:
-        raise WrongTopologyError(
-            f"monotonicity guarantees need a fully stubborn star center, got {topo}"
-        )
+    c = _star_center(net, STAR_FULL_CENTER,
+                     "monotonicity guarantees need a fully stubborn star center")
     p0 = np.asarray(p0, dtype=float)
     if not np.all((p0 >= 0.0) & (p0 <= 1.0)):  # NaN fails too
         raise ValueError("start must lie in [0, 1] per coordinate")
@@ -835,7 +834,6 @@ def monotonicity_test_star(
                 first_violation = s
                 break
         rows.append(NodeMonotonicity(j, direction, first_violation is None, first_violation))
-    c = topo.center
     inc = np.diff(traj.path[:, c])
     flat = 1e-14
     significant = np.nonzero(np.abs(inc) > flat)[0]

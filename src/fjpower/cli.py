@@ -28,6 +28,7 @@ from .scenario import (
     GAMMA_MODES,
     Scenario,
     ScenarioResult,
+    claim_name,
     error_result,
     load_scenario,
     run_reports,
@@ -78,7 +79,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             result = error_result(path.stem, "?", exc)
         else:
             try:  # a repeated name's outputs would overwrite the first file's
-                simkit.claim_name(named, scn.name, path.name)
+                claim_name(named, scn.name, path.name)
             except ConfigValidationError as exc:
                 result = error_result(scn.name, scn.mode, exc)
             else:

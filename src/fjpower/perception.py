@@ -288,6 +288,12 @@ class LocalView:
     gamma: Optional[float]
     in_edges: tuple[tuple[int, float, float, Optional[float]], ...]
 
+    def __post_init__(self):
+        if self.rule.needs_gamma != (self.gamma is not None):
+            raise ValueError(f"node {self.node + 1}'s view "
+                             + ("needs its self-weight gamma" if self.rule.needs_gamma
+                                else "takes no gamma") + " under its rule")
+
     @cached_property
     def sender_set(self) -> frozenset[int]:
         """The only senders an inbox may hold, as a set."""

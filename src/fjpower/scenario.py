@@ -115,9 +115,9 @@ MODE_TABLE = {
         lambda net, gamma, y0: fj_opinion_map(net, gamma, y0)),
     # message-passing runs of the issue-indexed perception maps
     "distributed_no_ra": Mode(True, ISSUE, lambda net, gamma, p0, tol, max_iter: simkit.run_distributed(
-        net, simkit.MODE_NO_RA, p0, gamma, tol, max_iter)),
+        net, "no_ra", p0, gamma, tol, max_iter)),
     "distributed_ra": Mode(False, ISSUE, lambda net, gamma, p0, tol, max_iter: simkit.run_distributed(
-        net, simkit.MODE_RA, p0, None, tol, max_iter)),
+        net, "ra", p0, None, tol, max_iter)),
 }
 
 MODES = tuple(MODE_TABLE)
@@ -175,7 +175,7 @@ class OutputRequest:
     condition_ids: tuple[str, ...] = ()
     samples: int = 1000
     box: str = "two_sided"
-    seed: Optional[int] = None
+    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +216,10 @@ def _vector(raw, n: int, label: str) -> np.ndarray:
     return v
 
 
-def _parse_outputs(raw, name: str) -> tuple[OutputRequest, ...]:
+def _parse_outputs(raw, name: str, seed: int) -> tuple[OutputRequest, ...]:
     """The typed output requests; each artifact or report may be asked for
-    once, since a repeat would replace the earlier one's result."""
+    once, since a repeat would replace the earlier one's result.  An
+    ``invariant_test`` without its own ``seed`` draws from the scenario's."""
     if raw is None:
         return ()
     if not isinstance(raw, list):
@@ -264,11 +265,9 @@ def _parse_outputs(raw, name: str) -> tuple[OutputRequest, ...]:
             where = f"{name}: invariant_test "
             samples = parse_setting("samples", options.get("samples", OutputRequest.samples),
                                     where)
-            seed = options.get("seed")
-            requests.append(
-                OutputRequest(kind=kind, samples=samples, box=box,
-                              seed=None if seed is None else parse_setting("seed", seed, where))
-            )
+            requests.append(OutputRequest(
+                kind=kind, samples=samples, box=box,
+                seed=parse_setting("seed", options.get("seed", seed), where)))
         else:
             if options is not None:
                 _fail(f"{name}: output {kind} takes no options")
@@ -330,7 +329,7 @@ def load_scenario(
 
     ``tol``, ``max_iter`` and ``seed``, when given, override the file's
     top-level settings before anything is drawn, so an overridden ``seed``
-    reaches sampled starts (a sampler's own ``seed:`` still wins).
+    reaches sampled starts and invariant trials (their own ``seed:`` still wins).
     A file that is not UTF-8 or not YAML raises ConfigParseError; an unknown key or any structural
     or network invariant failure raises ConfigValidationError whose message
     names the key, or the violated invariant and the offending (1-based) index.
@@ -383,11 +382,19 @@ def load_scenario(
         else parse_setting(key, overrides[key], f"{name}: override ")
         for key, default in (("tol", DEFAULT_TOL), ("max_iter", DEFAULT_MAX_ITER), ("seed", 0)))
     starts = _parse_starts(doc, net.n, mode, seed, name)
-    outputs = _parse_outputs(doc.get("outputs"), name)
+    outputs = _parse_outputs(doc.get("outputs"), name, seed)
     return Scenario(
         name=name, net=net, mode=mode, starts=starts, gamma=gamma,
         tol=tol, max_iter=max_iter, seed=seed, outputs=outputs,
     )
+
+
+def claim_name(taken: dict, name: str, label: str) -> None:
+    """Record ``label`` as the batch item that takes the scenario name ``name``, or
+    raise ConfigValidationError if an earlier item did: both would write one file set."""
+    first = taken.setdefault(name, label)
+    if first != label:
+        _fail(f"{label} repeats the name {name!r} of {first}")
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +487,8 @@ def _write_reports(scn: Scenario, out_dir: Path) -> tuple[dict, tuple[str, ...]]
         elif request.kind == "invariant_test":
             box = BOX_BUILDERS[request.box](scn.net)
             try:
-                inv = analysis.one_step_invariance_test(
-                    scn.net, box, request.samples,
-                    seed=scn.seed if request.seed is None else request.seed,
-                )
+                inv = analysis.one_step_invariance_test(scn.net, box, request.samples,
+                                                        seed=request.seed)
             except (MemoryError, ValueError, OverflowError) as exc:  # a draw too big, or unbounded
                 raise ConfigValidationError(
                     f"{scn.name}: invariant_test cannot draw {request.samples} samples "

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigValidationError
 from .network import InfluenceNetwork, node_vector
 from .perception import (
     DEFAULT_MAX_ITER,
@@ -29,11 +28,6 @@ from .perception import (
     local_step,
     run_to_convergence,
 )
-
-# the keys of perception.RULES
-MODE_NO_RA = "no_ra"
-MODE_RA = "ra"
-MODE_HOMOGENEOUS = "homogeneous"
 
 
 @dataclass
@@ -60,11 +54,15 @@ def deliver(agents: Sequence[Agent]) -> int:
     current estimates, so a round costs O(n + nnz) and each directed edge
     carries one message.  ``agents[k]`` must be node k's agent, for every
     node, as :func:`make_agents` builds them; the first agent missing or out
-    of place is a ValueError.  Returns the number of messages delivered.
+    of place, or a surplus agent, is a ValueError.  Returns the number of
+    messages delivered.
     """
     nodes = [ag.view.node for ag in agents]
-    if agents and nodes != list(range(agents[0].view.n)):
+    if agents and nodes != list(range(n := agents[0].view.n)):
         k = next((k for k, i in enumerate(nodes) if i != k), len(nodes))
+        if k == n:  # node k would be past the last node
+            raise ValueError(f"the list holds {len(nodes) - n} agent(s) more than "
+                             f"the network's {n} nodes")
         raise ValueError(f"agents[{k}] must be node {k + 1}'s agent, but "
                          + (f"it is node {nodes[k] + 1}'s" if k < len(nodes) else "it is missing"))
     values = [ag.p for ag in agents]
@@ -115,14 +113,6 @@ def run_distributed(
                               [ag.p for ag in agents], tol, max_iter)
 
 
-def claim_name(taken: dict, name: str, label: str) -> None:
-    """Record ``label`` as the batch item that takes the scenario name ``name``, or
-    raise ConfigValidationError if an earlier item did: both would write one file set."""
-    first = taken.setdefault(name, label)
-    if first != label:
-        raise ConfigValidationError(f"{label} repeats the name {name!r} of {first}")
-
-
 def run_batch(scenarios: Sequence, out_dir=None) -> list:
     """Run many scenarios in order; per-scenario errors, and a name an earlier
     scenario took (named by 1-based position), become summary entries.
@@ -130,7 +120,7 @@ def run_batch(scenarios: Sequence, out_dir=None) -> list:
     ``scenarios`` holds loaded scenario objects; results keep the input
     order.  ``out_dir`` is forwarded to each run.
     """
-    from .scenario import run_scenario, error_result  # lazy: scenario imports simkit
+    from .scenario import claim_name, error_result, run_scenario  # lazy: scenario imports simkit
 
     results = []
     taken: dict[str, str] = {}

@@ -34,7 +34,6 @@ from fjpower import (
     step_power_evolution_single,
     two_sided_box,
 )
-from fjpower.simkit import MODE_HOMOGENEOUS, MODE_NO_RA, MODE_RA
 
 from conftest import (
     SCENARIO_DIR,
@@ -320,12 +319,12 @@ def test_criterion_09_homogeneous_total_recursion_and_uniform_limit():
 
 def test_criterion_10_distributed_runs_match_centralized_steppers():
     twins = {
-        "perception_no_ra": MODE_NO_RA,
-        "perception_ra": MODE_RA,
-        "perception_ra_single": MODE_RA,
-        "pagerank_ra": MODE_HOMOGENEOUS,
-        "distributed_no_ra": MODE_NO_RA,
-        "distributed_ra": MODE_RA,
+        "perception_no_ra": "no_ra",
+        "perception_ra": "ra",
+        "perception_ra_single": "ra",
+        "pagerank_ra": "homogeneous",
+        "distributed_no_ra": "no_ra",
+        "distributed_ra": "ra",
     }
     checked = 0
     worst = 0.0
@@ -335,13 +334,13 @@ def test_criterion_10_distributed_runs_match_centralized_steppers():
         if mode is None:
             continue
         for p0 in scn.starts:
-            gamma = scn.gamma if mode == MODE_NO_RA else None
+            gamma = scn.gamma if mode == "no_ra" else None
             dist = run_distributed(
                 scn.net, mode, p0, gamma, tol=scn.tol, max_iter=scn.max_iter
             )
-            if mode == MODE_NO_RA:
+            if mode == "no_ra":
                 stepper = lambda v: step_perception_no_ra(scn.net, scn.gamma, v)
-            elif mode == MODE_HOMOGENEOUS:
+            elif mode == "homogeneous":
                 stepper = lambda v: step_pagerank_ra(scn.net, v)
             else:
                 stepper = lambda v: step_perception_ra(scn.net, v)

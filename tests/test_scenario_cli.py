@@ -17,10 +17,12 @@ from fjpower import (
     MAX_ITER,
     Trajectory,
     load_scenario,
+    one_step_invariance_test,
     run_reports,
     run_scenario,
     solve_equilibrium,
     star_equilibrium_closed_form,
+    star_invariant_box,
     validate_arrays,
     write_trajectory_csv,
 )
@@ -453,6 +455,30 @@ def test_seed_override_reaches_sampled_starts_unless_the_sampler_has_one(tmp_pat
     own = _write(tmp_path, MINIMAL.replace("  p0: [0.5, 0.5]", "  simplex_random: {seed: 5}"),
                  name="own.yaml")
     assert np.array_equal(load_scenario(own, seed=1).starts[0], load_scenario(own).starts[0])
+
+
+def test_invariant_trial_draws_with_the_scenario_seed_unless_it_has_its_own(tmp_path):
+    # no box of this network certifies, so each trial draws and its exits show its seed
+    text = (SCENARIO_DIR / "star_partial" / "star_partial_a.yaml").read_text().replace(
+        "condition_report: [star_center_load]", "invariant_test: {box: star_loose, samples: 200}")
+    plain = _write(tmp_path, text + "seed: 4\n", name="plain.yaml")
+    own = _write(tmp_path, text.replace("samples: 200}", "samples: 200, seed: 9}") + "seed: 4\n",
+                 name="own.yaml")
+    net = load_scenario(plain).net
+
+    def exits(report):
+        return report.exit_count, report.examples.tobytes()
+
+    def drawn(path, **override):
+        result = run_reports(load_scenario(path, **override), out_dir=tmp_path / "out")
+        return exits(result.reports["invariance_star_loose"])
+
+    expected = {seed: exits(one_step_invariance_test(
+        net, star_invariant_box(net, loose=True), 200, seed=seed)) for seed in (4, 9, 11)}
+    assert len(set(expected.values())) == 3
+    assert drawn(plain) == expected[4]
+    assert drawn(plain, seed=11) == expected[11]
+    assert drawn(own) == drawn(own, seed=11) == expected[9]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 60])
