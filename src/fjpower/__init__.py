@@ -13,7 +13,6 @@ from .errors import (
     FJPowerError,
     InvalidStructureError,
     NoConvergenceError,
-    NotStarError,
     SingularSystemError,
     ViewViolationError,
     WrongTopologyError,

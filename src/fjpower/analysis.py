@@ -28,7 +28,6 @@ from .errors import (
     FJPowerError,
     InvalidStructureError,
     NoConvergenceError,
-    NotStarError,
     WrongTopologyError,
 )
 from .network import (
@@ -39,8 +38,8 @@ from .network import (
     classify_topology,
     node_vector,
 )
+from . import perception
 from .perception import (
-    BLOCK_ENTRIES,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     ISSUE,
@@ -307,7 +306,7 @@ def star_equilibrium_closed_form(net: InfluenceNetwork) -> np.ndarray:
     """
     topo = classify_topology(net)
     if not topo.is_star:
-        raise NotStarError(f"closed form needs a star topology, got {topo}")
+        raise WrongTopologyError(f"closed form needs a star topology, got {topo}")
     c = topo.center
     n = net.n
     a = net.a
@@ -562,7 +561,7 @@ def _batch_step_ra(net: InfluenceNetwork, P: np.ndarray) -> np.ndarray:
     """The ``ra`` rule applied to each row of ``P`` at once, in a fresh array.
 
     The relay and the update stream through cache-sized row blocks of about
-    ``BLOCK_ENTRIES`` entries around one BLAS product for all rows (a
+    ``perception.BLOCK_ENTRIES`` entries around one BLAS product for all rows (a
     row-chunked product would change the last bits), so the bits do not
     depend on the block size and memory peaks at about three arrays of
     ``P``'s shape.  The product is no ordered reduction (that would need a
@@ -570,7 +569,7 @@ def _batch_step_ra(net: InfluenceNetwork, P: np.ndarray) -> np.ndarray:
     rounding, not bit-for-bit."""
     ra = RULES["ra"]
     a, n = net.a, net.n
-    rows = max(1, BLOCK_ENTRIES // n)
+    rows = max(1, perception.BLOCK_ENTRIES // n)
     blocks = [slice(s, s + rows) for s in range(0, len(P), rows)]
     G = np.empty(P.shape)
     for b in blocks:
@@ -730,14 +729,14 @@ def contraction_diagnostic(
     With ``verify_fd`` the analytic derivative (I-A) J (I-A)⁻¹ is checked
     against central finite differences of the update map and a mismatch
     beyond ``FD_RTOL`` raises.  The check steps the bumped points in blocks
-    of ``max(1, BLOCK_ENTRIES // n)`` coordinates, so it holds J and
+    of ``max(1, perception.BLOCK_ENTRIES // n)`` coordinates, so it holds J and
     cache-sized blocks: about two n × n arrays in all.
     """
     p = np.asarray(p, dtype=float)
     J = perception_jacobian(net, p)
     if verify_fd:
         a, n = net.a, net.n
-        rows = max(1, BLOCK_ENTRIES // n)
+        rows = max(1, perception.BLOCK_ENTRIES // n)
         # running max |analytic| and max |analytic - fd|; np.maximum keeps a NaN
         top = diff = 0.0
         for s in range(0, n, rows):

@@ -25,10 +25,6 @@ class NoConvergenceError(FJPowerError):
     """No fixed-point run converged within the iteration budget."""
 
 
-class NotStarError(FJPowerError):
-    """Operation requires a star topology."""
-
-
 class InvalidStructureError(FJPowerError):
     """Network shape fails a structural precondition of a closed form."""
 

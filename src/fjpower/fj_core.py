@@ -187,10 +187,17 @@ def step_power_evolution_single(
     """Per-step variant tracking the contribution matrix V alongside x.
 
     V' = A W(x) V + (I - A);  x' = V'^T 1/n.  Start from V = I; x may be any
-    simplex point (it only seeds the first blend).
+    simplex point (it only seeds the first blend).  Raises ValueError unless
+    ``x`` has shape (n,) and ``V`` shape (n, n).
     """
     n = net.n
-    W = influence_matrix(net.C, np.asarray(x, dtype=float))
+    V = np.asarray(V, dtype=float)
+    if V.shape != (n, n):  # a 1-D V would broadcast into a wrong (n, n) state
+        raise ValueError(f"V must have shape ({n}, {n}), got {V.shape}")
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:  # influence_matrix takes stacks of x, and checks x's length
+        raise ValueError(f"x must have shape ({n},), got {x.shape}")
+    W = influence_matrix(net.C, x)
     V_next = net.a[:, None] * (W @ V)
     V_next[np.diag_indices(n)] += 1.0 - net.a
     x_next = V_next.T @ np.full(n, 1.0 / n)

@@ -100,11 +100,10 @@ def _step(rule: Rule, net: InfluenceNetwork, gamma, p: np.ndarray) -> np.ndarray
     p = node_vector(net, "p", p)
     r = rule.relay(a, gamma, p)
     rows = max(1, BLOCK_ENTRIES // n)
-    relay = None
+    relay = np.zeros(n)  # as local_step's acc = 0.0; an axis-0 sum starts from +0.0 too
     for s in range(0, n, rows):
         part = r[s:s + rows, None] * C[s:s + rows]
-        if relay is not None:
-            part[0] += relay  # the senders before this block, summed in order
+        part[0] += relay  # the senders before this block, summed in order
         relay = part.sum(axis=0)
     return rule.update(a, gamma, p, n, relay)
 

@@ -30,6 +30,7 @@ included), and are byte-identical across repeated runs of the same scenario.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -136,6 +137,32 @@ BOX_BUILDERS = {
 # libyaml's parser when PyYAML was built with it; both loaders build documents
 # with SafeConstructor and the same resolver, so they read files identically
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@functools.cache
+def _unique_keys(loader: type) -> type:
+    """``loader`` refusing a key given twice in one mapping, whose last value
+    both loaders would keep without a word; each mapping is checked as it is
+    built, so the cost follows the number of keys, not the size of C."""
+
+    class UniqueKeys(loader):
+        def construct_mapping(self, node, deep=False):
+            # the mapping's own keys, read before a merge key splices in others
+            own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep=deep)
+            lines: dict = {}
+            for key_node in own:
+                key = self.construct_object(key_node, deep=deep)  # built above: a lookup
+                line = key_node.start_mark.line + 1
+                if key in lines:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r} on line {line}, "
+                        f"first given on line {lines[key]}")
+                lines[key] = line
+            return mapping
+
+    return UniqueKeys
+
 
 CSV_STRIDE_THRESHOLD = 10_000
 CSV_STRIDE = 10
@@ -340,7 +367,7 @@ def load_scenario(
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = yaml.load(text, Loader=YAML_LOADER)
+        doc = yaml.load(text, Loader=_unique_keys(YAML_LOADER))
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int literal past 4300 digits
         raise ConfigParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -467,14 +494,21 @@ def _resolve_out_dir(out_dir: Union[str, Path, None]) -> Path:
     return Path(out_dir)
 
 
-def _write_reports(scn: Scenario, out_dir: Path) -> tuple[dict, tuple[str, ...]]:
-    """Produce every non-trajectory artifact the scenario requests and write
-    them to ``<name>_report.txt``; returns the reports and the written path
-    (none when nothing was requested)."""
+def _write_outputs(scn: Scenario, out_dir: Path,
+                   trajs: tuple[Trajectory, ...] = ()) -> tuple[dict, tuple[str, ...]]:
+    """Write the scenario's requested artifacts in request order: one CSV per
+    trajectory in ``trajs`` (none when it is empty) and every report, into
+    ``<name>_report.txt``.  Returns the reports and the written paths, the
+    CSVs first."""
     reports: dict = {}
     lines: list[str] = []
+    written: list[str] = []
     for request in scn.outputs:
-        if request.kind == "equilibrium_report":
+        if request.kind == "trajectory_csv" and trajs:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for k, traj in enumerate(trajs, start=1):
+                written.append(str(write_trajectory_csv(out_dir / f"{scn.name}_traj{k}.csv", traj)))
+        elif request.kind == "equilibrium_report":
             eq = analysis.solve_equilibrium(scn.net, seed=scn.seed, tol=scn.tol,
                                             max_iter=scn.max_iter)
             reports["equilibrium"] = eq
@@ -495,12 +529,12 @@ def _write_reports(scn: Scenario, out_dir: Path) -> tuple[dict, tuple[str, ...]]
                     f"from the {request.box} box: {exc}") from exc
             reports[f"invariance_{request.box}"] = inv
             lines += [f"== invariance {request.box} ==", str(inv), ""]
-    if not lines:
-        return reports, ()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{scn.name}_report.txt"
-    path.write_text("\n".join(lines))
-    return reports, (str(path),)
+    if lines:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / f"{scn.name}_report.txt"
+        path.write_text("\n".join(lines))
+        written.append(str(path))
+    return reports, tuple(written)
 
 
 def run_scenario(scn: Scenario, out_dir: Union[str, Path, None] = None) -> ScenarioResult:
@@ -517,19 +551,10 @@ def run_scenario(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scena
                   for p0 in scn.starts or (None,))
     status = _overall_status(trajs)
     iterations = max(t.iterations for t in trajs)
-    final = trajs[-1].final
-    artifacts: list[str] = []
-    for request in scn.outputs:
-        if request.kind == "trajectory_csv":
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for k, traj in enumerate(trajs, start=1):
-                p = write_trajectory_csv(out_dir / f"{scn.name}_traj{k}.csv", traj)
-                artifacts.append(str(p))
-    reports, written = _write_reports(scn, out_dir)
+    reports, written = _write_outputs(scn, out_dir, trajs)
     return ScenarioResult(
         name=scn.name, mode=scn.mode, status=status, iterations=iterations,
-        final=final, trajectories=trajs, reports=reports,
-        artifacts=tuple(artifacts) + written,
+        final=trajs[-1].final, trajectories=trajs, reports=reports, artifacts=written,
     )
 
 
@@ -539,7 +564,7 @@ def run_reports(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scenar
     Raises ConfigValidationError when the scenario requests none — asking
     for a report from a trajectory-only scenario is a caller mistake.
     """
-    reports, written = _write_reports(scn, _resolve_out_dir(out_dir))
+    reports, written = _write_outputs(scn, _resolve_out_dir(out_dir))
     if not written:
         raise ConfigValidationError(
             f"{scn.name}: no report outputs requested "

@@ -12,7 +12,6 @@ from fjpower import (
     InfluenceNetwork,
     InvalidStructureError,
     NoConvergenceError,
-    NotStarError,
     WrongTopologyError,
     check_condition,
     check_dominance_necessary,
@@ -29,7 +28,7 @@ from fjpower import (
     step_perception_ra,
     two_sided_box,
 )
-from fjpower import analysis, fj_core
+from fjpower import analysis, fj_core, perception
 from fjpower.analysis import CONDITION_IDS, InvarianceReport, star_center_floor
 
 from conftest import random_doubly_stochastic_ring, random_network, random_star_network
@@ -498,11 +497,30 @@ def test_star_closed_form_leaf_interval(star3_net):
 
 
 def test_star_closed_form_structural_errors(anchored_net, four_settings):
-    with pytest.raises(NotStarError):
+    with pytest.raises(WrongTopologyError):
         star_equilibrium_closed_form(anchored_net)
     _, net_d, _ = four_settings[3]
     with pytest.raises(InvalidStructureError, match=r"node\(s\) 4"):
         star_equilibrium_closed_form(net_d)
+
+
+def test_every_star_analysis_names_what_it_needs(anchored_net):
+    """On a general network each star analysis raises one error type whose
+    text says what the analysis needs and what it got."""
+    calls = {
+        "star box needs a star with partially stubborn center":
+            lambda: star_invariant_box(anchored_net),
+        "star_center_load applies to stars with partially stubborn center":
+            lambda: check_condition(anchored_net, "star_center_load"),
+        "monotonicity guarantees need a fully stubborn star center":
+            lambda: monotonicity_test_star(anchored_net, np.full(3, 1 / 3)),
+        "closed form needs a star topology":
+            lambda: star_equilibrium_closed_form(anchored_net),
+    }
+    for needs, call in calls.items():
+        with pytest.raises(WrongTopologyError) as err:
+            call()
+        assert str(err.value) == f"{needs}, got general"
 
 
 def test_closed_form_is_a_fixed_point_of_the_update(star3_net):
@@ -566,7 +584,7 @@ def test_streamed_trial_matches_the_full_array_trial(monkeypatch, block_entries)
     """Every report field is identical to the full-array oracle's, whatever the
     block size: one row per block, ragged last blocks and the default."""
     if block_entries is not None:
-        monkeypatch.setattr(analysis, "BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(perception, "BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(11)
     straddled = False
     for n, samples in ((2, 1000), (3, 4097), (7, 1001), (40, 4000), (300, 701)):
@@ -577,7 +595,7 @@ def test_streamed_trial_matches_the_full_array_trial(monkeypatch, block_entries)
                 got = one_step_invariance_test(net, box, count, seed=n + k)
                 want = _full_array_trial(net, box, count, seed=n + k)
                 assert _fields(got) == _fields(want), (n, k, count)
-                rows = max(1, analysis.BLOCK_ENTRIES // n)
+                rows = max(1, perception.BLOCK_ENTRIES // n)
                 if got.exit_count > analysis.MAX_EXIT_EXAMPLES:
                     straddled |= len({e.sample // rows for e in got.examples}) > 1
     # some trial leaked past MAX_EXIT_EXAMPLES with its kept records spread over blocks
@@ -835,7 +853,7 @@ def test_blocked_jacobian_check_gives_the_same_verdicts(anchored_net, monkeypatc
     coordinates (one per block, ragged blocks of 2 at n = 45, or one block);
     the value, the passes and the raises are those of the whole-matrix check."""
     if block_entries is not None:
-        monkeypatch.setattr(analysis, "BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(perception, "BLOCK_ENTRIES", block_entries)
     p = np.array([0.2, -0.4, 1.3])
     assert contraction_diagnostic(anchored_net, p) == contraction_diagnostic(
         anchored_net, p, verify_fd=False)

@@ -348,6 +348,21 @@ def test_single_step_variant_converges_to_the_same_equilibrium(anchored_net):
     assert np.max(np.abs(x - ANCHORED_POWER_EQ)) < 1e-8
 
 
+def test_single_step_variant_rejects_mis_shaped_states(anchored_net):
+    """A 1-D V broadcast into a (3, 3) state whose x summed to 1.667, and a
+    stack of x came back as (3, 3, 3) arrays; both are ValueErrors now."""
+    x = np.full(3, 1 / 3)
+    calls = {
+        "V must have shape (3, 3), got (3,)": (np.ones(3), x),
+        "V must have shape (3, 3), got (2, 3)": (np.eye(3)[:2], x),
+        "x must have shape (3,), got (3, 3)": (np.eye(3), np.full((3, 3), 1 / 3)),
+        "x must have shape (3,), got (2, 3)": (np.eye(3), np.full((2, 3), 1 / 3)),
+    }
+    for message, (V, x_in) in calls.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step_power_evolution_single(anchored_net, V, x_in)
+
+
 def test_a_one_entry_vector_is_rejected_not_broadcast():
     """Every per-node vector must hold n entries; numpy would stretch a
     1-entry one over all nodes and return numbers."""

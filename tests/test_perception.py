@@ -487,7 +487,7 @@ def test_batch_kernel_rows_match_the_reflected_stepper(monkeypatch, kind, block_
     the whole-array step's bits whatever its block size: one row per block,
     mostly ragged last blocks (100 entries) and the default."""
     if block_entries is not None:
-        monkeypatch.setattr(analysis, "BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(perception, "BLOCK_ENTRIES", block_entries)
     ra = RULES["ra"]
     for seed in range(10):
         net = table_network(seed, 5 + 5 * seed, kind)

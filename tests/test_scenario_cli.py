@@ -149,6 +149,30 @@ def test_unreadable_files_are_parse_errors_under_both_loaders(tmp_path, monkeypa
         load_scenario(latin)
 
 
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_a_repeated_key_is_a_parse_error_naming_it(tmp_path, monkeypatch, loader):
+    """Both loaders keep a repeated key's last value without a word; the
+    scenario loader names the key and both its lines, at every level."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    cases = [
+        # the stray mode used to fail as "social_power ... takes no initial block"
+        (MINIMAL + "mode: social_power\n", "'mode' on line 10, first given on line 7"),
+        (MINIMAL + "tol: 1.0e-6\ntol: 1.0e-3\n", "'tol' on line 11, first given on line 10"),
+        (MINIMAL.replace("  a: [0.5, 0.5]\n", "  a: [0.5, 0.5]\n  a: [0.4, 0.6]\n"),
+         "'a' on line 7, first given on line 6"),
+        (MINIMAL + "outputs:\n  - invariant_test: {samples: 10, samples: 20}\n",
+         "'samples' on line 11, first given on line 11"),
+    ]
+    for text, where in cases:
+        with pytest.raises(ConfigParseError, match=re.escape(f"case.yaml: repeated key {where}")):
+            load_scenario(_write(tmp_path, text))
+    # keys a merge key brings in may be overridden: YAML says the mapping's own win
+    merged = yaml.load("base: &b {x: 1, y: 2}\nuse: {<<: *b, y: 3}\n",
+                       Loader=scenario._unique_keys(loader))
+    assert merged == {"base": {"x": 1, "y": 2}, "use": {"x": 1, "y": 3}}
+
+
 def test_network_invariants_are_named_in_the_error(tmp_path):
     off = MINIMAL.replace("[0.0, 1.0]", "[0.0, 0.99]")
     with pytest.raises(ConfigValidationError, match="row_stochastic") as err:
@@ -573,6 +597,26 @@ def test_artifact_names_and_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("FJPOWER_OUT", str(tmp_path / "from_env"))
     run_scenario(scn)
     assert (tmp_path / "from_env" / "three_node_no_ra_traj1.csv").exists()
+
+
+def test_outputs_are_written_in_request_order(tmp_path):
+    """One pass over the requests writes each output in turn; the CSV paths
+    still come before the report's, and a report that fails stops the
+    outputs requested after it."""
+    text = MINIMAL + "outputs:\n  - condition_report: [incoming_influence_cap]\n  - trajectory_csv\n"
+    result = run_scenario(load_scenario(_write(tmp_path, text)), out_dir=tmp_path / "out")
+    assert result.artifacts == (str(tmp_path / "out" / "case_traj1.csv"),
+                                str(tmp_path / "out" / "case_report.txt"))
+    # no box of this network certifies, so the trial has to draw its samples
+    star = (SCENARIO_DIR / "star_partial" / "star_partial_a.yaml").read_text()
+    star = star[:star.index("outputs:")] + "outputs:\n"
+    csv, draw = "  - trajectory_csv\n", "  - invariant_test: {samples: 10000000000000}\n"
+    for k, (outputs, csv_written) in enumerate(((csv + draw, True), (draw + csv, False))):
+        out = tmp_path / f"out{k}"
+        with pytest.raises(ConfigValidationError, match="cannot draw"):
+            run_scenario(load_scenario(_write(tmp_path, star + outputs)), out_dir=out)
+        assert (out / "star_partial_a_traj1.csv").exists() == csv_written
+        assert not (out / "star_partial_a_report.txt").exists()
 
 
 def test_report_only_entry_point(tmp_path):
