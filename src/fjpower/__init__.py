@@ -61,13 +61,11 @@ from .analysis import (
     ConditionReport,
     EquilibriumReport,
     InvarianceReport,
-    MonotonicityReport,
     check_condition,
     check_dominance_necessary,
     contraction_diagnostic,
     incoming_influence_load,
     incoming_volatility_load,
-    monotonicity_test_star,
     nonneg_box,
     one_step_invariance_test,
     perception_jacobian,

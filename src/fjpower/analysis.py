@@ -9,8 +9,7 @@ artifacts:
   and one-step invariance tests: proved from that image when it fits inside
   the box (to a stated rounding bound), else a Monte-Carlo trial,
 * sufficient/necessary condition evaluators with signed margins,
-* a contraction diagnostic built on the update map's Jacobian,
-* star monotonicity checks.
+* a contraction diagnostic built on the update map's Jacobian.
 
 Every condition evaluator returns a :class:`ConditionReport` whose ``holds``
 flag is equivalent to ``margin >= 0``; strict-inequality sources are noted in
@@ -45,11 +44,8 @@ from .perception import (
     ISSUE,
     RULES,
     STEP,
-    Trajectory,
     homogeneous_susceptibility,
     run_stack_to_convergence,
-    run_to_convergence,
-    step_perception_ra,
 )
 from .fj_core import step_power_evolution
 
@@ -754,99 +750,3 @@ def contraction_diagnostic(
                 f"exceeds {FD_RTOL:.1e}"
             )
     return float(np.max(np.abs(J).sum(axis=0)))
-
-
-# ---------------------------------------------------------------------------
-# star monotonicity
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NodeMonotonicity:
-    node: int
-    direction: str  # "up" | "down" | "constant"
-    strict_ok: bool
-    first_violation: Optional[int]
-
-
-@dataclass(frozen=True, eq=False)
-class MonotonicityReport:
-    """Strictness verdicts per partially stubborn leaf plus the center's tail.
-
-    ``center_tail_start`` is the earliest round from which the center moves
-    one way only; leaves must be strictly monotone toward their closed-form
-    values on the side they start from.
-    """
-
-    per_leaf: tuple[NodeMonotonicity, ...]
-    center: int
-    center_tail_start: int
-    leaves_one_side: bool
-    trajectory: Trajectory
-
-    @property
-    def ok(self) -> bool:
-        return all(row.strict_ok for row in self.per_leaf)
-
-
-def monotonicity_test_star(
-    net: InfluenceNetwork,
-    p0: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> MonotonicityReport:
-    """Run the reflected-appraisal dynamics on a fully-stubborn-center star
-    and check the leaf-monotonicity guarantees.
-
-    Each partially stubborn leaf must approach its closed-form value strictly
-    monotonically from whichever side it starts on (checked while it is more
-    than 1e-10 away, without ever crossing).  The center is scanned for the
-    earliest all-one-direction tail; guaranteed to appear early when every
-    leaf approaches from the same side.
-    """
-    c = _star_center(net, STAR_FULL_CENTER,
-                     "monotonicity guarantees need a fully stubborn star center")
-    p0 = np.asarray(p0, dtype=float)
-    if not np.all((p0 >= 0.0) & (p0 <= 1.0)):  # NaN fails too
-        raise ValueError("start must lie in [0, 1] per coordinate")
-    target = star_equilibrium_closed_form(net)
-    traj = run_to_convergence(
-        lambda v: step_perception_ra(net, v), p0, tol=tol, max_iter=max_iter
-    )
-    active_gap = 1e-10
-    rows: list[NodeMonotonicity] = []
-    for j in net.partially_stubborn:
-        seq = traj.path[:, j]
-        t = target[j]
-        if abs(seq[0] - t) <= active_gap:
-            still = bool(np.all(np.abs(seq - t) <= active_gap))
-            rows.append(NodeMonotonicity(j, "constant", still, None if still else 0))
-            continue
-        rising = seq[0] < t
-        direction = "up" if rising else "down"
-        first_violation: Optional[int] = None
-        for s in range(len(seq) - 1):
-            if abs(seq[s] - t) <= active_gap:
-                break
-            step_up = seq[s + 1] > seq[s]
-            crossed = (seq[s + 1] > t + active_gap) if rising else (seq[s + 1] < t - active_gap)
-            if step_up != rising or crossed:
-                first_violation = s
-                break
-        rows.append(NodeMonotonicity(j, direction, first_violation is None, first_violation))
-    inc = np.diff(traj.path[:, c])
-    flat = 1e-14
-    significant = np.nonzero(np.abs(inc) > flat)[0]
-    tail_start = 0
-    if significant.size:
-        signs = np.sign(inc[significant])
-        changes = np.nonzero(signs[1:] != signs[:-1])[0]
-        if changes.size:
-            tail_start = int(significant[changes[-1] + 1])
-    directions = {row.direction for row in rows if row.direction != "constant"}
-    return MonotonicityReport(
-        per_leaf=tuple(rows),
-        center=c,
-        center_tail_start=tail_start,
-        leaves_one_side=len(directions) <= 1,
-        trajectory=traj,
-    )

@@ -154,21 +154,20 @@ def resolvent_diag_from_cycles(net: InfluenceNetwork, anchor: int, x: np.ndarray
     inverse per anchor, then one small ``(|q| - 1)``-square determinant per
     cycle.
     """
-    x = np.asarray(x, dtype=float)
     i = anchor
-    M = net.a[:, None] * influence_matrix(net.C, x)
+    S = _system(net, x)  # I - M; off its diagonal, -S is M
     cycles = enumerate_stubborn_cycles(net, anchor)
     phi = 0.0
     if cycles and net.a[i] > 0.0:
         rest = np.delete(np.arange(net.n), i)
-        G = _solve(np.eye(net.n - 1) - M[np.ix_(rest, rest)], np.eye(net.n - 1))
+        G = _solve(S[np.ix_(rest, rest)], np.eye(net.n - 1))
         for cyc in cycles:
             nodes = np.array(cyc.nodes)
-            w = float(np.prod(M[nodes[:-1], nodes[1:]]))
+            w = float(np.prod(-S[nodes[:-1], nodes[1:]]))
             interior = nodes[1:-1]
             interior = interior - (interior > i)  # positions in G, which skips i
             phi += w * float(np.linalg.det(G[np.ix_(interior, interior)]))
-    return 1.0 / (1.0 - M[i, i] - phi)
+    return 1.0 / (S[i, i] - phi)
 
 
 def step_power_evolution(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:

@@ -222,6 +222,15 @@ def _fail(message: str) -> None:
     raise ConfigValidationError(message)
 
 
+def _choose(name: str, what: str, value, choices) -> str:
+    """``value`` when it is one of the names ``choices``, else a failure of
+    scenario ``name`` naming ``what``; a non-string (a list, a mapping) is an
+    unknown name too."""
+    if not (isinstance(value, str) and value in choices):
+        _fail(f"{name}: unknown {what} {value!r}; expected one of {choices}")
+    return value
+
+
 def _check_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
     """Reject the first key of ``mapping`` outside ``known``, so a misspelt
     setting fails loudly rather than falling back to its default."""
@@ -266,18 +275,13 @@ def _parse_outputs(raw, name: str, seed: int) -> tuple[OutputRequest, ...]:
             kind, options = next(iter(entry.items()))
         else:
             _fail(f"{name}: each output is a string or a single-key mapping, got {entry!r}")
-        if kind not in OUTPUT_KINDS:
-            _fail(f"{name}: unknown output kind {kind!r}; expected one of {OUTPUT_KINDS}")
+        _choose(name, "output kind", kind, OUTPUT_KINDS)
         if kind == "condition_report":
             if not isinstance(options, list) or not options:
                 _fail(f"{name}: condition_report needs a list of condition ids")
             ids = tuple(options)
             for cid in ids:
-                if cid not in analysis.CONDITION_IDS:
-                    _fail(
-                        f"{name}: unknown condition id {cid!r}; "
-                        f"expected one of {analysis.CONDITION_IDS}"
-                    )
+                _choose(name, "condition id", cid, analysis.CONDITION_IDS)
                 claim(f"condition {cid!r}")
             requests.append(OutputRequest(kind=kind, condition_ids=ids))
         elif kind == "invariant_test":
@@ -285,9 +289,7 @@ def _parse_outputs(raw, name: str, seed: int) -> tuple[OutputRequest, ...]:
             if not isinstance(options, dict):
                 _fail(f"{name}: invariant_test options must be a mapping")
             _check_keys(options, ("samples", "box", "seed"), f"{name}: invariant_test ")
-            box = options.get("box", OutputRequest.box)
-            if box not in BOX_BUILDERS:
-                _fail(f"{name}: unknown box {box!r}; expected one of {sorted(BOX_BUILDERS)}")
+            box = _choose(name, "box", options.get("box", OutputRequest.box), sorted(BOX_BUILDERS))
             claim(f"invariant_test on the {box!r} box")
             where = f"{name}: invariant_test "
             samples = parse_setting("samples", options.get("samples", OutputRequest.samples),
@@ -313,6 +315,7 @@ def _parse_starts(doc: dict, n: int, mode: str, seed: int, name: str) -> tuple[n
         _fail(f"{name}: initial must be a mapping with exactly one of "
               "p0 | uniform_in_box | simplex_random")
     key, value = next(iter(initial.items()))
+    _choose(name, "initial spec", key, ("p0", "uniform_in_box", "simplex_random"))
     if key == "p0":
         rows = value
         if not isinstance(rows, list) or not rows:
@@ -320,8 +323,6 @@ def _parse_starts(doc: dict, n: int, mode: str, seed: int, name: str) -> tuple[n
         if not isinstance(rows[0], list):
             rows = [rows]
         return tuple(_vector(row, n, f"{name}: initial.p0[{k}]") for k, row in enumerate(rows))
-    if key not in ("uniform_in_box", "simplex_random"):
-        _fail(f"{name}: unknown initial spec {key!r}")
     value = {} if value is None else value
     if not isinstance(value, dict):
         _fail(f"{name}: {key} options must be a mapping")
@@ -391,9 +392,7 @@ def load_scenario(
         net = InfluenceNetwork(C=C, a=a)
     except ValueError as exc:  # the network's invariants, checked once, as it is built
         raise ConfigValidationError(f"{name}: {exc}") from exc
-    mode = doc.get("mode")
-    if mode not in MODES:
-        _fail(f"{name}: unknown mode {mode!r}; expected one of {MODES}")
+    mode = _choose(name, "mode", doc.get("mode"), MODES)
     gamma = doc.get("gamma")
     if MODE_TABLE[mode].needs_gamma:
         if gamma is None:

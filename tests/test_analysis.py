@@ -18,10 +18,10 @@ from fjpower import (
     contraction_diagnostic,
     incoming_influence_load,
     incoming_volatility_load,
-    monotonicity_test_star,
     nonneg_box,
     one_step_invariance_test,
     perception_jacobian,
+    run_to_convergence,
     solve_equilibrium,
     star_equilibrium_closed_form,
     star_invariant_box,
@@ -512,8 +512,6 @@ def test_every_star_analysis_names_what_it_needs(anchored_net):
             lambda: star_invariant_box(anchored_net),
         "star_center_load applies to stars with partially stubborn center":
             lambda: check_condition(anchored_net, "star_center_load"),
-        "monotonicity guarantees need a fully stubborn star center":
-            lambda: monotonicity_test_star(anchored_net, np.full(3, 1 / 3)),
         "closed form needs a star topology":
             lambda: star_equilibrium_closed_form(anchored_net),
     }
@@ -890,72 +888,50 @@ def test_the_jacobian_check_allocates_no_bumped_square():
 # star monotonicity
 # ---------------------------------------------------------------------------
 
+def _leaf_directions(net, p0, band=1e-10):
+    """Run a fully-stubborn-center star from ``p0`` and check every partially
+    stubborn leaf's approach to its closed form: its gap shrinks strictly at
+    every step without changing sign until it is within ``band``, and then
+    stays there.  Returns each leaf's side as "down", "up" or "constant"."""
+    target = star_equilibrium_closed_form(net)
+    traj = run_to_convergence(lambda v: step_perception_ra(net, v), p0)
+    assert traj.converged
+    directions = {}
+    for j in net.partially_stubborn:
+        gap = traj.path[:, j] - target[j]
+        inside = np.abs(gap) <= band
+        k = int(np.argmax(inside)) if inside.any() else len(gap)
+        assert np.all(np.diff(np.abs(gap[:k + 1])) < 0), j
+        assert np.all(np.sign(gap[:k]) == np.sign(gap[0])), j
+        assert np.all(inside[k:]), j
+        directions[int(j)] = "constant" if k == 0 else ("down" if gap[0] > 0 else "up")
+    return directions
+
+
 def test_monotone_approach_from_above(star3_net):
-    report = monotonicity_test_star(star3_net, np.array([0.3, 0.4, 0.5]))
-    assert report.ok
-    assert report.center == 0
-    assert [row.node for row in report.per_leaf] == [1, 2]
-    assert [row.direction for row in report.per_leaf] == ["down", "down"]
-    assert all(row.first_violation is None for row in report.per_leaf)
-    assert report.leaves_one_side
-    assert report.trajectory.converged
+    assert _leaf_directions(star3_net, np.array([0.3, 0.4, 0.5])) == {1: "down", 2: "down"}
 
 
 def test_monotone_approach_from_below(star3_net):
-    report = monotonicity_test_star(star3_net, np.array([0.8, 0.2, 0.0]))
-    assert report.ok
-    assert [row.direction for row in report.per_leaf] == ["up", "up"]
-    assert report.leaves_one_side
-
-
-def test_center_tail_settles_quickly(star3_net):
-    report = monotonicity_test_star(star3_net, np.array([0.9, 0.8, 0.6]))
-    assert report.ok
-    assert [row.direction for row in report.per_leaf] == ["down", "down"]
-    assert report.center_tail_start <= 2
+    assert _leaf_directions(star3_net, np.array([0.8, 0.2, 0.0])) == {1: "up", 2: "up"}
 
 
 def test_a_leaf_starting_at_its_limit_is_constant(star3_net):
     """A leaf relays only its own estimate's terms, so from its closed-form
     value it stays there; the other leaf still has a side."""
     p0 = np.array([0.3, star_equilibrium_closed_form(star3_net)[1], 0.5])
-    report = monotonicity_test_star(star3_net, p0)
-    assert report.ok
-    assert [(row.node, row.direction) for row in report.per_leaf] == [(1, "constant"), (2, "down")]
-    assert report.per_leaf[0].first_violation is None
-    assert report.leaves_one_side
+    assert _leaf_directions(star3_net, p0) == {1: "constant", 2: "down"}
 
 
-def test_an_overshooting_leaf_fails_at_its_first_crossing(star3_net, monkeypatch):
-    """A leaf of a fully-stubborn-center star follows p' = (1-a)/n + a p², so
-    from a start in [0, 1] it can neither turn back nor cross its target; a
-    stand-in stepper does: one half-step toward the target, then a reflection
-    through it at every later step."""
-    target = star_equilibrium_closed_form(star3_net)
-    steps = []
-
-    def overshoot(net, p):
-        steps.append(p)
-        return target + (0.5 if len(steps) == 1 else -0.5) * (p - target)
-
-    monkeypatch.setattr(analysis, "step_perception_ra", overshoot)
-    report = monotonicity_test_star(star3_net, np.array([0.3, 0.4, 0.5]))
-    assert not report.ok
-    assert [(row.node, row.direction, row.strict_ok, row.first_violation)
-            for row in report.per_leaf] == [(1, "down", False, 1), (2, "down", False, 1)]
-    assert report.trajectory.converged
-
-
-def test_monotonicity_preconditions(star3_net, triad_net):
-    with pytest.raises(WrongTopologyError):
-        monotonicity_test_star(triad_net, np.array([0.3, 0.3, 0.3]))
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        monotonicity_test_star(star3_net, np.array([0.3, -0.1, 0.3]))
-
-
-def test_monotonicity_rejects_a_nonfinite_start():
-    C = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    net = InfluenceNetwork(C=C, a=np.array([0.0, 0.6, 0.4]))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            monotonicity_test_star(net, np.array([bad, 0.2, 0.3]))
+def test_star_leaves_approach_their_limits_monotonically():
+    """A fully stubborn center relays nothing, so each partially stubborn leaf
+    follows p' = (1-a)/n + a p²: from any start in [0, 1] it approaches its
+    closed form from one side.  One start per network puts a leaf at its limit."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        net = random_star_network(rng, int(rng.integers(2, 9)), center_fully_stubborn=True)
+        for p0 in rng.uniform(size=(3, net.n)):
+            _leaf_directions(net, p0)
+        leaf = int(net.partially_stubborn[0])
+        p0[leaf] = star_equilibrium_closed_form(net)[leaf]
+        assert _leaf_directions(net, p0)[leaf] == "constant", seed

@@ -324,6 +324,7 @@ def test_output_requests_are_validated(tmp_path):
         ("outputs:\n  - condition_report: []\n", "needs a list"),
         ("outputs:\n  - condition_report: [flattery]\n", "unknown condition id"),
         ("outputs:\n  - invariant_test: {box: moon}\n", "unknown box"),
+        ("outputs:\n  - invariant_test: {box: [two_sided]}\n", "unknown box"),
         ("outputs:\n  - invariant_test: {samples: 0}\n", "must be positive"),
         ("outputs:\n  - trajectory_csv: {pretty: true}\n", "takes no options"),
         ("outputs:\n  trajectory_csv: null\n", "outputs must be a list"),
@@ -796,6 +797,24 @@ def test_cli_batch_reports_oversized_integers_per_file(tmp_path, capsys):
     assert lines[0].startswith("a: error after 0 iteration(s) error: ConfigValidationError: a: max_iter")
     assert lines[1].startswith("b: error after 0 iteration(s) error: Config")
     assert lines[2].startswith("c: converged")
+
+
+def test_cli_batch_goes_on_past_a_box_that_is_not_a_name(tmp_path, capsys):
+    """A list is no box name: its file fails as a config error, and the files
+    sorted after it still run."""
+    (tmp_path / "scn").mkdir()
+    (tmp_path / "scn" / "a.yaml").write_text(
+        MINIMAL.replace("case", "a") + "outputs:\n  - invariant_test: {box: [two_sided]}\n")
+    (tmp_path / "scn" / "b.yaml").write_text(
+        MINIMAL.replace("case", "b") + "outputs: [trajectory_csv]\n")
+    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split(":")[0] for line in lines] == ["a", "b"]
+    assert lines[0].startswith(
+        "a: error after 0 iteration(s) error: ConfigValidationError: a: unknown box ['two_sided']")
+    assert lines[1].startswith("b: converged")
+    assert (tmp_path / "out" / "b_traj1.csv").exists()
 
 
 def test_cli_rejects_oversized_integer_overrides(tmp_path, capsys):
