@@ -4,6 +4,11 @@ Groups the machinery that turns the model's guarantees into testable
 artifacts:
 
 * multistart equilibrium solving with agreement *evidence* (never proof),
+* a proof of uniqueness, :func:`certify_uniqueness`: box steps from [0, 1]ⁿ
+  until a contraction bound falls below 1.  A scenario's equilibrium report
+  (:func:`equilibrium_report`) then runs one start and states the proof and
+  a certified error bound; where no proof is found it falls back to the
+  multistart evidence,
 * closed-form equilibria for star networks,
 * invariant coordinate boxes, the exact image of a box under the update,
   and one-step invariance tests: proved from that image when it fits inside
@@ -18,7 +23,7 @@ the docstrings but the boundary case is reported as holding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -62,6 +67,9 @@ FD_STEP = 1e-6  # central finite-difference step of the Jacobian check
 FD_RTOL = 1e-6  # relative Jacobian/finite-difference mismatch that raises
 EXIT_SLACK = 1e-12  # how far outside its box a stepped coordinate may land
 MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance report keeps
+UNIQUENESS_STEPS = 64  # box steps certify_uniqueness takes before it gives up
+UNIQUENESS_SHRINK = 2.0**-8  # share of a width a box step must take to go on
+_U = np.finfo(float).eps / 2.0  # unit roundoff
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +172,11 @@ def two_sided_box(net: InfluenceNetwork) -> Box:
     return Box(mu, nu)
 
 
-def _star_center(net: InfluenceNetwork, kind: str, needs: str) -> int:
-    """The center of ``net`` when it is a star of ``kind``; otherwise a
-    WrongTopologyError that says what the caller ``needs``."""
+def _star_center(net: InfluenceNetwork, needs: str) -> int:
+    """The center of ``net`` when it is a star with partially stubborn center;
+    otherwise a WrongTopologyError that says what the caller ``needs``."""
     topo = classify_topology(net)
-    if topo.kind != kind:
+    if topo.kind != STAR_PARTIAL_CENTER:
         raise WrongTopologyError(f"{needs}, got {topo}")
     return topo.center
 
@@ -196,8 +204,7 @@ def star_invariant_box(net: InfluenceNetwork, loose: bool = False) -> Box:
     1/(2a_c) at the center, 1 elsewhere — the basin used for convergence
     statements.
     """
-    c = _star_center(net, STAR_PARTIAL_CENTER,
-                     "star box needs a star with partially stubborn center")
+    c = _star_center(net, "star box needs a star with partially stubborn center")
     n = net.n
     a_c = float(net.a[c])
     nu = np.ones(n)
@@ -221,7 +228,10 @@ class EquilibriumReport:
 
     ``starts_agreeing`` out of ``total_starts`` converged to within the
     agreement tolerance of the consensus point — numerical *evidence* of
-    uniqueness, not a proof.
+    uniqueness, not a proof.  A report of :func:`equilibrium_report` on a
+    certified network instead carries the proof, ``certificate``, and
+    ``error_bound``, a bound on ``‖p_star - p*‖_w`` (see
+    :func:`certify_uniqueness`).
     """
 
     p_star: np.ndarray
@@ -231,14 +241,22 @@ class EquilibriumReport:
     total_starts: int
     in_simplex: bool
     interior: bool
+    certificate: Optional[UniquenessCertificate] = None
+    error_bound: float = math.nan
 
     def __str__(self) -> str:
         coords = ", ".join(f"{v:.12g}" for v in self.p_star)
+        cert = self.certificate
+        if cert is None:
+            unique = (f"{self.starts_agreeing}/{self.total_starts} starts agree "
+                      "(uniqueness evidence)")
+        else:
+            # raised by 0.1 %, so that the 4-digit print, rounded to nearest, is a bound
+            unique = (f"proved unique (rho {cert.rho[-1]:.4g} < 1 on box X_{cert.steps}); "
+                      f"||p - p*||_w <= {self.error_bound * 1.001:.3e}")
         return (
-            f"equilibrium ({coords}); residual {self.residual:.3e}; "
-            f"{self.starts_agreeing}/{self.total_starts} starts agree "
-            f"(uniqueness evidence); in_simplex={self.in_simplex} "
-            f"interior={self.interior}"
+            f"equilibrium ({coords}); residual {self.residual:.3e}; {unique}; "
+            f"in_simplex={self.in_simplex} interior={self.interior}"
         )
 
 
@@ -450,8 +468,7 @@ def _volatility_cap(net: InfluenceNetwork, timescale: str) -> list[NodeRows]:
 def _star_center_load(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
     """Σ_j a_j/(1-a_j) <= 1/(a_c(1-a_c)) - 4/n over the partially stubborn j != c
     of a star whose center c is partially stubborn; each such j needs C[c, j] = 0."""
-    c = _star_center(net, STAR_PARTIAL_CENTER,
-                     f"{STAR_CENTER_LOAD} applies to stars with partially stubborn center")
+    c = _star_center(net, f"{STAR_CENTER_LOAD} applies to stars with partially stubborn center")
     a, a_c = net.a, float(net.a[c])
     leaves = [j for j in net.partially_stubborn if j != c]
     lhs = float(sum(a[j] / (1.0 - a[j]) for j in leaves))
@@ -605,9 +622,8 @@ def box_image(net: InfluenceNetwork, box: Box) -> tuple[np.ndarray, np.ndarray, 
     """
     ra = RULES["ra"]
     a, n = net.a, net.n
-    u = np.finfo(float).eps / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
-        widen = 4.0 * u * (np.abs(box.mu) + np.abs(box.nu))
+        widen = 4.0 * _U * (np.abs(box.mu) + np.abs(box.nu))
         mu, nu = box.mu - widen, box.nu + widen
         r_hi = ra.relay(a, None, np.clip(0.5, mu, nu))
         r_lo = np.minimum(ra.relay(a, None, mu), ra.relay(a, None, nu))
@@ -617,7 +633,7 @@ def box_image(net: InfluenceNetwork, box: Box) -> tuple[np.ndarray, np.ndarray, 
         lo = ra.update(a, None, np.clip(0.0, mu, nu), n, g_lo)
         hi = ra.update(a, None, far, n, g_hi)
         k = n + 16
-        err = k * u / (1.0 - k * u) * ra.update(a, None, far, n, g_abs)
+        err = k * _U / (1.0 - k * _U) * ra.update(a, None, far, n, g_abs)
     return lo, hi, err
 
 
@@ -695,6 +711,118 @@ def one_step_invariance_test(
         examples.flags.writeable = False
     return InvarianceReport(samples=samples, exit_count=len(exits), examples=examples,
                             margin=margin)
+
+
+# ---------------------------------------------------------------------------
+# uniqueness certificate
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class UniquenessCertificate:
+    """The box steps of :func:`certify_uniqueness`: ``box`` is the box reached
+    after ``steps`` steps from [0, 1]ⁿ, and ``rho[k]`` bounds from above the
+    contraction factor over the box of step k.  The network is ``certified``
+    when the last bound is below 1."""
+
+    box: Box
+    rho: tuple[float, ...]
+
+    @property
+    def steps(self) -> int:
+        return len(self.rho) - 1
+
+    @property
+    def certified(self) -> bool:
+        return self.rho[-1] < 1.0
+
+
+def _contraction_bound(net: InfluenceNetwork, box: Box) -> float:
+    """``max_j a_j max(2|p_j| + |1 - 2p_j|)`` over ``box``'s endpoints (the
+    term is convex in p_j, so the endpoints hold its maximum), raised by
+    ``8u`` to cover its three roundings: never below the exact value."""
+    def g(p):
+        return 2.0 * np.abs(p) + np.abs(1.0 - 2.0 * p)
+    return float(np.max(net.a * np.maximum(g(box.mu), g(box.nu)))) * (1.0 + 8.0 * _U)
+
+
+def certify_uniqueness(net: InfluenceNetwork) -> UniquenessCertificate:
+    """Prove that power evolution has exactly one fixed point in the simplex,
+    or give up.
+
+    The fixed points of power evolution are those of the ``ra`` map F: at
+    ``x = PE(x)``, ``u = (I-A)⁻¹x`` solves ``(I - W(x)ᵀA) u = 1/n``, which
+    row by row is F's fixed-point equation, and the steps reverse.  They lie
+    in the simplex, so in ``X₀ = [0, 1]ⁿ``, and each step
+    ``X_{k+1} = X_k ∩ [lo - 2 err, hi + 2 err]``, with ``(lo, hi, err)``
+    from :func:`box_image` on ``X_k``, keeps every one of them.
+
+    The derivative of F is ``(I-A) J (I-A)⁻¹`` (see
+    :func:`perception_jacobian`), so in the norm ``‖v‖_w = Σ_i |v_i|/(1-a_i)``
+    F is Lipschitz on a box with the constant ``max_p ‖J(p)‖₁``, which
+    :func:`contraction_diagnostic`'s column sums give as
+    ``ρ = max_j a_j max(2|p_j| + |1-2p_j|)`` over the box's endpoints.  Once
+    ``ρ_k < 1``, two fixed points p, q in ``X_k`` would satisfy
+    ``‖p - q‖_w ≤ ρ_k ‖p - q‖_w``, so there is at most one; power evolution
+    maps the simplex into itself, so by Brouwer there is one.  For any p in
+    ``X_k``, ``‖p - p*‖_w ≤ ‖F(p) - p‖_w / (1 - ρ_k)``.
+
+    Steps stop at the first k with ``ρ_k < 1`` (certified), at the first
+    step that does not shrink the box, or after ``UNIQUENESS_STEPS`` steps.
+    A step shrinks the box when it takes at least ``UNIQUENESS_SHRINK`` of
+    some coordinate's width: the bounds converge geometrically to the box
+    the steps leave fixed, and a box that stops shrinking at that rate stays
+    near it, with ρ about as large.
+    """
+    box = Box(np.zeros(net.n), np.ones(net.n))
+    rho = [_contraction_bound(net, box)]
+    while rho[-1] >= 1.0 and len(rho) <= UNIQUENESS_STEPS:
+        lo, hi, err = box_image(net, box)
+        mu, nu = np.maximum(box.mu, lo - 2.0 * err), np.minimum(box.nu, hi + 2.0 * err)
+        if not np.any(nu - mu < (1.0 - UNIQUENESS_SHRINK) * (box.nu - box.mu)):
+            break
+        box = Box(mu, nu)
+        rho.append(_contraction_bound(net, box))
+    return UniquenessCertificate(box=box, rho=tuple(rho))
+
+
+def _distance_bound(net: InfluenceNetwork, cert: UniquenessCertificate, p: np.ndarray) -> float:
+    """``(‖F(p) - p‖_w + ‖err‖_w) / (1 - ρ)`` for p in the certified box, with
+    F(p) taken by ``_batch_step_ra`` and ``err`` the bound :func:`box_image`
+    gives on that step's rounding over the box; raised by 2⁻²⁰, which covers
+    the n + 6 roundings of this sum for n below 2³²."""
+    _, _, err = box_image(net, cert.box)
+    moved = np.abs(_batch_step_ra(net, p[None, :])[0] - p)
+    return float(np.sum((moved + err) / (1.0 - net.a))) / (1.0 - cert.rho[-1]) * (1.0 + 2.0**-20)
+
+
+def equilibrium_report(
+    net: InfluenceNetwork,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> EquilibriumReport:
+    """The equilibrium of a scenario's ``equilibrium_report``.
+
+    When :func:`certify_uniqueness` certifies ``net``, only the barycenter
+    start of :func:`solve_equilibrium` runs, and the report carries the
+    certificate and the bound on its limit's distance to the unique
+    equilibrium; its p*, residual and iterations are those of the full
+    search, whose consensus is that start's limit.  The full search, with
+    its agreement evidence, runs instead when the network does not certify,
+    when that start does not converge, or when its limit lies outside the
+    certified box.
+    """
+    cert = certify_uniqueness(net)
+    if cert.certified:
+        try:
+            eq = solve_equilibrium(net, multistarts=0, seed=seed, tol=tol, max_iter=max_iter)
+        except NoConvergenceError:
+            pass
+        else:
+            if cert.box.contains(eq.p_star):
+                return replace(eq, certificate=cert,
+                               error_bound=_distance_bound(net, cert, eq.p_star))
+    return solve_equilibrium(net, seed=seed, tol=tol, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -26,21 +26,28 @@ from .network import InfluenceNetwork, enumerate_stubborn_cycles, node_vector
 STACK_ENTRIES = 1 << 17  # matrix entries (1 MB) one stacked power solve may hold
 
 
-def _blend_operands(C: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(C, w)`` as float arrays, with one weight per node on w's last axis."""
+def _check_nodes(n: int, w: np.ndarray, name: str) -> None:
+    """Raise a ValueError naming the caller's argument ``name`` unless ``w``
+    has n entries on its last axis; a shorter vector would broadcast silently."""
+    if w.shape[-1:] != (n,):
+        raise ValueError(f"{name} must have {n} entries on their last axis, got shape {w.shape}")
+
+
+def _blend_operands(C: np.ndarray, weights: np.ndarray,
+                    name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(C, w)`` as float arrays, with one weight per node on w's last axis,
+    which :func:`_check_nodes` checks under the caller's ``name``."""
     w = np.asarray(weights, dtype=float)
     # C order whatever C's layout, so products with W sum in one order
     C = np.ascontiguousarray(C, dtype=float)
-    if w.shape[-1:] != C.shape[:1]:  # a shorter vector would broadcast silently
-        raise ValueError(f"weights must have {len(C)} entries on their last axis, "
-                         f"got shape {w.shape}")
+    _check_nodes(len(C), w, name)
     return C, w
 
 
 def influence_matrix(C: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """W = diag(weights) + (I - diag(weights)) @ C, for any real weights; a
     (k, n) stack of weight vectors gives the (k, n, n) stack of their W."""
-    C, w = _blend_operands(C, weights)
+    C, w = _blend_operands(C, weights, "weights")
     # + 0.0 is the 0.0 + x of diag(w) + ...: -0.0 becomes +0.0 off the diagonal
     W = (1.0 - w)[..., :, None] * C + 0.0
     # the diagonal is w + x, whatever the sign of a zero x
@@ -55,14 +62,15 @@ def _solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularSystemError(str(exc)) from exc
 
 
-def _system(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
-    """I - A W(x) in one array; a (k, n) stack of x gives k systems.
+def _system(net: InfluenceNetwork, x: np.ndarray, name: str = "x") -> np.ndarray:
+    """I - A W(x) in one array; a (k, n) stack of x gives k systems.  A
+    wrong-length x is reported under the caller's ``name`` for it.
 
     Off the diagonal an entry is 0.0 - a_i (1 - x_i) C_ij.  W's + 0.0 only
     turns a -0.0 product into +0.0, and 0.0 - y is +0.0 for either zero, so
     skipping it keeps the bits of I - A W(x), signed zeros included.
     """
-    C, w = _blend_operands(net.C, x)
+    C, w = _blend_operands(net.C, x, name)
     a = net.a
     M = (1.0 - w)[..., :, None] * C
     M *= a[:, None]
@@ -87,12 +95,12 @@ def step_fj_opinions(
 
 def final_opinions(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Discussion limit (I - A W(gamma))^{-1} (I - A) y0, by direct solve."""
-    return _solve(_system(net, gamma), (1.0 - net.a) * node_vector(net, "y0", y0))
+    return _solve(_system(net, gamma, "gamma"), (1.0 - net.a) * node_vector(net, "y0", y0))
 
 
 def _power(net: InfluenceNetwork, gamma: np.ndarray) -> np.ndarray:
     """compute_social_power with every row of ``gamma`` in one stacked solve."""
-    M = _system(net, gamma)  # I - A W, whose transpose I - W^T A is solved
+    M = _system(net, gamma, "gamma")  # I - A W, whose transpose I - W^T A is solved
     # the right-hand side is a column, (n, 1) or (k, n, 1): numpy 1.x and 2.x
     # read a 1-D or (k, n) b differently, and (k, n) is ambiguous when k == n
     b = np.full(M.shape[:-1] + (1,), 1.0 / net.n)
@@ -177,6 +185,8 @@ def step_power_evolution(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
     (k, n) stack of powers steps every row, in the chunks of
     :func:`compute_social_power`.
     """
+    x = np.asarray(x, dtype=float)
+    _check_nodes(net.n, x, "x")
     return compute_social_power(net, x)
 
 
@@ -194,7 +204,7 @@ def step_power_evolution_single(
     if V.shape != (n, n):  # a 1-D V would broadcast into a wrong (n, n) state
         raise ValueError(f"V must have shape ({n}, {n}), got {V.shape}")
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:  # influence_matrix takes stacks of x, and checks x's length
+    if x.shape != (n,):  # influence_matrix would take a stack of x
         raise ValueError(f"x must have shape ({n},), got {x.shape}")
     W = influence_matrix(net.C, x)
     V_next = net.a[:, None] * (W @ V)

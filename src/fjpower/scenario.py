@@ -508,8 +508,8 @@ def _write_outputs(scn: Scenario, out_dir: Path,
             for k, traj in enumerate(trajs, start=1):
                 written.append(str(write_trajectory_csv(out_dir / f"{scn.name}_traj{k}.csv", traj)))
         elif request.kind == "equilibrium_report":
-            eq = analysis.solve_equilibrium(scn.net, seed=scn.seed, tol=scn.tol,
-                                            max_iter=scn.max_iter)
+            eq = analysis.equilibrium_report(scn.net, seed=scn.seed, tol=scn.tol,
+                                             max_iter=scn.max_iter)
             reports["equilibrium"] = eq
             lines += ["== equilibrium ==", str(eq), ""]
         elif request.kind == "condition_report":

@@ -1,6 +1,9 @@
-"""Boxes, condition reports, equilibrium evidence, invariance and monotonicity."""
+"""Boxes, condition reports, equilibrium evidence and proofs, invariance and
+monotonicity."""
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,11 +24,13 @@ from fjpower import (
     nonneg_box,
     one_step_invariance_test,
     perception_jacobian,
+    run_stack_to_convergence,
     run_to_convergence,
     solve_equilibrium,
     star_equilibrium_closed_form,
     star_invariant_box,
     step_perception_ra,
+    step_power_evolution,
     two_sided_box,
 )
 from fjpower import analysis, fj_core, perception
@@ -33,6 +38,7 @@ from fjpower.analysis import CONDITION_IDS, InvarianceReport, star_center_floor
 
 from conftest import random_doubly_stochastic_ring, random_network, random_star_network
 from test_acceptance import _conditioned_net
+from test_convergence import _capped_nets
 from test_fj_core import ANCHORED_POWER_EQ
 from test_perception import STAR3_EQ
 
@@ -479,6 +485,95 @@ def test_an_equilibrium_search_builds_its_systems_a_chunk_at_a_time():
     solve_equilibrium(net, multistarts=1)  # warm every lazy attribute of net
     peak = _traced_peak(lambda: solve_equilibrium(net, multistarts=20))
     assert peak < 2 << 20, peak
+
+
+# ---------------------------------------------------------------------------
+# uniqueness certificates
+# ---------------------------------------------------------------------------
+
+def _criterion5_nets() -> list:
+    """Criterion 5's 100 networks, in its order, each with its search's seed."""
+    rng = np.random.default_rng(5)
+    return [(random_network(rng, int(rng.integers(2, 9))), k) for k in range(100)]
+
+
+def _w_distance(net, p, q) -> float:
+    return float(np.sum(np.abs(p - q) / (1.0 - net.a)))
+
+
+@pytest.mark.parametrize("corpus", ["capped", "criterion5"])
+def test_certified_boxes_nest_and_bound_every_search_limit(corpus, monkeypatch):
+    """On test_convergence's 45 capped networks and criterion 5's 100: each
+    box step stays inside the box before it; a network whose 21 starts
+    disagree never certifies, and only criterion 5's networks 60, 69 and 97
+    do not; a certified box holds the 21-start consensus, and the report's
+    one start gives that consensus bit for bit, with a printed bound that
+    covers its w-distance to every start's limit less that limit's own
+    bound."""
+    nets = ([(net, 0) for seed in (600, 601, 602) for net in _capped_nets(seed, 15)]
+            if corpus == "capped" else _criterion5_nets())
+    uncertified = []
+    for k, (net, seed) in enumerate(nets):
+        cert = analysis.certify_uniqueness(net)
+        box = Box(np.zeros(net.n), np.ones(net.n))
+        for steps in range(1, cert.steps + 1):  # X_steps, the box the cap stops at
+            monkeypatch.setattr(analysis, "UNIQUENESS_STEPS", steps)
+            inner = analysis.certify_uniqueness(net).box
+            assert np.all(inner.mu >= box.mu) and np.all(inner.nu <= box.nu), (k, steps)
+            box = inner
+        monkeypatch.undo()
+        assert (box.mu.tobytes(), box.nu.tobytes()) == (cert.box.mu.tobytes(), cert.box.nu.tobytes())
+        eq = solve_equilibrium(net, multistarts=20, seed=seed)
+        if eq.starts_agreeing < eq.total_starts:
+            assert not cert.certified, k
+        if not cert.certified:
+            uncertified.append(k)
+            continue
+        assert cert.box.contains(eq.p_star, slack=eq.residual), k
+        report = analysis.equilibrium_report(net, seed=seed)
+        assert report.certificate is not None, k
+        assert report.p_star.tobytes() == eq.p_star.tobytes(), k
+        assert (report.residual, report.iterations) == (eq.residual, eq.iterations), k
+        bound = float(re.search(r"\|\|p - p\*\|\|_w <= (\S+);", str(report)).group(1))
+        assert bound >= report.error_bound, k
+        starts = np.vstack([np.full(net.n, 1.0 / net.n),
+                            np.random.default_rng(seed).dirichlet(np.ones(net.n), size=20)])
+        for traj in run_stack_to_convergence(lambda P: step_power_evolution(net, P), starts):
+            q = traj.final
+            if traj.converged and cert.box.contains(q):
+                own = analysis._distance_bound(net, cert, q)
+                assert _w_distance(net, report.p_star, q) <= bound + own, k
+    assert uncertified == ([] if corpus == "capped" else [60, 69, 97])
+
+
+def test_a_report_falls_back_to_the_search_where_its_one_start_proves_nothing(
+        anchored_net, monkeypatch):
+    """A limit outside the certified box, or a barycenter start out of budget
+    where other starts converge, gives the 21-start search's report."""
+    cert = analysis.certify_uniqueness(anchored_net)
+    assert cert.certified
+    assert analysis.equilibrium_report(anchored_net).certificate is not None
+    # the barycenter takes 17 steps, three seed-0 starts 16
+    short = analysis.equilibrium_report(anchored_net, max_iter=16)
+    assert short.certificate is None
+    assert str(short) == str(solve_equilibrium(anchored_net, max_iter=16))
+    assert "3/21 starts agree (uniqueness evidence)" in str(short)
+    with pytest.raises(NoConvergenceError):
+        analysis.equilibrium_report(anchored_net, max_iter=15)
+    far = Box(np.zeros(3), np.full(3, 0.01))  # excludes the equilibrium
+    monkeypatch.setattr(analysis, "certify_uniqueness", lambda net: replace(cert, box=far))
+    assert str(analysis.equilibrium_report(anchored_net)) == str(solve_equilibrium(anchored_net))
+
+
+def test_the_certificate_starts_from_the_unit_cube_and_stops_below_one(anchored_net):
+    """rho_0 is 3 max a on [0, 1]^n, and steps stop at the first rho below 1."""
+    cert = analysis.certify_uniqueness(anchored_net)
+    assert cert.rho[0] == pytest.approx(3.0 * 0.6)
+    assert len(cert.rho) == cert.steps + 1
+    assert all(r >= 1.0 for r in cert.rho[:-1]) and cert.rho[-1] < 1.0
+    assert list(cert.rho) == sorted(cert.rho, reverse=True)
+    small = InfluenceNetwork(C=anchored_net.C, a=np.array([0.0, 0.1, 0.3]))
+    assert analysis.certify_uniqueness(small).steps == 0  # 3 * 0.3 < 1
 
 
 def test_star_closed_form_matches_frozen_values(star3_net, four_settings):

@@ -368,17 +368,23 @@ def test_a_one_entry_vector_is_rejected_not_broadcast():
     1-entry one over all nodes and return numbers."""
     net = random_network(np.random.default_rng(0), 4)
     one, ok = np.array([0.3]), np.full(4, 0.25)
-    weights = re.escape("weights must have 4 entries on their last axis, got shape (1,)")
     calls = {
-        weights: [
+        re.escape("gamma must have 4 entries on their last axis, got shape (1,)"): [
             lambda: compute_social_power(net, one),
-            lambda: step_power_evolution(net, one),
-            lambda: step_power_evolution_single(net, np.eye(4), one),
-            lambda: influence_resolvent(net, one),
-            lambda: resolvent_diag_from_cycles(net, 0, one),
             lambda: final_opinions(net, one, ok),
         ],
-        re.escape("got shape (2, 1)"): [
+        re.escape("x must have 4 entries on their last axis, got shape (1,)"): [
+            lambda: step_power_evolution(net, one),
+            lambda: influence_resolvent(net, one),
+            lambda: resolvent_diag_from_cycles(net, 0, one),
+        ],
+        re.escape("x must have shape (4,), got (1,)"): [
+            lambda: step_power_evolution_single(net, np.eye(4), one),
+        ],
+        re.escape("weights must have 4 entries on their last axis, got shape (1,)"): [
+            lambda: influence_matrix(net.C, one),
+        ],
+        re.escape("weights must have 4 entries on their last axis, got shape (2, 1)"): [
             lambda: influence_matrix(net.C, np.full((2, 1), 0.3)),
         ],
         re.escape("y0 must have shape (4,), got (1,)"): [

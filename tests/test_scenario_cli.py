@@ -26,7 +26,7 @@ from fjpower import (
     validate_arrays,
     write_trajectory_csv,
 )
-from fjpower import network, scenario
+from fjpower import analysis, network, scenario
 from fjpower.cli import _build_parser, main
 from fjpower.scenario import MODES, ScenarioResult, _csv_steps
 
@@ -725,19 +725,50 @@ def test_cli_batch_aggregates_divergence(tmp_path, capsys):
 
 def test_cli_batch_of_the_bundled_scenarios_exits_zero(tmp_path, capsys):
     """Every top-level bundled scenario succeeds, and each equilibrium section
-    is the report of the search under the file's own settings."""
+    is the search's report under the file's own settings, its uniqueness
+    clause the proof: both networks certify."""
     code = main(["batch", str(SCENARIO_DIR), "--out", str(tmp_path)])
     capsys.readouterr()
     assert code == 0
     for name in ("star_full_center", "three_node_power"):
         scn = load_scenario(SCENARIO_DIR / f"{name}.yaml")
         eq = solve_equilibrium(scn.net, seed=scn.seed, tol=scn.tol, max_iter=scn.max_iter)
+        cert = analysis.certify_uniqueness(scn.net)
+        assert cert.certified, name
+        proof = re.escape(f"proved unique (rho {cert.rho[-1]:.4g} < 1 on box X_{cert.steps}); "
+                          "||p - p*||_w <= ") + r"\d\.\d{3}e-\d\d"
         text = (tmp_path / f"{name}_report.txt").read_text()
         section = text.partition("== equilibrium ==\n")[2].split("\n== ", 1)[0]
-        assert section == f"{eq}\n", name
+        evidence = re.escape("21/21 starts agree (uniqueness evidence)")
+        assert re.fullmatch(re.escape(f"{eq}\n").replace(evidence, proof), section), name
         if name == "star_full_center":
             closed = star_equilibrium_closed_form(scn.net)
             assert np.max(np.abs(eq.p_star - closed)) < 1e-9
+
+
+@pytest.mark.parametrize("which", ["criterion5_net97", "two_nodes"])
+def test_an_uncertified_network_reports_the_multistart_evidence(tmp_path, which):
+    """Where the box steps give up (a few steps in, far below their cap), the
+    equilibrium section is the 21-start search's, byte for byte."""
+    if which == "two_nodes":  # the shape of the generated gen_pagerank_ra_n02
+        net = network.InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.full(2, 0.7))
+    else:
+        rng = np.random.default_rng(5)
+        for _ in range(98):
+            net = random_network(rng, int(rng.integers(2, 9)))
+    cert = analysis.certify_uniqueness(net)
+    assert not cert.certified and cert.steps <= 4
+    path = tmp_path / f"{which}.yaml"
+    path.write_text(yaml.safe_dump({
+        "name": which, "network": {"C": net.C.tolist(), "a": net.a.tolist()},
+        "mode": "power_evolution", "initial": {"p0": np.full(net.n, 1.0 / net.n).tolist()},
+        "outputs": ["equilibrium_report"]}))
+    scn = load_scenario(path)
+    assert scn.net.C.tobytes() == net.C.tobytes() and scn.net.a.tobytes() == net.a.tobytes()
+    run_reports(scn, out_dir=tmp_path)
+    eq = solve_equilibrium(net, seed=0)
+    assert "21/21 starts agree (uniqueness evidence)" in str(eq)
+    assert (tmp_path / f"{which}_report.txt").read_text() == f"== equilibrium ==\n{eq}\n"
 
 
 def test_cli_batch_surfaces_load_failures(tmp_path, capsys):
