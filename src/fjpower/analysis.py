@@ -66,7 +66,6 @@ AGREE_TOL = 1e-8  # ∞-norm distance within which two equilibrium limits agree
 FD_STEP = 1e-6  # central finite-difference step of the Jacobian check
 FD_RTOL = 1e-6  # relative Jacobian/finite-difference mismatch that raises
 EXIT_SLACK = 1e-12  # how far outside its box a stepped coordinate may land
-MAX_EXIT_EXAMPLES = 20  # offending (sample, coordinate) pairs an invariance report keeps
 UNIQUENESS_STEPS = 64  # box steps certify_uniqueness takes before it gives up
 UNIQUENESS_SHRINK = 2.0**-8  # share of a width a box step must take to go on
 _U = np.finfo(float).eps / 2.0  # unit roundoff
@@ -392,12 +391,6 @@ class MarginRow:
 # one row of a per-node block; a block is one array of these, not three arrays,
 # because three array headers outweigh the data of a typical 3-60 row block
 NODE_ROW = np.dtype([("node", np.intp), ("lhs", float), ("rhs", float)])
-# one sampled point's coordinate that left its box after a single update;
-# an invariance report holds its first MAX_EXIT_EXAMPLES exits as one array
-EXIT_ROW = np.dtype([("sample", np.intp), ("coordinate", np.intp), ("value", float),
-                     ("bound", float), ("side", "U5")])  # side: "lower" | "upper"
-_NO_EXITS = np.recarray(0, dtype=EXIT_ROW)  # shared by every report without exits
-_NO_EXITS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -625,12 +618,14 @@ def box_image(net: InfluenceNetwork, box: Box) -> tuple[np.ndarray, np.ndarray, 
     with np.errstate(over="ignore", invalid="ignore"):
         widen = 4.0 * _U * (np.abs(box.mu) + np.abs(box.nu))
         mu, nu = box.mu - widen, box.nu + widen
-        r_hi = ra.relay(a, None, np.clip(0.5, mu, nu))
+        # minimum/maximum and np.array cost about a third of np.clip (which wraps a
+        # float first argument the slow way) and of np.stack at small n
+        r_hi = ra.relay(a, None, np.minimum(np.maximum(0.5, mu), nu))
         r_lo = np.minimum(ra.relay(a, None, mu), ra.relay(a, None, nu))
         r_abs = np.maximum(np.abs(r_hi), np.abs(r_lo))
-        g_hi, g_lo, g_abs = np.stack([r_hi, r_lo, r_abs]) @ net.C
+        g_hi, g_lo, g_abs = np.array([r_hi, r_lo, r_abs]) @ net.C
         far = np.where(-mu > nu, mu, nu)
-        lo = ra.update(a, None, np.clip(0.0, mu, nu), n, g_lo)
+        lo = ra.update(a, None, np.minimum(np.maximum(0.0, mu), nu), n, g_lo)
         hi = ra.update(a, None, far, n, g_hi)
         k = n + 16
         err = k * _U / (1.0 - k * _U) * ra.update(a, None, far, n, g_abs)
@@ -639,15 +634,13 @@ def box_image(net: InfluenceNetwork, box: Box) -> tuple[np.ndarray, np.ndarray, 
 
 @dataclass(frozen=True, eq=False)
 class InvarianceReport:
-    """A trial's exits, and ``margin``: the signed slack ``min(nu - hi, lo - mu)``
-    of :func:`box_image` over all coordinates, negative when the exact image
-    leaves the box however few samples landed outside.  ``examples`` is a
-    read-only ``EXIT_ROW`` record array of the first ``MAX_EXIT_EXAMPLES``
-    exits; every report without exits shares one empty table."""
+    """A trial's exit count and ``margin``, the signed slack ``min(nu - hi, lo - mu)``
+    of :func:`box_image` over all coordinates: negative when the exact image
+    leaves the box however few samples landed outside.  Where it leaves
+    (coordinate, side, by how much) is what ``box_image``'s ``lo`` and ``hi`` say."""
 
     samples: int
     exit_count: int
-    examples: np.recarray
     margin: float = math.nan
 
     @property
@@ -676,11 +669,9 @@ def one_step_invariance_test(
 
     Otherwise, a Monte-Carlo trial: draws ``samples`` uniform points in
     ``box`` with :meth:`Box.sample`, steps them all with ``_batch_step_ra``
-    and counts coordinates landing outside by more than ``EXIT_SLACK``.
-    Keeps the first ``MAX_EXIT_EXAMPLES`` offending (sample, coordinate)
-    pairs, in sample-then-coordinate order, as one read-only ``EXIT_ROW``
-    record array.  Memory peaks at about three ``(samples, n)`` arrays,
-    inside the step.
+    and counts coordinates landing outside by more than ``EXIT_SLACK``
+    (a NaN coordinate is not counted).  Memory peaks at about three
+    ``(samples, n)`` arrays, inside the step.
 
     Either way the report's ``margin`` is the exact image's signed slack, so
     a leak that no sample hit still shows as a negative margin.
@@ -696,21 +687,10 @@ def one_step_invariance_test(
         certified = bool(np.all(hi + 2.0 * err <= high) and np.all(lo - 2.0 * err >= low))
         margin = float(np.min(np.minimum(box.nu - hi, lo - box.mu)))
     if certified:  # a NaN bound compares False and falls through to sampling
-        return InvarianceReport(samples=samples, exit_count=0, examples=_NO_EXITS,
-                                margin=margin)
+        return InvarianceReport(samples=samples, exit_count=0, margin=margin)
     Q = _batch_step_ra(net, box.sample(np.random.default_rng(seed), samples))
-    below = Q < low
-    exits = np.flatnonzero(below | (Q > high))  # in C order: sample, then coordinate
-    examples = _NO_EXITS
-    if exits.size:
-        r, c = np.divmod(exits[:MAX_EXIT_EXAMPLES], net.n)
-        lower = below[r, c]
-        examples = np.rec.fromarrays(
-            (r, c, Q[r, c], np.where(lower, box.mu[c], box.nu[c]),
-             np.where(lower, "lower", "upper")), dtype=EXIT_ROW)
-        examples.flags.writeable = False
-    return InvarianceReport(samples=samples, exit_count=len(exits), examples=examples,
-                            margin=margin)
+    exit_count = int(np.count_nonzero((Q < low) | (Q > high)))
+    return InvarianceReport(samples=samples, exit_count=exit_count, margin=margin)
 
 
 # ---------------------------------------------------------------------------

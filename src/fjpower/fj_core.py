@@ -203,10 +203,8 @@ def step_power_evolution_single(
     V = np.asarray(V, dtype=float)
     if V.shape != (n, n):  # a 1-D V would broadcast into a wrong (n, n) state
         raise ValueError(f"V must have shape ({n}, {n}), got {V.shape}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):  # influence_matrix would take a stack of x
-        raise ValueError(f"x must have shape ({n},), got {x.shape}")
-    W = influence_matrix(net.C, x)
+    # influence_matrix alone would take a stack of x
+    W = influence_matrix(net.C, node_vector(net, "x", x))
     V_next = net.a[:, None] * (W @ V)
     V_next[np.diag_indices(n)] += 1.0 - net.a
     x_next = V_next.T @ np.full(n, 1.0 / n)

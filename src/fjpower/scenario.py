@@ -369,7 +369,9 @@ def load_scenario(
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = yaml.load(text, Loader=_unique_keys(YAML_LOADER))
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int literal past 4300 digits
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # ValueError: an int literal past 4300 digits; RecursionError: nesting
+        # deeper than the pure-Python composer's stack
         raise ConfigParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigParseError(f"{path}: top level must be a mapping")

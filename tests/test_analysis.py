@@ -4,7 +4,6 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -638,13 +637,6 @@ def test_inflated_control_box_leaks(anchored_net):
     report = one_step_invariance_test(anchored_net, box, 10_000, seed=0)
     assert not report.ok
     assert report.exit_count == 1148
-    assert len(report.examples) == 20
-    for rec in report.examples:
-        assert rec.side in ("lower", "upper")
-        if rec.side == "upper":
-            assert rec.value > rec.bound
-        else:
-            assert rec.value < rec.bound
 
 
 def _full_array_trial(net, box, samples, seed=0):
@@ -652,35 +644,31 @@ def _full_array_trial(net, box, samples, seed=0):
     ``rng.uniform`` draw, one whole-array ``ra`` step, one exit mask."""
     rng = np.random.default_rng(seed)
     P = rng.uniform(box.mu, box.nu, size=(samples, net.n))
+    Q = _whole_array_step(net, P)
+    exits = (Q < box.mu - analysis.EXIT_SLACK) | (Q > box.nu + analysis.EXIT_SLACK)
+    return InvarianceReport(samples=samples, exit_count=int(np.count_nonzero(exits)))
+
+
+def _whole_array_step(net, P):
     ra = analysis.RULES["ra"]
-    Q = ra.update(net.a, None, P, net.n, ra.relay(net.a, None, P) @ net.C)
-    below = Q < box.mu - analysis.EXIT_SLACK
-    above = Q > box.nu + analysis.EXIT_SLACK
-    rows, cols = np.nonzero(below | above)
-    examples = []
-    for r, c in zip(rows[:analysis.MAX_EXIT_EXAMPLES], cols[:analysis.MAX_EXIT_EXAMPLES]):
-        side = "lower" if below[r, c] else "upper"
-        bound = float(box.mu[c]) if side == "lower" else float(box.nu[c])
-        examples.append(SimpleNamespace(sample=int(r), coordinate=int(c), value=float(Q[r, c]),
-                                        bound=bound, side=side))
-    return InvarianceReport(samples=samples, exit_count=len(rows), examples=tuple(examples))
+    return ra.update(net.a, None, P, net.n, ra.relay(net.a, None, P) @ net.C)
 
 
 def _fields(report):
-    return (report.samples, report.exit_count,
-            [(e.sample, e.coordinate, e.value.hex(), e.bound.hex(), e.side)
-             for e in report.examples])
+    return report.samples, report.exit_count
+
+
+TRIAL_GRID = ((2, 1000), (3, 4097), (7, 1001), (40, 4000), (300, 701))  # (n, samples)
 
 
 @pytest.mark.parametrize("block_entries", [None, 1, 7 * 40])
 def test_streamed_trial_matches_the_full_array_trial(monkeypatch, block_entries):
-    """Every report field is identical to the full-array oracle's, whatever the
+    """The sample and exit counts are the full-array oracle's, whatever the
     block size: one row per block, ragged last blocks and the default."""
     if block_entries is not None:
         monkeypatch.setattr(perception, "BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(11)
-    straddled = False
-    for n, samples in ((2, 1000), (3, 4097), (7, 1001), (40, 4000), (300, 701)):
+    for n, samples in TRIAL_GRID:
         net = random_network(rng, n)
         base = two_sided_box(net)
         for k, box in enumerate((nonneg_box(net), base, base.inflated(1.5), base.inflated(2.0))):
@@ -688,49 +676,24 @@ def test_streamed_trial_matches_the_full_array_trial(monkeypatch, block_entries)
                 got = one_step_invariance_test(net, box, count, seed=n + k)
                 want = _full_array_trial(net, box, count, seed=n + k)
                 assert _fields(got) == _fields(want), (n, k, count)
-                rows = max(1, perception.BLOCK_ENTRIES // n)
-                if got.exit_count > analysis.MAX_EXIT_EXAMPLES:
-                    straddled |= len({e.sample // rows for e in got.examples}) > 1
-    # some trial leaked past MAX_EXIT_EXAMPLES with its kept records spread over blocks
-    assert straddled
 
 
-def test_a_report_keeps_its_exits_in_one_small_table(anchored_net):
-    """Twenty exits are one EXIT_ROW record array, not twenty objects each
-    with its own floats and ints: dropping the report frees about 1.5 kB."""
-    box = two_sided_box(anchored_net).inflated(2.0)
-    one_step_invariance_test(anchored_net, box, 2000)  # warm numpy's caches
-    tracemalloc.start()
-    try:
-        report = one_step_invariance_test(anchored_net, box, 2000)
-        assert report.exit_count > analysis.MAX_EXIT_EXAMPLES
-        assert len(report.examples) == analysis.MAX_EXIT_EXAMPLES
-        assert report.examples.dtype.names == analysis.EXIT_ROW.names
-        with_report, _ = tracemalloc.get_traced_memory()
-        del report
-        kept = with_report - tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert kept < 2500, kept
-
-
-def test_reports_without_exits_share_one_read_only_table(anchored_net):
-    certified = one_step_invariance_test(anchored_net, two_sided_box(anchored_net), 100)
-    net = random_network(np.random.default_rng(5), 300)
-    sampled = one_step_invariance_test(net, nonneg_box(net), 100)  # the image leaks; no sample hits
-    assert sampled.margin < 0.0 and sampled.exit_count == 0
-    assert certified.examples is sampled.examples
-    assert len(certified.examples) == 0
-    assert not certified.examples.flags.writeable
-
-
-def test_the_exit_table_is_read_only(anchored_net):
-    box = two_sided_box(anchored_net).inflated(2.0)
-    examples = one_step_invariance_test(anchored_net, box, 2000).examples
-    with pytest.raises(ValueError, match="read-only"):
-        examples.value[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        examples[0] = examples[1]
+@pytest.mark.parametrize("block_entries", [None, 1, 7 * 40])
+def test_batched_step_is_the_whole_array_step_whatever_the_block_size(monkeypatch,
+                                                                      block_entries):
+    """The streamed kernel gives the bits of one whole-array ``ra`` step
+    whatever the block size: one row per block, ragged last blocks and the default."""
+    if block_entries is not None:
+        monkeypatch.setattr(perception, "BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(11)
+    blocked = 0
+    for n, samples in TRIAL_GRID:
+        net = random_network(rng, n)
+        P = two_sided_box(net).inflated(2.0).sample(np.random.default_rng(n), samples)
+        Q = analysis._batch_step_ra(net, P)
+        assert Q.tobytes() == _whole_array_step(net, P).tobytes(), n
+        blocked += samples > max(1, perception.BLOCK_ENTRIES // n)
+    assert blocked  # some step ran over more than one block
 
 
 def test_streamed_trial_rejects_a_box_of_another_size(anchored_net):
@@ -779,7 +742,7 @@ def test_certified_trial_allocates_no_sample_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert _fields(report) == (10_000, 0, [])
+    assert _fields(report) == (10_000, 0)
     assert peak < 1 << 20
 
 

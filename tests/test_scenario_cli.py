@@ -53,6 +53,9 @@ mode: perception_ra
 initial:
   p0: [0.5, 0.5]
 """
+# a 10 kB file whose C nests 5000 flow sequences
+DEEP = MINIMAL.replace("case", "deep").replace(
+    "\n    - [0.0, 1.0]\n    - [1.0, 0.0]", " " + "[" * 5000 + "]" * 5000)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +150,12 @@ def test_unreadable_files_are_parse_errors_under_both_loaders(tmp_path, monkeypa
     latin.write_bytes(b"name: x\n\xff\xfe: 1\n")
     with pytest.raises(ConfigParseError, match="cannot read .*utf-8"):
         load_scenario(latin)
+    # past Python's recursion limit in the pure-Python composer; libyaml's
+    # composer reads it, and numpy refuses the 5000-dimension array
+    deep = _write(tmp_path, DEEP, name="deep.yaml")
+    with pytest.raises(ConfigParseError if loader is yaml.SafeLoader else ConfigValidationError,
+                       match="deep"):
+        load_scenario(deep)
 
 
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
@@ -483,7 +492,7 @@ def test_seed_override_reaches_sampled_starts_unless_the_sampler_has_one(tmp_pat
 
 
 def test_invariant_trial_draws_with_the_scenario_seed_unless_it_has_its_own(tmp_path):
-    # no box of this network certifies, so each trial draws and its exits show its seed
+    # no box of this network certifies, so each trial draws and its exit count shows its seed
     text = (SCENARIO_DIR / "star_partial" / "star_partial_a.yaml").read_text().replace(
         "condition_report: [star_center_load]", "invariant_test: {box: star_loose, samples: 200}")
     plain = _write(tmp_path, text + "seed: 4\n", name="plain.yaml")
@@ -491,15 +500,12 @@ def test_invariant_trial_draws_with_the_scenario_seed_unless_it_has_its_own(tmp_
                  name="own.yaml")
     net = load_scenario(plain).net
 
-    def exits(report):
-        return report.exit_count, report.examples.tobytes()
-
     def drawn(path, **override):
         result = run_reports(load_scenario(path, **override), out_dir=tmp_path / "out")
-        return exits(result.reports["invariance_star_loose"])
+        return result.reports["invariance_star_loose"].exit_count
 
-    expected = {seed: exits(one_step_invariance_test(
-        net, star_invariant_box(net, loose=True), 200, seed=seed)) for seed in (4, 9, 11)}
+    expected = {seed: one_step_invariance_test(
+        net, star_invariant_box(net, loose=True), 200, seed=seed).exit_count for seed in (4, 9, 11)}
     assert len(set(expected.values())) == 3
     assert drawn(plain) == expected[4]
     assert drawn(plain, seed=11) == expected[11]
@@ -793,6 +799,21 @@ def test_cli_batch_goes_on_past_a_file_that_is_not_utf8(tmp_path, capsys):
     assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
     assert lines[1].startswith("b: error after 0 iteration(s) error: ConfigParseError: cannot read")
     assert lines[2].startswith("c: converged")
+
+
+def test_cli_batch_goes_on_past_a_file_nested_too_deep_for_the_python_loader(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(scenario, "YAML_LOADER", yaml.SafeLoader)
+    (tmp_path / "scn").mkdir()
+    (tmp_path / "scn" / "a.yaml").write_text(DEEP)
+    (tmp_path / "scn" / "b.yaml").write_text(MINIMAL.replace("case", "b"))
+    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split(":")[0] for line in lines] == ["a", "b"]
+    assert lines[0].startswith("a: error after 0 iteration(s) error: ConfigParseError: ")
+    assert "a.yaml: maximum recursion depth exceeded" in lines[0]
+    assert lines[1].startswith("b: converged")
 
 
 def test_cli_batch_runs_good_files_beside_a_bad_setting(tmp_path, capsys):
