@@ -11,7 +11,6 @@ from .errors import (
     ConfigValidationError,
     CycleBudgetExceededError,
     FJPowerError,
-    InvalidStructureError,
     NoConvergenceError,
     SingularSystemError,
     ViewViolationError,

@@ -28,12 +28,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    FJPowerError,
-    InvalidStructureError,
-    NoConvergenceError,
-    WrongTopologyError,
-)
+from .errors import FJPowerError, NoConvergenceError, WrongTopologyError
 from .network import (
     STAR_FULL_CENTER,
     STAR_PARTIAL_CENTER,
@@ -341,7 +336,7 @@ def star_equilibrium_closed_form(net: InfluenceNetwork) -> np.ndarray:
     offenders = [j for j in net.partially_stubborn if j != c and net.C[c, j] > 0.0]
     if offenders:
         listed = ", ".join(str(j + 1) for j in offenders)
-        raise InvalidStructureError(
+        raise WrongTopologyError(
             f"center {c + 1} accords weight to partially stubborn node(s) {listed}; "
             "the closed form needs those weights to be zero"
         )
@@ -478,10 +473,7 @@ def _star_center_load(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
 
 def _homogeneous_cap(net: InfluenceNetwork, timescale: str) -> list[MarginRow]:
     """shared a <= (5n-7)/(8(n-1)), when every node has the same a."""
-    try:
-        shared = homogeneous_susceptibility(net)
-    except InvalidStructureError as exc:
-        raise WrongTopologyError(str(exc)) from exc
+    shared = homogeneous_susceptibility(net)
     cap = (5.0 * net.n - 7.0) / (8.0 * (net.n - 1))
     return [MarginRow("shared_susceptibility", shared, cap, cap - shared)]
 

@@ -25,12 +25,10 @@ class NoConvergenceError(FJPowerError):
     """No fixed-point run converged within the iteration budget."""
 
 
-class InvalidStructureError(FJPowerError):
-    """Network shape fails a structural precondition of a closed form."""
-
-
 class WrongTopologyError(FJPowerError):
-    """Condition check applied to a network of the wrong structural class."""
+    """The network lacks the structure a computation needs: a star topology,
+    a center row with zero weight on partially stubborn leaves, or one shared
+    susceptibility."""
 
 
 class ViewViolationError(FJPowerError):

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidStructureError, ViewViolationError
+from .errors import ViewViolationError, WrongTopologyError
 from .network import InfluenceNetwork, _freeze, node_vector
 
 CONVERGED = "converged"
@@ -120,15 +120,15 @@ def step_perception_ra(net: InfluenceNetwork, p: np.ndarray) -> np.ndarray:
 
 
 def homogeneous_susceptibility(net: InfluenceNetwork) -> float:
-    """The shared susceptibility, or InvalidStructure if nodes differ."""
+    """The susceptibility every node shares; WrongTopologyError if nodes differ.
+    A shared value lies in (0, 1): validation rejects a_i outside [0, 1) and
+    an all-zero a."""
     a0 = float(net.a[0])
     if np.any(net.a != a0):
-        raise InvalidStructureError(
+        raise WrongTopologyError(
             "homogeneous update needs one shared susceptibility; "
             f"found values from {net.a.min()} to {net.a.max()}"
         )
-    if not 0.0 < a0 < 1.0:
-        raise InvalidStructureError(f"shared susceptibility must be in (0, 1), got {a0}")
     return a0
 
 

@@ -31,8 +31,10 @@ included), and are byte-identical across repeated runs of the same scenario.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
@@ -137,6 +139,23 @@ BOX_BUILDERS = {
 # libyaml's parser when PyYAML was built with it; both loaders build documents
 # with SafeConstructor and the same resolver, so they read files identically
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml's composer recurses once per nesting level and kills the process
+# (SIGSEGV) somewhere past 20 000 levels; the grammar needs 4 and numpy
+# refuses arrays of more than 64 dimensions
+MAX_NESTING = 100
+
+
+def _too_deep(text: str) -> bool:
+    """Whether flow brackets, or the compact ``- ``/``? `` indicators of one
+    line, nest deeper than MAX_NESTING.  Each count tried first bounds the
+    depth its scan measures, so a file of ordinary shape skips the scan.  A
+    bracket counts wherever it stands, in a quoted scalar or a comment too."""
+    if text.count("[") + text.count("{") > MAX_NESTING:
+        steps = (1 if c in "[{" else -1 for c in re.findall(r"[][{}]", text))
+        if max(itertools.accumulate(steps)) > MAX_NESTING:
+            return True
+    return (text.count("- ") + text.count("? ") > MAX_NESTING
+            and re.search(r"(?:[-?] +){%d}" % (MAX_NESTING + 1), text) is not None)
 
 
 @functools.cache
@@ -367,6 +386,8 @@ def load_scenario(
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
+    if _too_deep(text):
+        raise ConfigParseError(f"{path}: collections nest deeper than {MAX_NESTING} levels")
     try:
         doc = yaml.load(text, Loader=_unique_keys(YAML_LOADER))
     except (yaml.YAMLError, ValueError, RecursionError) as exc:

@@ -12,9 +12,9 @@ from fjpower import (
     Box,
     FJPowerError,
     InfluenceNetwork,
-    InvalidStructureError,
     NoConvergenceError,
     WrongTopologyError,
+    build_local_views,
     check_condition,
     check_dominance_necessary,
     contraction_diagnostic,
@@ -28,6 +28,7 @@ from fjpower import (
     solve_equilibrium,
     star_equilibrium_closed_form,
     star_invariant_box,
+    step_pagerank_ra,
     step_perception_ra,
     step_power_evolution,
     two_sided_box,
@@ -594,25 +595,34 @@ def test_star_closed_form_structural_errors(anchored_net, four_settings):
     with pytest.raises(WrongTopologyError):
         star_equilibrium_closed_form(anchored_net)
     _, net_d, _ = four_settings[3]
-    with pytest.raises(InvalidStructureError, match=r"node\(s\) 4"):
+    with pytest.raises(WrongTopologyError, match=r"node\(s\) 4"):
         star_equilibrium_closed_form(net_d)
 
 
-def test_every_star_analysis_names_what_it_needs(anchored_net):
-    """On a general network each star analysis raises one error type whose
-    text says what the analysis needs and what it got."""
-    calls = {
-        "star box needs a star with partially stubborn center":
-            lambda: star_invariant_box(anchored_net),
-        "star_center_load applies to stars with partially stubborn center":
-            lambda: check_condition(anchored_net, "star_center_load"),
-        "closed form needs a star topology":
-            lambda: star_equilibrium_closed_form(anchored_net),
-    }
-    for needs, call in calls.items():
+def test_every_star_analysis_names_what_it_needs(anchored_net, four_settings):
+    """A network without the structure a computation needs (a star, a center
+    row, one shared susceptibility) makes it raise one error type whose text
+    says what the computation needs and what it got."""
+    shared = "homogeneous update needs one shared susceptibility; found values from 0.0 to 0.6"
+    _, net_d, _ = four_settings[3]
+    calls = [
+        (lambda: star_invariant_box(anchored_net),
+         "star box needs a star with partially stubborn center, got general"),
+        (lambda: check_condition(anchored_net, "star_center_load"),
+         "star_center_load applies to stars with partially stubborn center, got general"),
+        (lambda: star_equilibrium_closed_form(anchored_net),
+         "closed form needs a star topology, got general"),
+        (lambda: star_equilibrium_closed_form(net_d),
+         "center 1 accords weight to partially stubborn node(s) 4; "
+         "the closed form needs those weights to be zero"),
+        (lambda: step_pagerank_ra(anchored_net, np.full(3, 1 / 3)), shared),
+        (lambda: build_local_views(anchored_net, "homogeneous"), shared),
+        (lambda: check_condition(anchored_net, "homogeneous_susceptibility_cap"), shared),
+    ]
+    for call, text in calls:
         with pytest.raises(WrongTopologyError) as err:
             call()
-        assert str(err.value) == f"{needs}, got general"
+        assert str(err.value) == text
 
 
 def test_closed_form_is_a_fixed_point_of_the_update(star3_net):

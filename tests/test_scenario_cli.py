@@ -1,5 +1,7 @@
 """Scenario files, artifact export, and the command-line interface."""
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +28,7 @@ from fjpower import (
     validate_arrays,
     write_trajectory_csv,
 )
-from fjpower import analysis, network, scenario
+from fjpower import analysis, cli, network, scenario
 from fjpower.cli import _build_parser, main
 from fjpower.scenario import MODES, ScenarioResult, _csv_steps
 
@@ -53,9 +55,12 @@ mode: perception_ra
 initial:
   p0: [0.5, 0.5]
 """
+ROWS = "\n    - [0.0, 1.0]\n    - [1.0, 0.0]"
 # a 10 kB file whose C nests 5000 flow sequences
-DEEP = MINIMAL.replace("case", "deep").replace(
-    "\n    - [0.0, 1.0]\n    - [1.0, 0.0]", " " + "[" * 5000 + "]" * 5000)
+DEEP = MINIMAL.replace("case", "deep").replace(ROWS, " " + "[" * 5000 + "]" * 5000)
+# a 0.5 MB file whose C nests 1000 block sequences by indentation alone,
+# each "-" one column right of the last, which the nesting guard does not count
+DEEP_INDENTED = MINIMAL.replace(ROWS, "".join(f"\n{' ' * (4 + k)}-" for k in range(1000)) + " 0")
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +155,65 @@ def test_unreadable_files_are_parse_errors_under_both_loaders(tmp_path, monkeypa
     latin.write_bytes(b"name: x\n\xff\xfe: 1\n")
     with pytest.raises(ConfigParseError, match="cannot read .*utf-8"):
         load_scenario(latin)
-    # past Python's recursion limit in the pure-Python composer; libyaml's
-    # composer reads it, and numpy refuses the 5000-dimension array
+    # past MAX_NESTING, so refused before either loader reads it
     deep = _write(tmp_path, DEEP, name="deep.yaml")
-    with pytest.raises(ConfigParseError if loader is yaml.SafeLoader else ConfigValidationError,
-                       match="deep"):
+    with pytest.raises(ConfigParseError, match="deep.yaml: collections nest deeper than 100"):
         load_scenario(deep)
+
+
+# Each level of these takes one C call in libyaml's composer, which kills the
+# process (SIGSEGV) at 30 000 levels on an 8 MB stack, so they load in a child.
+LOAD_IN_CHILD = """\
+import sys, yaml
+from fjpower import load_scenario, scenario
+if sys.argv[1] == "SafeLoader":
+    scenario.YAML_LOADER = yaml.SafeLoader
+for path in sys.argv[2:]:
+    try:
+        load_scenario(path)
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+"""
+
+
+def _deeper_files(tmp_path, levels=50_000) -> list[Path]:
+    (tmp_path / "scn").mkdir()
+    texts = {"compact": "\n    " + "- " * levels + "0",
+             "flow": " " + "[" * levels + "0" + "]" * levels}
+    return [_write(tmp_path / "scn", MINIMAL.replace("case", shape).replace(ROWS, rows),
+                   name=f"{shape}.yaml") for shape, rows in texts.items()]
+
+
+def _child(*args) -> subprocess.CompletedProcess:
+    src = str(Path(scenario.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("loader", ["chosen", "SafeLoader"])
+def test_nesting_past_the_limit_is_a_parse_error_under_both_loaders(tmp_path, loader):
+    """Flow nesting and compact block nesting 50 000 levels deep."""
+    paths = _deeper_files(tmp_path)
+    child = _child("-c", LOAD_IN_CHILD, loader, *map(str, paths))
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [
+        f"ConfigParseError: {path}: collections nest deeper than 100 levels" for path in paths]
+
+
+def test_cli_refuses_nesting_past_the_limit_and_batch_goes_on(tmp_path):
+    paths = _deeper_files(tmp_path)
+    _write(tmp_path / "scn", MINIMAL.replace("case", "ok"), name="ok.yaml")
+    for path in paths:
+        child = _child("-m", "fjpower.cli", "run", str(path), "--out", str(tmp_path / "out"))
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr == f"error: {path}: collections nest deeper than 100 levels\n"
+    child = _child("-m", "fjpower.cli", "batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out"))
+    lines = child.stdout.splitlines()
+    assert child.returncode == 1, child.stderr
+    assert [line.split(":")[0] for line in lines] == ["compact", "flow", "ok"]
+    assert all("ConfigParseError" in line and "nest deeper" in line for line in lines[:2])
+    assert lines[2].startswith("ok: converged")
 
 
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
@@ -729,6 +787,28 @@ def test_cli_batch_aggregates_divergence(tmp_path, capsys):
     assert "star_partial_c: diverged" in out
 
 
+def test_cli_batch_looks_up_the_loader_and_runner_by_module_attribute(
+        tmp_path, capsys, monkeypatch):
+    """Each file goes through ``cli.load_scenario`` and ``scenario.run_scenario``
+    as looked up at call time, so a wrapper patched onto either sees it."""
+    seen: dict[str, list] = {"load": [], "run": []}
+
+    def counting(key, fn, name):
+        def wrapper(*args, **kwargs):
+            seen[key].append(name(args[0]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_scenario",
+                        counting("load", cli.load_scenario, lambda path: Path(path).stem))
+    monkeypatch.setattr(scenario, "run_scenario",
+                        counting("run", scenario.run_scenario, lambda scn: scn.name))
+    main(["batch", str(SCENARIO_DIR / "star_partial"), "--out", str(tmp_path)])
+    capsys.readouterr()
+    stems = [f"star_partial_{x}" for x in "abcd"]
+    assert seen == {"load": stems, "run": stems}
+
+
 def test_cli_batch_of_the_bundled_scenarios_exits_zero(tmp_path, capsys):
     """Every top-level bundled scenario succeeds, and each equilibrium section
     is the search's report under the file's own settings, its uniqueness
@@ -805,7 +885,7 @@ def test_cli_batch_goes_on_past_a_file_nested_too_deep_for_the_python_loader(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenario, "YAML_LOADER", yaml.SafeLoader)
     (tmp_path / "scn").mkdir()
-    (tmp_path / "scn" / "a.yaml").write_text(DEEP)
+    (tmp_path / "scn" / "a.yaml").write_text(DEEP_INDENTED)
     (tmp_path / "scn" / "b.yaml").write_text(MINIMAL.replace("case", "b"))
     code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
     lines = capsys.readouterr().out.splitlines()

@@ -13,7 +13,7 @@ from fjpower import (
     MAX_ITER,
     NONFINITE,
     InfluenceNetwork,
-    InvalidStructureError,
+    WrongTopologyError,
     advance,
     build_local_views,
     deliver,
@@ -48,7 +48,7 @@ def test_make_agents_validates_mode_and_gamma(triad_net, triad_gamma, anchored_n
         make_agents(triad_net, "no_ra", np.zeros(3))
     with pytest.raises(ValueError, match="takes no gamma"):
         make_agents(anchored_net, "ra", np.zeros(3), gamma=triad_gamma)
-    with pytest.raises(InvalidStructureError):
+    with pytest.raises(WrongTopologyError):
         make_agents(anchored_net, "homogeneous", np.zeros(3))
 
 
@@ -104,7 +104,7 @@ def test_views_are_built_and_checked_for_one_rule(anchored_net, triad_net, triad
         build_local_views(anchored_net, "bogus")
     with pytest.raises(ValueError, match="ra mode takes no gamma"):
         build_local_views(anchored_net, "ra", triad_gamma)
-    with pytest.raises(InvalidStructureError, match="one shared susceptibility"):
+    with pytest.raises(WrongTopologyError, match="one shared susceptibility"):
         build_local_views(anchored_net, "homogeneous")
     p0 = np.array([0.1, 0.2, 0.3])
     after = run_round(make_agents(triad_net, "no_ra", p0, triad_gamma))
@@ -316,7 +316,7 @@ def test_batch_captures_per_scenario_failures(tmp_path, anchored_net):
     ok = load_scenario(SCENARIO_DIR / "three_node_ra.yaml")
     results = run_batch([bad, ok], out_dir=tmp_path)
     assert results[0].status == "error"
-    assert "InvalidStructureError" in results[0].error
+    assert "WrongTopologyError" in results[0].error
     assert results[0].exit_code == 1
     assert results[1].status == CONVERGED
 
