@@ -147,24 +147,60 @@ MAX_NESTING = 100
 
 def _too_deep(text: str) -> bool:
     """Whether flow brackets, or the compact ``- ``/``? `` indicators of one
-    line, nest deeper than MAX_NESTING.  Each count tried first bounds the
-    depth its scan measures, so a file of ordinary shape skips the scan.  A
-    bracket counts wherever it stands, in a quoted scalar or a comment too."""
+    line, nest deeper than MAX_NESTING, or, in a file holding more indicators
+    than that, a line whose first non-space character is an indicator runs
+    its indentation and leading indicators past column
+    ``2 * MAX_NESTING + 2``: runs of indicators chained across lines by
+    indentation pass that column long before they nest deep enough to
+    crash.  Each count tried first bounds the depth its scans measure, so a
+    file of ordinary shape skips the scans.  A bracket counts wherever it
+    stands, in a quoted scalar or a comment too."""
     if text.count("[") + text.count("{") > MAX_NESTING:
         steps = (1 if c in "[{" else -1 for c in re.findall(r"[][{}]", text))
         if max(itertools.accumulate(steps)) > MAX_NESTING:
             return True
     return (text.count("- ") + text.count("? ") > MAX_NESTING
-            and re.search(r"(?:[-?] +){%d}" % (MAX_NESTING + 1), text) is not None)
+            and (re.search(r"^(?= *[-?](?!\S))(?: |[-?](?!\S)){%d}" % (2 * MAX_NESTING + 3),
+                           text, re.MULTILINE) is not None
+                 or re.search(r"(?:[-?] +){%d}" % (MAX_NESTING + 1), text) is not None))
 
 
 @functools.cache
-def _unique_keys(loader: type) -> type:
+def _scenario_loader(loader: type) -> type:
     """``loader`` refusing a key given twice in one mapping, whose last value
-    both loaders would keep without a word; each mapping is checked as it is
-    built, so the cost follows the number of keys, not the size of C."""
+    both loaders would keep without a word, and resolving the tag of each
+    distinct plain scalar text, and converting each distinct float text, once
+    per document.  Each mapping is checked as it is built, so the cost
+    follows the number of keys, not the size of C.  Most scalars repeat a
+    text (``0.0`` fills the sparse rows of C), so the memos turn most of
+    PyYAML's per-scalar Python work into a dict lookup; they live on the
+    loader, and ``yaml.load`` builds one per document."""
 
-    class UniqueKeys(loader):
+    class ScenarioLoader(loader):
+        def __init__(self, stream):
+            super().__init__(stream)
+            self._tags: dict = {}    # plain scalar text -> implicit tag
+            self._floats: dict = {}  # float-tagged scalar text -> float
+
+        def resolve(self, kind, value, implicit):
+            # with no path resolvers a plain scalar's tag depends on its text alone
+            if kind is not yaml.ScalarNode or not implicit[0] or self.yaml_path_resolvers:
+                return super().resolve(kind, value, implicit)
+            tag = self._tags.get(value)
+            if tag is None:
+                tag = self._tags[value] = super().resolve(kind, value, implicit)
+            return tag
+
+        def construct_object(self, node, deep=False):
+            # a float is immutable and keeps no per-node state, so one per text
+            # serves every node, aliases included; keyed by text, -0.0 stays apart from 0.0
+            if node.tag != "tag:yaml.org,2002:float" or type(node) is not yaml.ScalarNode:
+                return super().construct_object(node, deep=deep)
+            value = self._floats.get(node.value)
+            if value is None:
+                value = self._floats[node.value] = self.construct_yaml_float(node)
+            return value
+
         def construct_mapping(self, node, deep=False):
             # the mapping's own keys, read before a merge key splices in others
             own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
@@ -180,7 +216,7 @@ def _unique_keys(loader: type) -> type:
                 lines[key] = line
             return mapping
 
-    return UniqueKeys
+    return ScenarioLoader
 
 
 CSV_STRIDE_THRESHOLD = 10_000
@@ -389,7 +425,7 @@ def load_scenario(
     if _too_deep(text):
         raise ConfigParseError(f"{path}: collections nest deeper than {MAX_NESTING} levels")
     try:
-        doc = yaml.load(text, Loader=_unique_keys(YAML_LOADER))
+        doc = yaml.load(text, Loader=_scenario_loader(YAML_LOADER))
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         # ValueError: an int literal past 4300 digits; RecursionError: nesting
         # deeper than the pure-Python composer's stack
@@ -496,10 +532,12 @@ def write_trajectory_csv(path: Union[str, Path], traj: Trajectory) -> Path:
     """Export one trajectory with a ``step,p_1,...,p_n`` header."""
     path = Path(path)
     header = "step," + ",".join(f"p_{i + 1}" for i in range(traj.n))
+    # one template per file; a row's tolist() gives Python floats, whose %
+    # formatting writes the bytes f"{v:.17e}" writes, inf, nan and -0.0 included
+    fmt = "%d" + ",%.17e" * traj.n
     lines = [header]
     for s in _csv_steps(traj.iterations):
-        row = traj.path[s]
-        lines.append(f"{s}," + ",".join(f"{v:.17e}" for v in row))
+        lines.append(fmt % (s, *traj.path[s].tolist()))
     path.write_text("\n".join(lines) + "\n")
     return path
 

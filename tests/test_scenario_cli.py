@@ -1,4 +1,5 @@
 """Scenario files, artifact export, and the command-line interface."""
+import math
 import os
 import re
 import subprocess
@@ -96,10 +97,10 @@ def _vec(values) -> str:
     return "[" + ", ".join(repr(float(x)) for x in values) + "]"
 
 
-def _generated_text(rng, name, mode, n) -> str:
+def _generated_text(rng, name, mode, n, density=1.0) -> str:
     """A scenario written as the benchmark generates them: flow-style rows of
     full-precision floats and every output kind."""
-    net = random_network(rng, n)
+    net = random_network(rng, n, density=density)
     lines = [f"name: {name}", "network:", "  C:"]
     lines += [f"    - {_vec(row)}" for row in net.C]
     lines.append(f"  a: {_vec(net.a)}")
@@ -136,6 +137,75 @@ def test_both_loaders_read_every_scenario_alike(tmp_path, monkeypatch):
             loaded.append(load_scenario(path))
         assert _fingerprint(loaded[0]) == _fingerprint(loaded[1]), path
     assert loaded[0].net.n == 60
+
+
+BASE_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+# plain scalars of every implicit type, quoted and tagged ones, an alias and
+# float keys; most texts repeat, as 0.0 does in the rows of C
+TRICKY = """\
+plain: [0.0, -0.0, .inf, -.inf, .nan, .NaN, 1_000.5, 1:30.5, 0x1F, 017, 0o17, 1e3, 1.0e3,
+        '0.0', "0.5", !!float "2", !!str 0.5, yes, no, null, ~, 5e-324, +1.5, .5]
+again: [0.0, -0.0, .inf, .nan, 1e3, 1.0e3, '0.0', 0.5, !!float "2", yes, ~, 017]
+anchored: &x 0.25
+aliases: [*x, *x, 0.25]
+float_keys: {0.5: a, .inf: b, 1.5: c, 1_000.5: d, 1e3: e}
+nested: {rows: [[0.0, 0.5], [0.5, 0.0]], 0.5: [-0.0, -0.0]}
+empty:
+"""
+
+
+def _same(x, y) -> bool:
+    """Whether two loaded documents match in type, key order and float bits."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, dict):
+        return len(x) == len(y) and all(
+            _same(kx, ky) and _same(vx, vy) for (kx, vx), (ky, vy) in zip(x.items(), y.items()))
+    if isinstance(x, list):
+        return len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, float):
+        return math.copysign(1.0, x) == math.copysign(1.0, y) and (
+            x == y or math.isnan(x) and math.isnan(y))
+    return x == y
+
+
+@pytest.mark.parametrize("base", BASE_LOADERS, ids=lambda loader: loader.__name__)
+def test_the_scenario_loader_reads_what_pyyaml_reads(base):
+    """Resolving and converting each distinct scalar once per document
+    changes no value, type, float bit or key order."""
+    loader = scenario._scenario_loader(base)
+    sparse = _generated_text(np.random.default_rng(5), "sparse", "perception_no_ra", 40,
+                             density=0.1)
+    assert sparse.count(" 0.0,") > 1000
+    texts = [path.read_text() for path in ALL_SCENARIOS] + [sparse, TRICKY]
+    def mutable():
+        return {name: len(value) for klass in loader.__mro__
+                for name, value in vars(klass).items() if isinstance(value, (dict, list))}
+
+    before = mutable()
+    for text in texts:
+        assert _same(yaml.load(text, Loader=loader), yaml.load(text, Loader=base))
+    assert mutable() == before  # the memos live on each loader, not on its class
+    doc = yaml.load(TRICKY, Loader=loader)
+    # YAML 1.1: 1:30.5 is base 60, 017 octal; 1e3 (no dot) and 0o17 stay strings
+    assert doc["plain"][6:12] == [1000.5, 90.5, 31, 15, "0o17", "1e3"]
+    assert doc["aliases"][0] is doc["aliases"][1] == doc["anchored"] == 0.25
+    assert str(doc["again"][:4]) == "[0.0, -0.0, inf, nan]" and doc["empty"] is None
+
+    def error(text, cls):
+        try:
+            yaml.load(text, Loader=cls)
+        except Exception as exc:  # whatever PyYAML raises, type and text are compared
+            return type(exc), str(exc)
+
+    for text in ("x: !!float [0.5]", "x: !!float abc", "x: !!float ''"):
+        assert error(text, loader) == error(text, base) is not None
+    for text, where in (("a: 1\nb: 2\na: 3\n", "'a' on line 3, first given on line 1"),
+                        ("{0.5: a, 1: b, 0.5: c}", "0.5 on line 1, first given on line 1")):
+        with pytest.raises(yaml.constructor.ConstructorError,
+                           match=re.escape(f"repeated key {where}")):
+            yaml.load(text, Loader=loader)
 
 
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
@@ -216,6 +286,42 @@ def test_cli_refuses_nesting_past_the_limit_and_batch_goes_on(tmp_path):
     assert lines[2].startswith("ok: converged")
 
 
+def _chained_file(tmp_path, lines: int, name="chained.yaml") -> Path:
+    """C nested ``99 * lines`` block sequences deep by lines of 99 compact
+    indicators, each line but the last ending in ``-`` and the next indented
+    past it, so no line holds more than MAX_NESTING indicators."""
+    rows = [" " * (4 + 198 * k) + "- " * 98 + ("- 0" if k == lines - 1 else "-")
+            for k in range(lines)]
+    return _write(tmp_path, MINIMAL.replace(ROWS, "\n" + "\n".join(rows)), name=name)
+
+
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_indicators_chained_across_lines_are_a_parse_error(tmp_path, monkeypatch, loader):
+    """297 levels on 3 lines: the second line's run ends past column 202.
+    A file with as many indicators whose long lines hold only spaces, or a
+    comment, still loads."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    with pytest.raises(ConfigParseError,
+                       match="chained.yaml: collections nest deeper than 100 levels"):
+        load_scenario(_chained_file(tmp_path, 3))
+    starts = "  p0:\n" + "    - [0.5, 0.5]\n" * 150 + " " * 300 + "\n" + " " * 300 + "# note\n"
+    scn = load_scenario(_write(tmp_path, MINIMAL.replace("  p0: [0.5, 0.5]\n", starts)))
+    assert len(scn.starts) == 150
+
+
+def test_indicators_chained_deep_enough_to_crash_are_refused_in_a_child(tmp_path):
+    """About 31 700 levels on 320 lines (10 MB), which killed libyaml's composer."""
+    path = _chained_file(tmp_path, 320)
+    for loader in ("chosen", "SafeLoader"):
+        child = _child("-c", LOAD_IN_CHILD, loader, str(path))
+        assert (child.returncode, child.stdout) == (
+            0, f"ConfigParseError: {path}: collections nest deeper than 100 levels\n"), child.stderr
+    child = _child("-m", "fjpower.cli", "run", str(path), "--out", str(tmp_path / "out"))
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == f"error: {path}: collections nest deeper than 100 levels\n"
+
+
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
                          ids=["chosen", "SafeLoader"])
 def test_a_repeated_key_is_a_parse_error_naming_it(tmp_path, monkeypatch, loader):
@@ -236,7 +342,7 @@ def test_a_repeated_key_is_a_parse_error_naming_it(tmp_path, monkeypatch, loader
             load_scenario(_write(tmp_path, text))
     # keys a merge key brings in may be overridden: YAML says the mapping's own win
     merged = yaml.load("base: &b {x: 1, y: 2}\nuse: {<<: *b, y: 3}\n",
-                       Loader=scenario._unique_keys(loader))
+                       Loader=scenario._scenario_loader(loader))
     assert merged == {"base": {"x": 1, "y": 2}, "use": {"x": 1, "y": 3}}
 
 
@@ -606,6 +712,18 @@ def test_csv_round_trips_full_precision(tmp_path):
         cells = line.split(",")
         assert int(cells[0]) == s
         assert np.array_equal(np.array([float(c) for c in cells[1:]]), path_data[s])
+
+
+def test_csv_rows_are_the_bytes_of_each_value_formatted_alone(tmp_path):
+    """Each cell is ``f"{v:.17e}"`` of its value, at the float range's edges too."""
+    edges = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308]
+    path_data = np.array([edges, edges[::-1], [0.0, 1.0, -1.0, 0.5, -5e-324, 0.1]])
+    traj = Trajectory(path=path_data, status=NONFINITE)
+    want = ["step," + ",".join(f"p_{i}" for i in range(1, 7))]
+    want += [f"{s}," + ",".join(f"{v:.17e}" for v in row) for s, row in enumerate(path_data)]
+    assert write_trajectory_csv(tmp_path / "t.csv", traj).read_bytes() == (
+        "\n".join(want) + "\n").encode()
+    assert "-0.00000000000000000e+00,4.94065645841246544e-324" in want[1]
 
 
 def test_long_trajectory_csv_keeps_the_final_row(tmp_path):
