@@ -20,9 +20,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import simkit
+from . import scenario
 from .analysis import ConditionReport
-from .errors import ConfigValidationError, FJPowerError
+from .errors import FJPowerError
 from .fj_core import compute_social_power
 from .scenario import (
     GAMMA_MODES,
@@ -32,7 +32,6 @@ from .scenario import (
     error_result,
     load_scenario,
     run_reports,
-    run_scenario,
 )
 
 SCENARIO_SUFFIXES = (".yaml", ".yml")
@@ -55,7 +54,7 @@ def _print_result(result: ScenarioResult) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scn = _load_with_overrides(args.config, args)
-    result = run_scenario(scn, out_dir=args.out)
+    result = scenario.run_scenario(scn, out_dir=args.out)
     _print_result(result)
     return result.exit_code
 
@@ -73,17 +72,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     codes = set()
     named: dict[str, str] = {}  # scenario name -> the file that took it first
     for path in paths:
+        name, mode = path.stem, "?"
         try:
             scn = _load_with_overrides(path, args)
-        except FJPowerError as exc:
-            result = error_result(path.stem, "?", exc)
-        else:
-            try:  # a repeated name's outputs would overwrite the first file's
-                claim_name(named, scn.name, path.name)
-            except ConfigValidationError as exc:
-                result = error_result(scn.name, scn.mode, exc)
-            else:
-                (result,) = simkit.run_batch([scn], out_dir=args.out)
+            name, mode = scn.name, scn.mode
+            # a repeated name's outputs would overwrite the first file's
+            claim_name(named, scn.name, path.name)
+            # looked up at call time, so a wrapper patched onto it sees every file
+            result = scenario.run_scenario(scn, out_dir=args.out)
+        except Exception as exc:  # noqa: BLE001 — a batch must never abort
+            result = error_result(name, mode, exc)
         print(result.summary_line())
         codes.add(result.exit_code)
     return 1 if 1 in codes else 2 if 2 in codes else 0

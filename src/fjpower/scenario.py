@@ -174,7 +174,9 @@ def _scenario_loader(loader: type) -> type:
     follows the number of keys, not the size of C.  Most scalars repeat a
     text (``0.0`` fills the sparse rows of C), so the memos turn most of
     PyYAML's per-scalar Python work into a dict lookup; they live on the
-    loader, and ``yaml.load`` builds one per document."""
+    loader, and ``yaml.load`` builds one per document.  An error other than
+    PyYAML's own or a RecursionError that building a node raises becomes a
+    ConstructorError naming the node's tag, line and column."""
 
     class ScenarioLoader(loader):
         def __init__(self, stream):
@@ -194,16 +196,29 @@ def _scenario_loader(loader: type) -> type:
         def construct_object(self, node, deep=False):
             # a float is immutable and keeps no per-node state, so one per text
             # serves every node, aliases included; keyed by text, -0.0 stays apart from 0.0
-            if node.tag != "tag:yaml.org,2002:float" or type(node) is not yaml.ScalarNode:
-                return super().construct_object(node, deep=deep)
-            value = self._floats.get(node.value)
-            if value is None:
-                value = self._floats[node.value] = self.construct_yaml_float(node)
-            return value
+            try:
+                if node.tag != "tag:yaml.org,2002:float" or type(node) is not yaml.ScalarNode:
+                    return super().construct_object(node, deep=deep)
+                value = self._floats.get(node.value)
+                if value is None:
+                    value = self._floats[node.value] = self.construct_yaml_float(node)
+                return value
+            except (yaml.YAMLError, RecursionError):
+                raise
+            except Exception as exc:  # noqa: BLE001 — SafeConstructor's own slips:
+                # IndexError for `!!float ""` and `!!int ""`, KeyError for `!!bool ""`,
+                # AttributeError for `!!timestamp ""`, ValueError past 4300 int digits
+                mark = node.start_mark
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"cannot build {node.tag} on line {mark.line + 1}, "
+                    f"column {mark.column + 1}: {type(exc).__name__}: {exc}") from exc
 
         def construct_mapping(self, node, deep=False):
-            # the mapping's own keys, read before a merge key splices in others
-            own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            # the mapping's own keys, read before a merge key splices in others; a
+            # `!!map` or `!!set` tag on a scalar or a list is left to PyYAML's
+            # "expected a mapping node", as this runs outside construct_object
+            own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"] \
+                if isinstance(node, yaml.MappingNode) else []
             mapping = super().construct_mapping(node, deep=deep)
             lines: dict = {}
             for key_node in own:
@@ -217,6 +232,37 @@ def _scenario_loader(loader: type) -> type:
             return mapping
 
     return ScenarioLoader
+
+
+_COLLECTIONS = (list, tuple, dict)
+
+
+def _expands_past(doc, bound: int) -> bool:
+    """Whether ``doc`` holds more than ``bound`` scalars once every alias is
+    expanded, an empty list or mapping counting as one and a collection that
+    holds itself as endless.  Aliases make shared references, so the walk
+    counts each collection once, by its ``id``, and needs no recursion; an
+    alias-free document holds fewer scalars than its text has characters,
+    so ``len(text)`` is a bound no valid file reaches."""
+    counts: dict[int, Optional[int]] = {}  # id -> expanded scalars; None while open
+    stack = [doc] if isinstance(doc, _COLLECTIONS) else []
+    while stack:
+        obj = stack[-1]
+        items = [*obj, *obj.values()] if isinstance(obj, dict) else obj
+        inner = [item for item in items if isinstance(item, _COLLECTIONS)]
+        if id(obj) not in counts:  # first visit: count what it holds, then come back
+            counts[id(obj)] = None
+            if any(counts.get(id(item), 0) is None for item in inner):  # holds an open one
+                return True
+            stack += [item for item in inner if id(item) not in counts]
+            continue
+        stack.pop()
+        if counts[id(obj)] is None:
+            total = sum(counts[id(item)] for item in inner) + len(items) - len(inner) or 1
+            if total > bound:
+                return True
+            counts[id(obj)] = total
+    return False
 
 
 CSV_STRIDE_THRESHOLD = 10_000
@@ -426,10 +472,12 @@ def load_scenario(
         raise ConfigParseError(f"{path}: collections nest deeper than {MAX_NESTING} levels")
     try:
         doc = yaml.load(text, Loader=_scenario_loader(YAML_LOADER))
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        # ValueError: an int literal past 4300 digits; RecursionError: nesting
-        # deeper than the pure-Python composer's stack
+    except (yaml.YAMLError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the pure-Python composer's stack
         raise ConfigParseError(f"{path}: {exc}") from exc
+    if "*" in text and _expands_past(doc, len(text)):
+        raise ConfigParseError(f"{path}: aliases expand to more than {len(text)} scalars, "
+                               "one per character of the file")
     if not isinstance(doc, dict):
         raise ConfigParseError(f"{path}: top level must be a mapping")
     raw_name = doc.get("name", path.stem)

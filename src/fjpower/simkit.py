@@ -8,8 +8,10 @@ computes its next estimate from its view, its own value and its inbox —
 nothing else is reachable from the update functions.  Rounds are
 synchronous; inbox slots are overwritten each round.
 
-Batch execution of scenario files also lives here; per-scenario failures are
-captured in the summaries so a batch never aborts midway.
+The batch API over scenarios already loaded also lives here; per-scenario
+failures are captured in the summaries so a batch never aborts midway.
+``fjpower batch`` loads, claims and runs each file itself, so a file that
+fails to load is summarized there too.
 """
 from __future__ import annotations
 
@@ -114,11 +116,12 @@ def run_distributed(
 
 
 def run_batch(scenarios: Sequence, out_dir=None) -> list:
-    """Run many scenarios in order; per-scenario errors, and a name an earlier
-    scenario took (named by 1-based position), become summary entries.
+    """Run many loaded scenarios in order; per-scenario errors, and a name an
+    earlier scenario took (named by 1-based position), become summary entries.
 
     ``scenarios`` holds loaded scenario objects; results keep the input
-    order.  ``out_dir`` is forwarded to each run.
+    order.  ``out_dir`` is forwarded to each run.  Loading is the caller's:
+    ``fjpower batch`` captures each file's load, name claim and run itself.
     """
     from .scenario import claim_name, error_result, run_scenario  # lazy: scenario imports simkit
 

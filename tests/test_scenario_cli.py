@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -199,8 +200,14 @@ def test_the_scenario_loader_reads_what_pyyaml_reads(base):
         except Exception as exc:  # whatever PyYAML raises, type and text are compared
             return type(exc), str(exc)
 
-    for text in ("x: !!float [0.5]", "x: !!float abc", "x: !!float ''"):
-        assert error(text, loader) == error(text, base) is not None
+    assert error("x: !!float [0.5]", loader) == error("x: !!float [0.5]", base) is not None
+    # what SafeConstructor raises outside YAMLError becomes one naming the tag and place
+    for text, slip in (("x: !!float abc", ValueError), ("x: !!float ''", IndexError)):
+        assert error(text, base)[0] is slip
+        kind, message = error(text, loader)
+        assert kind is yaml.constructor.ConstructorError
+        assert message.startswith(
+            f"cannot build tag:yaml.org,2002:float on line 1, column 4: {slip.__name__}: ")
     for text, where in (("a: 1\nb: 2\na: 3\n", "'a' on line 3, first given on line 1"),
                         ("{0.5: a, 1: b, 0.5: c}", "0.5 on line 1, first given on line 1")):
         with pytest.raises(yaml.constructor.ConstructorError,
@@ -254,11 +261,11 @@ def _deeper_files(tmp_path, levels=50_000) -> list[Path]:
                    name=f"{shape}.yaml") for shape, rows in texts.items()]
 
 
-def _child(*args) -> subprocess.CompletedProcess:
+def _child(*args, timeout=None, **env) -> subprocess.CompletedProcess:
     src = str(Path(scenario.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path, **env})
 
 
 @pytest.mark.parametrize("loader", ["chosen", "SafeLoader"])
@@ -344,6 +351,239 @@ def test_a_repeated_key_is_a_parse_error_naming_it(tmp_path, monkeypatch, loader
     merged = yaml.load("base: &b {x: 1, y: 2}\nuse: {<<: *b, y: 3}\n",
                        Loader=scenario._scenario_loader(loader))
     assert merged == {"base": {"x": 1, "y": 2}, "use": {"x": 1, "y": 3}}
+
+
+# what PyYAML's SafeConstructor raises for each tagged empty scalar
+TAGGED_EMPTY = {"float": IndexError, "int": IndexError, "bool": KeyError,
+                "timestamp": AttributeError}
+
+
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_a_tagged_scalar_pyyaml_cannot_build_is_a_parse_error(tmp_path, monkeypatch, loader):
+    """Each tagged empty scalar names its tag; a mapping tag on a scalar or a
+    list, built after construct_object returns, gets PyYAML's own message."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    for tag, slip in TAGGED_EMPTY.items():
+        path = _write(tmp_path, MINIMAL + f'tol: !!{tag} ""\n', name=f"{tag}.yaml")
+        with pytest.raises(ConfigParseError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"{path}: cannot build tag:yaml.org,2002:{tag} "
+                                         f"on line 10, column 6: {slip.__name__}: ")
+    for tag, value, kind in [(tag, value, kind) for tag in ("map", "set")
+                             for value, kind in (("abc", "scalar"), ("[a, b]", "sequence"))]:
+        path = _write(tmp_path, MINIMAL + f"tol: !!{tag} {value}\n", name=f"{tag}.yaml")
+        with pytest.raises(ConfigParseError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"{path}: expected a mapping node, but found {kind}")
+        assert main(["run", str(path)]) == 1
+
+
+def _alias_levels(levels: int, name="bomb") -> str:
+    """A scenario whose C holds ``levels`` lists, each of ten aliases to the
+    one before: 10**levels scalars once expanded, from a file of a few
+    hundred bytes."""
+    rows = ["    - &l1 [" + ", ".join(["0.5"] * 10) + "]"]
+    rows += [f"    - &l{k} [" + ", ".join([f"*l{k - 1}"] * 10) + "]"
+             for k in range(2, levels + 1)]
+    return MINIMAL.replace("case", name).replace(ROWS, "\n" + "\n".join(rows))
+
+
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_aliases_that_expand_past_the_file_size_are_refused_at_once(
+        tmp_path, monkeypatch, loader):
+    """Seven levels, 10**7 scalars, would cost numpy about half a second and
+    185 MB to expand before its shape error; a list that holds itself
+    expands without end."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    path = _write(tmp_path, _alias_levels(7))
+    message = f"{path}: aliases expand to more than {len(path.read_text())} scalars"
+    asked = []  # the arrays asked of numpy: none, as the walk refuses the file first
+    asarray = scenario.np.asarray
+    monkeypatch.setattr(scenario.np, "asarray",
+                        lambda *args, **kwargs: asked.append(1) or asarray(*args, **kwargs))
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        with pytest.raises(ConfigParseError, match=re.escape(message)):
+            load_scenario(path)
+        times.append(time.perf_counter() - start)
+    assert not asked
+    assert min(times) < 0.1, times  # a few ms; the expansion it spares takes 0.5 s
+    load_scenario(_write(tmp_path, MINIMAL, name="valid.yaml"))
+    assert asked
+    looped = _write(tmp_path, MINIMAL.replace(ROWS, " &c [*c, [1.0, 0.0]]"), name="looped.yaml")
+    with pytest.raises(ConfigParseError, match="looped.yaml: aliases expand to more than"):
+        load_scenario(looped)
+
+
+def test_aliases_expanding_to_a_billion_scalars_are_refused_in_a_capped_child(tmp_path):
+    """Nine levels: each level multiplies time and memory by about ten, so
+    expanding them would ask numpy for tens of GB; the child's address space
+    is capped at 1 GB (an rlimit on that one process)."""
+    path = _write(tmp_path, _alias_levels(9))
+    assert len(path.read_text()) < 700
+    capped = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n") + LOAD_IN_CHILD
+    for loader in ("chosen", "SafeLoader"):
+        child = _child("-c", capped, loader, str(path), OPENBLAS_NUM_THREADS="1")
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.startswith(f"ConfigParseError: {path}: aliases expand to more than")
+
+
+def _anchored_p0(text: str, rows: int = 3) -> str:
+    """``text`` with its one ``p0`` vector given once, anchored, then reused."""
+    vector = re.search(r"  p0: (\[.*\])\n", text).group(1)
+    reused = "  p0:\n    - &p0 " + vector + "\n" + "    - *p0\n" * (rows - 1)
+    return text.replace(f"  p0: {vector}\n", reused)
+
+
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_files_the_alias_bound_must_pass(tmp_path, monkeypatch, loader):
+    """Every bundled file and a generated one hold fewer scalars than
+    characters, so the bound cannot refuse them even when the walk runs; a
+    generated file that reuses an anchored start loads as if written out."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    generated = _generated_text(np.random.default_rng(9), "gen", "distributed_no_ra", 60)
+    for text in [path.read_text() for path in ALL_SCENARIOS] + [generated]:
+        assert not scenario._expands_past(yaml.load(text, Loader=loader), len(text))
+    anchored = _anchored_p0(generated)
+    assert anchored.count("*p0") == 2
+    scn = load_scenario(_write(tmp_path, anchored, name="gen.yaml"))
+    plain = load_scenario(_write(tmp_path, generated, name="plain.yaml"))
+    assert len(scn.starts) == 3 and all(
+        start.tobytes() == plain.starts[0].tobytes() for start in scn.starts)
+    assert _fingerprint(replace(scn, starts=plain.starts)) == _fingerprint(plain)
+    # the walk's count is the written-out document's, to the scalar
+    for text in (anchored, _alias_levels(3), "[[], {}, &e [], *e, [*e]]"):
+        doc = yaml.load(text, Loader=loader)
+        total = _written_out(doc)
+        assert not scenario._expands_past(doc, total)
+        assert scenario._expands_past(doc, total - 1)
+
+
+def _written_out(x) -> int:
+    """The scalars of ``x`` counted as if every alias were written out, an
+    empty list or mapping as one."""
+    if isinstance(x, dict):
+        x = [*x, *x.values()]
+    if not isinstance(x, list):
+        return 1
+    return sum(map(_written_out, x)) or 1
+
+
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_cli_batch_goes_on_past_every_hostile_file(tmp_path, capsys, monkeypatch, loader):
+    """Valid files on both sides of a tagged empty scalar, an alias bomb and a
+    load that raises something no loader names: one summary line per file in
+    file order, and the valid files write what they write alone."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    d = tmp_path / "scn"
+    d.mkdir()
+    ra = (SCENARIO_DIR / "three_node_ra.yaml").read_text()
+    (d / "a.yaml").write_text((SCENARIO_DIR / "three_node_no_ra.yaml").read_text())
+    (d / "b.yaml").write_text(ra.replace("three_node_ra", "b") + 'tol: !!float ""\n')
+    (d / "c.yaml").write_text(_alias_levels(7, name="c"))
+    (d / "d.yaml").write_text(MINIMAL.replace("case", "d"))
+    (d / "e.yaml").write_text(ra)
+    load = cli.load_scenario
+
+    def raising(path, **overrides):
+        if Path(path).stem == "d":
+            raise IndexError("string index out of range")
+        return load(path, **overrides)
+
+    monkeypatch.setattr(cli, "load_scenario", raising)
+    assert main(["batch", str(d), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["three_node_no_ra", "b", "c", "d",
+                                                      "three_node_ra"]
+    assert lines[0].startswith("three_node_no_ra: converged")
+    assert lines[1].startswith("b: error after 0 iteration(s) error: ConfigParseError: "
+                               f"{d / 'b.yaml'}: cannot build tag:yaml.org,2002:float on line 21")
+    assert lines[2].startswith("c: error after 0 iteration(s) error: ConfigParseError: "
+                               f"{d / 'c.yaml'}: aliases expand to more than")
+    assert lines[3] == "d: error after 0 iteration(s) error: IndexError: string index out of range"
+    assert lines[4].startswith("three_node_ra: converged")
+    for stem in "ae":
+        assert main(["run", str(d / f"{stem}.yaml"), "--out", str(tmp_path / "alone")]) == 0
+    capsys.readouterr()
+    written = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert written == {p.name: p.read_bytes() for p in (tmp_path / "alone").iterdir()}
+    assert {"three_node_no_ra_traj1.csv", "three_node_ra_report.txt"} <= set(written)
+
+
+# scalar positions in the bundled files: after a key, a list dash, a bracket or a comma
+SCALAR = re.compile(r"(?:(?<=: )|(?<=- )|(?<=\[)|(?<=, ))[^\s,\[\]{}#:]+")
+TAGS = ("float", "int", "bool", "timestamp", "binary", "map", "set")
+
+
+def _splice(rng, value: str, k: int, anchors: list) -> str:
+    """A tag, an empty scalar, an anchor or an alias in place of ``value``."""
+    kind = int(rng.integers(4))
+    if kind == 0:  # a tag on the value or on an empty scalar
+        return f"!!{TAGS[int(rng.integers(len(TAGS)))]} " + (value if rng.random() < 0.5 else "''")
+    if kind == 1:
+        return ("''", "")[int(rng.integers(2))]
+    if kind == 2 or not anchors:
+        anchors.append(f"s{k}")
+        return f"&s{k} {value}"
+    return "*" + (anchors[int(rng.integers(len(anchors)))] if rng.random() < 0.9 else "nowhere")
+
+
+def _mutants(rng, count: int = 100) -> list[str]:
+    """``count`` texts from the bundled files, each with one to three scalars
+    replaced by a tag, an empty scalar, an anchor or an alias (to an earlier
+    anchor, which may be a flow list, or to none)."""
+    texts = [path.read_text() for path in ALL_SCENARIOS]
+    mutants = []
+    for m in range(count):
+        text, anchors = texts[m % len(texts)], []
+        if rng.random() < 0.3:  # anchor the first flow list, for an alias to expand
+            text, anchors = text.replace(": [", ": &L [", 1), ["L"]
+        spots = [match.span() for match in SCALAR.finditer(text)]
+        picked = sorted(rng.choice(len(spots), size=int(rng.integers(1, 4)), replace=False))
+        pieces, last = [], 0
+        for k, index in enumerate(picked):
+            start, end = spots[index]
+            pieces += [text[last:start], _splice(rng, text[start:end], k, anchors)]
+            last = end
+        mutants.append("".join(pieces) + text[last:])
+    return mutants
+
+
+LOAD_ALL_IN_CHILD = """\
+import sys, yaml
+from fjpower import FJPowerError, load_scenario, scenario
+ends = {}
+for loader in (scenario.YAML_LOADER, yaml.SafeLoader):
+    scenario.YAML_LOADER = loader
+    for path in sys.argv[1:]:
+        try:
+            load_scenario(path)
+            end = "Scenario"
+        except FJPowerError as exc:
+            end = type(exc).__name__
+        ends[end] = ends.get(end, 0) + 1
+print(sorted(ends.items()))
+"""
+
+
+def test_mutated_bundled_files_end_in_a_scenario_or_a_config_error(tmp_path):
+    """A seeded fuzz of 100 texts, each loaded under both loaders in one
+    child: anything else, a traceback, a signal or a run past 60 s, fails."""
+    paths = [_write(tmp_path, text, name=f"m{k:03d}.yaml")
+             for k, text in enumerate(_mutants(np.random.default_rng(32)))]
+    child = _child("-c", LOAD_ALL_IN_CHILD, *map(str, paths), timeout=60)
+    assert child.returncode == 0, child.stderr
+    ends = dict(eval(child.stdout))
+    assert sum(ends.values()) == 2 * len(paths)
+    assert set(ends) <= {"Scenario", "ConfigParseError", "ConfigValidationError"}
+    assert min(ends.get(end, 0) for end in ("Scenario", "ConfigParseError",
+                                            "ConfigValidationError")) >= 10, ends
 
 
 def test_network_invariants_are_named_in_the_error(tmp_path):
@@ -907,8 +1147,9 @@ def test_cli_batch_aggregates_divergence(tmp_path, capsys):
 
 def test_cli_batch_looks_up_the_loader_and_runner_by_module_attribute(
         tmp_path, capsys, monkeypatch):
-    """Each file goes through ``cli.load_scenario`` and ``scenario.run_scenario``
-    as looked up at call time, so a wrapper patched onto either sees it."""
+    """Each file of a batch, and a ``run``'s one, goes through
+    ``cli.load_scenario`` and ``scenario.run_scenario`` as looked up at call
+    time, so a wrapper patched onto either sees it."""
     seen: dict[str, list] = {"load": [], "run": []}
 
     def counting(key, fn, name):
@@ -922,8 +1163,9 @@ def test_cli_batch_looks_up_the_loader_and_runner_by_module_attribute(
     monkeypatch.setattr(scenario, "run_scenario",
                         counting("run", scenario.run_scenario, lambda scn: scn.name))
     main(["batch", str(SCENARIO_DIR / "star_partial"), "--out", str(tmp_path)])
+    main(["run", str(SCENARIO_DIR / "three_node_ra.yaml"), "--out", str(tmp_path)])
     capsys.readouterr()
-    stems = [f"star_partial_{x}" for x in "abcd"]
+    stems = [f"star_partial_{x}" for x in "abcd"] + ["three_node_ra"]
     assert seen == {"load": stems, "run": stems}
 
 
