@@ -31,10 +31,8 @@ included), and are byte-identical across repeated runs of the same scenario.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
@@ -139,50 +137,44 @@ BOX_BUILDERS = {
 # libyaml's parser when PyYAML was built with it; both loaders build documents
 # with SafeConstructor and the same resolver, so they read files identically
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-# libyaml's composer recurses once per nesting level and kills the process
-# (SIGSEGV) somewhere past 20 000 levels; the grammar needs 4 and numpy
-# refuses arrays of more than 64 dimensions
+# deeper nesting is a parse error: both composers recurse once a level, libyaml's to a
+# SIGSEGV past about 20 000; the grammar needs 4, numpy takes at most 64 dimensions
 MAX_NESTING = 100
-
-
-def _too_deep(text: str) -> bool:
-    """Whether flow brackets, or the compact ``- ``/``? `` indicators of one
-    line, nest deeper than MAX_NESTING, or, in a file holding more indicators
-    than that, a line whose first non-space character is an indicator runs
-    its indentation and leading indicators past column
-    ``2 * MAX_NESTING + 2``: runs of indicators chained across lines by
-    indentation pass that column long before they nest deep enough to
-    crash.  Each count tried first bounds the depth its scans measure, so a
-    file of ordinary shape skips the scans.  A bracket counts wherever it
-    stands, in a quoted scalar or a comment too."""
-    if text.count("[") + text.count("{") > MAX_NESTING:
-        steps = (1 if c in "[{" else -1 for c in re.findall(r"[][{}]", text))
-        if max(itertools.accumulate(steps)) > MAX_NESTING:
-            return True
-    return (text.count("- ") + text.count("? ") > MAX_NESTING
-            and (re.search(r"^(?= *[-?](?!\S))(?: |[-?](?!\S)){%d}" % (2 * MAX_NESTING + 3),
-                           text, re.MULTILINE) is not None
-                 or re.search(r"(?:[-?] +){%d}" % (MAX_NESTING + 1), text) is not None))
 
 
 @functools.cache
 def _scenario_loader(loader: type) -> type:
-    """``loader`` refusing a key given twice in one mapping, whose last value
-    both loaders would keep without a word, and resolving the tag of each
-    distinct plain scalar text, and converting each distinct float text, once
-    per document.  Each mapping is checked as it is built, so the cost
-    follows the number of keys, not the size of C.  Most scalars repeat a
-    text (``0.0`` fills the sparse rows of C), so the memos turn most of
-    PyYAML's per-scalar Python work into a dict lookup; they live on the
-    loader, and ``yaml.load`` builds one per document.  An error other than
-    PyYAML's own or a RecursionError that building a node raises becomes a
-    ConstructorError naming the node's tag, line and column."""
+    """``loader`` with per-document memos and checks: it resolves the tag of
+    each distinct plain scalar text, and converts each distinct float text,
+    once; it refuses a repeated key, nesting past MAX_NESTING and merge keys
+    that splice in more pairs than the file has characters; and it turns an
+    error other than PyYAML's own or a RecursionError that building a node
+    raises into a ConstructorError naming the node's tag, line and column."""
 
     class ScenarioLoader(loader):
+        __slots__ = ("_depth",)  # read and written twice a node; a slot is the quickest attribute
+
         def __init__(self, stream):
             super().__init__(stream)
             self._tags: dict = {}    # plain scalar text -> implicit tag
             self._floats: dict = {}  # float-tagged scalar text -> float
+            self._depth = 0                    # collections around the node being composed
+            self._merging = self._spliced = 0  # flatten_mapping calls under way, pairs spliced in
+            self._size = len(stream)
+
+        def descend_resolver(self, current_node, current_index):
+            # both composers call this before each node, and ascend_resolver after it
+            if self._depth > MAX_NESTING:
+                raise yaml.composer.ComposerError(
+                    None, None, f"collections nest deeper than {MAX_NESTING} levels")
+            self._depth += 1
+            if self.yaml_path_resolvers:
+                super().descend_resolver(current_node, current_index)
+
+        def ascend_resolver(self):
+            self._depth -= 1
+            if self.yaml_path_resolvers:
+                super().ascend_resolver()
 
         def resolve(self, kind, value, implicit):
             # with no path resolvers a plain scalar's tag depends on its text alone
@@ -230,6 +222,18 @@ def _scenario_loader(loader: type) -> type:
                         f"first given on line {lines[key]}")
                 lines[key] = line
             return mapping
+
+        def flatten_mapping(self, node):
+            # m aliases to a k-key mapping under a merge key make PyYAML flatten
+            # it m times and splice in m * k pairs: each is counted before its splice
+            self._merging += 1
+            super().flatten_mapping(node)
+            self._merging -= 1
+            self._spliced += len(node.value) if self._merging else 0
+            if self._spliced > self._size:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"merge keys splice in more than {self._size} pairs, "
+                    "one per character of the file")
 
     return ScenarioLoader
 
@@ -468,13 +472,14 @@ def load_scenario(
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
-    if _too_deep(text):
-        raise ConfigParseError(f"{path}: collections nest deeper than {MAX_NESTING} levels")
     try:
         doc = yaml.load(text, Loader=_scenario_loader(YAML_LOADER))
     except (yaml.YAMLError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the pure-Python composer's stack
-        raise ConfigParseError(f"{path}: {exc}") from exc
+        # one line: PyYAML's mark lines without the file name or the source quoted
+        # under them; RecursionError: the nesting guard leaves it to a caller deep in its stack
+        lines = (line.strip().rstrip(":").replace('in "<unicode string>", ', "")
+                 for line in str(exc).splitlines() if not line.startswith("    "))
+        raise ConfigParseError(f"{path}: " + "; ".join(lines)) from exc
     if "*" in text and _expands_past(doc, len(text)):
         raise ConfigParseError(f"{path}: aliases expand to more than {len(text)} scalars, "
                                "one per character of the file")
@@ -596,18 +601,13 @@ def _overall_status(trajs: tuple[Trajectory, ...]) -> str:
     return next((s for s in (NONFINITE, DIVERGED, MAX_ITER) if s in statuses), CONVERGED)
 
 
-def _resolve_out_dir(out_dir: Union[str, Path, None]) -> Path:
-    if out_dir is None:
-        out_dir = os.environ.get("FJPOWER_OUT", ".")
-    return Path(out_dir)
-
-
-def _write_outputs(scn: Scenario, out_dir: Path,
+def _write_outputs(scn: Scenario, out_dir: Union[str, Path, None],
                    trajs: tuple[Trajectory, ...] = ()) -> tuple[dict, tuple[str, ...]]:
-    """Write the scenario's requested artifacts in request order: one CSV per
+    """Write the scenario's requested artifacts in request order into
+    ``out_dir`` (default FJPOWER_OUT, else the working directory): one CSV per
     trajectory in ``trajs`` (none when it is empty) and every report, into
-    ``<name>_report.txt``.  Returns the reports and the written paths, the
-    CSVs first."""
+    ``<name>_report.txt``.  Returns the reports and the written paths, the CSVs first."""
+    out_dir = Path(os.environ.get("FJPOWER_OUT", ".") if out_dir is None else out_dir)
     reports: dict = {}
     lines: list[str] = []
     written: list[str] = []
@@ -653,7 +653,6 @@ def run_scenario(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scena
     documented convention: 0 converged / report success, 2 diverged (an
     expected outcome class, not an error), 1 anything else.
     """
-    out_dir = _resolve_out_dir(out_dir)
     run = MODE_TABLE[scn.mode].run
     trajs = tuple(run(scn.net, scn.gamma, p0, scn.tol, scn.max_iter)
                   for p0 in scn.starts or (None,))
@@ -672,7 +671,7 @@ def run_reports(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scenar
     Raises ConfigValidationError when the scenario requests none — asking
     for a report from a trajectory-only scenario is a caller mistake.
     """
-    reports, written = _write_outputs(scn, _resolve_out_dir(out_dir))
+    reports, written = _write_outputs(scn, out_dir)
     if not written:
         raise ConfigValidationError(
             f"{scn.name}: no report outputs requested "

@@ -61,7 +61,8 @@ ROWS = "\n    - [0.0, 1.0]\n    - [1.0, 0.0]"
 # a 10 kB file whose C nests 5000 flow sequences
 DEEP = MINIMAL.replace("case", "deep").replace(ROWS, " " + "[" * 5000 + "]" * 5000)
 # a 0.5 MB file whose C nests 1000 block sequences by indentation alone,
-# each "-" one column right of the last, which the nesting guard does not count
+# each "-" one column right of the last, which the nesting guard counts as it
+# counts brackets
 DEEP_INDENTED = MINIMAL.replace(ROWS, "".join(f"\n{' ' * (4 + k)}-" for k in range(1000)) + " 0")
 
 
@@ -232,7 +233,7 @@ def test_unreadable_files_are_parse_errors_under_both_loaders(tmp_path, monkeypa
     latin.write_bytes(b"name: x\n\xff\xfe: 1\n")
     with pytest.raises(ConfigParseError, match="cannot read .*utf-8"):
         load_scenario(latin)
-    # past MAX_NESTING, so refused before either loader reads it
+    # past MAX_NESTING, so refused as either loader composes it
     deep = _write(tmp_path, DEEP, name="deep.yaml")
     with pytest.raises(ConfigParseError, match="deep.yaml: collections nest deeper than 100"):
         load_scenario(deep)
@@ -305,8 +306,8 @@ def _chained_file(tmp_path, lines: int, name="chained.yaml") -> Path:
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
                          ids=["chosen", "SafeLoader"])
 def test_indicators_chained_across_lines_are_a_parse_error(tmp_path, monkeypatch, loader):
-    """297 levels on 3 lines: the second line's run ends past column 202.
-    A file with as many indicators whose long lines hold only spaces, or a
+    """297 levels on 3 lines, each line's run of indicators under 100.  A
+    file with as many indicators whose long lines hold only spaces, or a
     comment, still loads."""
     monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     with pytest.raises(ConfigParseError,
@@ -327,6 +328,116 @@ def test_indicators_chained_deep_enough_to_crash_are_refused_in_a_child(tmp_path
     child = _child("-m", "fjpower.cli", "run", str(path), "--out", str(tmp_path / "out"))
     assert (child.returncode, child.stdout) == (1, "")
     assert child.stderr == f"error: {path}: collections nest deeper than 100 levels\n"
+
+
+def _nested(levels: int, shape: str) -> str:
+    """A document whose scalar ``0`` sits inside ``levels`` collections, the
+    top-level mapping included, nested by flow brackets, by compact ``- ``
+    indicators on one line or by indentation alone."""
+    inner = levels - 1
+    return "x:" + {"flow": " " + "[" * inner + "0" + "]" * inner,
+                   "compact": "\n  " + "- " * inner + "0",
+                   "indented": "".join(f"\n{' ' * (2 + k)}-" for k in range(inner)) + " 0"}[shape]
+
+
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_nesting_is_counted_as_pyyaml_composes_it(tmp_path, monkeypatch, loader):
+    """Brackets and indicators in a comment do not count, and nesting by
+    indentation does: 100 collections around a scalar load, 101 do not."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    bundled = SCENARIO_DIR / "three_node_ra.yaml"
+    for comment in ("[" * 150, "- " * 120):
+        path = _write(tmp_path, bundled.read_text() + f"# {comment}\n", name=bundled.name)
+        assert _fingerprint(load_scenario(path)) == _fingerprint(load_scenario(bundled))
+    value = 0
+    for _ in range(99):
+        value = [value]
+    for shape in ("flow", "compact", "indented"):
+        assert yaml.load(_nested(100, shape), Loader=scenario._scenario_loader(loader)) == {
+            "x": value}
+        with pytest.raises(yaml.composer.ComposerError,
+                           match="^collections nest deeper than 100 levels$"):
+            yaml.load(_nested(101, shape), Loader=scenario._scenario_loader(loader))
+    # C sits inside the top-level mapping and network: at 100 levels numpy
+    # refuses its 98 dimensions, at 101 the loader refuses the file
+    def c_nested(levels):
+        rows = " " + "[" * (levels - 2) + "0" + "]" * (levels - 2)
+        return _write(tmp_path, MINIMAL.replace(ROWS, rows), name=f"l{levels}.yaml")
+
+    with pytest.raises(ConfigValidationError, match="case: network arrays are not numeric"):
+        load_scenario(c_nested(100))
+    for path in (c_nested(101), _write(tmp_path, DEEP_INDENTED, name="indented.yaml")):
+        with pytest.raises(ConfigParseError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"{path}: collections nest deeper than 100 levels"
+
+
+def _merge_file(k: int, m: int) -> str:
+    """MINIMAL with a mapping of ``k`` keys, anchored, and a mapping whose
+    merge key holds ``m`` aliases to it: PyYAML splices in m * k pairs."""
+    keys = ", ".join(f"k{i}: 0" for i in range(k))
+    return MINIMAL + f"x: &a {{{keys}}}\ny: {{<<: [{', '.join(['*a'] * m)}]}}\n"
+
+
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_merge_keys_that_splice_past_the_file_size_are_refused_at_once(
+        tmp_path, monkeypatch, loader):
+    """k = m = 2000 (27 kB) would splice 4 * 10**6 pairs, which took 5.5 s
+    under libyaml; the refusal comes within 0.1 s of composing the file (the
+    pure-Python composer alone takes about 0.2 s), after 14 of PyYAML's 2000
+    flattens.  The bound is exact, and merges under it load."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    text = _merge_file(2000, 2000)
+    path = _write(tmp_path, text)
+    message = f"{path}: merge keys splice in more than {len(text)} pairs, one per character"
+    flattens = []  # PyYAML's flatten_mapping calls in one load
+    flatten = yaml.constructor.SafeConstructor.flatten_mapping
+    monkeypatch.setattr(yaml.constructor.SafeConstructor, "flatten_mapping",
+                        lambda self, node: flattens.append(1) or flatten(self, node))
+    compose_s, refuse_s = [], []
+    for _ in range(3):
+        start = time.perf_counter()
+        yaml.compose(text, Loader=loader)
+        compose_s.append(time.perf_counter() - start)
+        flattens.clear()
+        with pytest.raises(ConfigParseError, match=re.escape(message)):
+            load_scenario(path)
+        refuse_s.append(time.perf_counter() - start - compose_s[-1])
+        assert len(flattens) == 14 + 5  # 14 aliases' mappings, and each mapping of the file once
+    assert min(refuse_s) < min(compose_s) + 0.1, (refuse_s, compose_s)
+    under, over = _merge_file(20, 18), _merge_file(20, 19)
+    assert 20 * 18 <= len(under) and 20 * 19 > len(over)
+    doc = yaml.load(under, Loader=scenario._scenario_loader(loader))
+    assert doc["y"] == doc["x"] == {f"k{i}": 0 for i in range(20)}
+    with pytest.raises(yaml.constructor.ConstructorError, match="merge keys splice in more than"):
+        yaml.load(over, Loader=scenario._scenario_loader(loader))
+    merged = MINIMAL + ("outputs:\n  - invariant_test: &t {samples: 10, box: nonneg}\n"
+                        "  - invariant_test: {<<: *t, box: two_sided}\n")
+    scn = load_scenario(_write(tmp_path, merged, name="merged.yaml"))
+    assert [(out.samples, out.box) for out in scn.outputs] == [(10, "nonneg"), (10, "two_sided")]
+
+
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_a_yaml_syntax_error_is_one_line_naming_its_place(tmp_path, capsys, monkeypatch, loader):
+    """PyYAML's message, mark lines and quoted source included, becomes one
+    line, so a batch prints one summary line for the file and run one error."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    d = tmp_path / "scn"
+    d.mkdir()
+    (d / "broken.yaml").write_text("mode: [")
+    (d / "good.yaml").write_text(MINIMAL)
+    start = f"{d / 'broken.yaml'}: while parsing a flow node; "
+    assert main(["batch", str(d), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("case: converged")
+    assert lines[0].startswith(f"broken: error after 0 iteration(s) error: ConfigParseError: {start}")
+    assert re.search(r"; line [12], column \d+$", lines[0]), lines[0]
+    assert main(["run", str(d / "broken.yaml"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
@@ -1252,7 +1363,7 @@ def test_cli_batch_goes_on_past_a_file_nested_too_deep_for_the_python_loader(
     assert code == 1
     assert [line.split(":")[0] for line in lines] == ["a", "b"]
     assert lines[0].startswith("a: error after 0 iteration(s) error: ConfigParseError: ")
-    assert "a.yaml: maximum recursion depth exceeded" in lines[0]
+    assert lines[0].endswith("a.yaml: collections nest deeper than 100 levels")
     assert lines[1].startswith("b: converged")
 
 
