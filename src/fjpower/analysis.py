@@ -92,11 +92,11 @@ class Box:
     def n(self) -> int:
         return self.mu.shape[0]
 
-    def contains(self, p: np.ndarray, slack: float = 0.0) -> bool:
+    def contains(self, p: np.ndarray) -> bool:
         p = np.asarray(p, dtype=float)
         if p.shape != self.mu.shape:
             raise ValueError(f"point must have shape {self.mu.shape}, got {p.shape}")
-        return bool(np.all(p >= self.mu - slack) and np.all(p <= self.nu + slack))
+        return bool(np.all(p >= self.mu) and np.all(p <= self.nu))
 
     def _span(self) -> np.ndarray:
         """``nu - mu``, which sampling scales by; bounds and widths must be finite."""
@@ -117,10 +117,6 @@ class Box:
         P *= span
         P += self.mu
         return P
-
-    def inflated(self, factor: float) -> Box:
-        """Control box with the upper bounds scaled by ``factor`` (lower kept)."""
-        return Box(self.mu, self.nu * factor)
 
 
 def incoming_influence_load(net: InfluenceNetwork) -> np.ndarray:

@@ -145,10 +145,6 @@ class Adjacency:
             arr.setflags(write=False)
         return cls(offsets=offsets, senders=senders, receivers=receivers, weights=weights)
 
-    @property
-    def nnz(self) -> int:
-        return len(self.senders)
-
 
 @dataclass(frozen=True, eq=False)
 class InfluenceNetwork:

@@ -146,10 +146,11 @@ MAX_NESTING = 100
 def _scenario_loader(loader: type) -> type:
     """``loader`` with per-document memos and checks: it resolves the tag of
     each distinct plain scalar text, and converts each distinct float text,
-    once; it refuses a repeated key, nesting past MAX_NESTING and merge keys
-    that splice in more pairs than the file has characters; and it turns an
-    error other than PyYAML's own or a RecursionError that building a node
-    raises into a ConstructorError naming the node's tag, line and column."""
+    once; while PyYAML composes, it refuses nesting past MAX_NESTING; while
+    it constructs, it refuses a repeated key and turns an error other than
+    PyYAML's own or a RecursionError that building a node raises into a
+    ConstructorError naming the node's tag, line and column.  Growth by
+    aliases and merge keys is bounded between the two, in load_scenario."""
 
     class ScenarioLoader(loader):
         __slots__ = ("_depth",)  # read and written twice a node; a slot is the quickest attribute
@@ -158,9 +159,7 @@ def _scenario_loader(loader: type) -> type:
             super().__init__(stream)
             self._tags: dict = {}    # plain scalar text -> implicit tag
             self._floats: dict = {}  # float-tagged scalar text -> float
-            self._depth = 0                    # collections around the node being composed
-            self._merging = self._spliced = 0  # flatten_mapping calls under way, pairs spliced in
-            self._size = len(stream)
+            self._depth = 0          # collections around the node being composed
 
         def descend_resolver(self, current_node, current_index):
             # both composers call this before each node, and ascend_resolver after it
@@ -223,49 +222,39 @@ def _scenario_loader(loader: type) -> type:
                 lines[key] = line
             return mapping
 
-        def flatten_mapping(self, node):
-            # m aliases to a k-key mapping under a merge key make PyYAML flatten
-            # it m times and splice in m * k pairs: each is counted before its splice
-            self._merging += 1
-            super().flatten_mapping(node)
-            self._merging -= 1
-            self._spliced += len(node.value) if self._merging else 0
-            if self._spliced > self._size:
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"merge keys splice in more than {self._size} pairs, "
-                    "one per character of the file")
-
     return ScenarioLoader
 
 
-_COLLECTIONS = (list, tuple, dict)
+_COLLECTIONS = (yaml.SequenceNode, yaml.MappingNode)
 
 
-def _expands_past(doc, bound: int) -> bool:
-    """Whether ``doc`` holds more than ``bound`` scalars once every alias is
-    expanded, an empty list or mapping counting as one and a collection that
-    holds itself as endless.  Aliases make shared references, so the walk
-    counts each collection once, by its ``id``, and needs no recursion; an
-    alias-free document holds fewer scalars than its text has characters,
-    so ``len(text)`` is a bound no valid file reaches."""
+def _expands_past(root: Optional[yaml.Node], bound: int) -> bool:
+    """Whether the composed document ``root`` holds more than ``bound``
+    scalars with every alias expanded, an empty list or mapping counting as
+    one and a node that holds itself as endless.  An alias is its anchored
+    node, so the walk counts each node once, by ``id``, without recursion;
+    a merge key's splice is its value's expansion, so the count bounds it
+    too.  An alias-free file holds fewer scalars than characters, so
+    ``len(text)`` is a bound no valid file reaches."""
     counts: dict[int, Optional[int]] = {}  # id -> expanded scalars; None while open
-    stack = [doc] if isinstance(doc, _COLLECTIONS) else []
+    stack = [root] if isinstance(root, _COLLECTIONS) else []
     while stack:
-        obj = stack[-1]
-        items = [*obj, *obj.values()] if isinstance(obj, dict) else obj
+        node = stack[-1]
+        items = ([item for pair in node.value for item in pair]
+                 if isinstance(node, yaml.MappingNode) else node.value)
         inner = [item for item in items if isinstance(item, _COLLECTIONS)]
-        if id(obj) not in counts:  # first visit: count what it holds, then come back
-            counts[id(obj)] = None
+        if id(node) not in counts:  # first visit: count what it holds, then come back
+            counts[id(node)] = None
             if any(counts.get(id(item), 0) is None for item in inner):  # holds an open one
                 return True
-            stack += [item for item in inner if id(item) not in counts]
+            stack += {id(item): item for item in inner if id(item) not in counts}.values()
             continue
         stack.pop()
-        if counts[id(obj)] is None:
+        if counts[id(node)] is None:
             total = sum(counts[id(item)] for item in inner) + len(items) - len(inner) or 1
             if total > bound:
                 return True
-            counts[id(obj)] = total
+            counts[id(node)] = total
     return False
 
 
@@ -466,6 +455,11 @@ def load_scenario(
     A file that is not UTF-8 or not YAML raises ConfigParseError; an unknown key or any structural
     or network invariant failure raises ConfigValidationError whose message
     names the key, or the violated invariant and the offending (1-based) index.
+    The YAML guards raise ConfigParseError at three stages: nesting past
+    MAX_NESTING while PyYAML composes, aliases and merge keys that expand to
+    more scalars than the file has characters on the composed nodes, before
+    anything is built, and repeated keys and tags it cannot build while it
+    constructs.
     """
     path = Path(path)
     try:
@@ -473,16 +467,28 @@ def load_scenario(
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = yaml.load(text, Loader=_scenario_loader(YAML_LOADER))
+        loader = _scenario_loader(YAML_LOADER)(text)  # SafeLoader reads the text here
+        try:
+            root = loader.get_single_node()
+            if "*" in text and _expands_past(root, len(text)):
+                raise ConfigParseError(f"{path}: aliases expand to more than {len(text)} "
+                                       "scalars, one per character of the file")
+            doc = None if root is None else loader.construct_document(root)
+        finally:
+            loader.dispose()
     except (yaml.YAMLError, RecursionError) as exc:
         # one line: PyYAML's mark lines without the file name or the source quoted
         # under them; RecursionError: the nesting guard leaves it to a caller deep in its stack
-        lines = (line.strip().rstrip(":").replace('in "<unicode string>", ', "")
-                 for line in str(exc).splitlines() if not line.startswith("    "))
+        lines = [line.strip().rstrip(":").replace('in "<unicode string>", ', "")
+                 for line in str(exc).splitlines() if not line.startswith("    ")]
+        if isinstance(exc, yaml.reader.ReaderError):
+            # a character it cannot read is named by its offset, in bytes under
+            # libyaml; the text before it breaks lines only where YAML does
+            before = text[:exc.position] if issubclass(YAML_LOADER, yaml.reader.Reader) \
+                else text.encode()[:exc.position].decode()
+            before = (before + "^").splitlines()
+            lines[-1] = f"line {len(before)}, column {len(before[-1])}"
         raise ConfigParseError(f"{path}: " + "; ".join(lines)) from exc
-    if "*" in text and _expands_past(doc, len(text)):
-        raise ConfigParseError(f"{path}: aliases expand to more than {len(text)} scalars, "
-                               "one per character of the file")
     if not isinstance(doc, dict):
         raise ConfigParseError(f"{path}: top level must be a mapping")
     raw_name = doc.get("name", path.stem)

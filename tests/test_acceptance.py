@@ -11,6 +11,7 @@ import pytest
 from fjpower import (
     CONVERGED,
     DIVERGED,
+    Box,
     InfluenceNetwork,
     check_condition,
     check_dominance_necessary,
@@ -218,7 +219,7 @@ def test_criterion_06_invariance_of_constructed_boxes():
         assert report.exit_count == 0, (
             f"two-sided box leaked on net {k}: {report.exit_count} exits"
         )
-        control = one_step_invariance_test(net, box.inflated(2.0), 10_000, seed=700 + k)
+        control = one_step_invariance_test(net, Box(box.mu, box.nu * 2.0), 10_000, seed=700 + k)
         control_hits += control.exit_count >= 1
     print(f"inflated control box leaked on {control_hits}/20 networks")
     assert control_hits >= 15

@@ -66,7 +66,7 @@ def test_box_validation_and_membership():
     assert box.n == 2
     assert box.contains([0.5, 0.0])
     assert not box.contains([1.1, 0.0])
-    assert box.contains([1.1, 0.0], slack=0.2)
+    assert Box(box.mu - 0.2, box.nu + 0.2).contains([1.1, 0.0])
 
 
 def test_box_membership_needs_one_entry_per_coordinate():
@@ -113,13 +113,6 @@ def test_box_sampling_matches_rng_uniform_bit_for_bit():
             # the same draws were consumed, so the streams go on in step
             assert got_rng.random() == want_rng.random()
             assert all(box.contains(p) for p in got)
-
-
-def test_inflated_box_scales_only_the_ceiling():
-    box = Box(mu=np.array([-1.0, 0.5]), nu=np.array([2.0, 1.0]))
-    blown = box.inflated(2.0)
-    assert np.array_equal(blown.mu, box.mu)
-    assert np.array_equal(blown.nu, [4.0, 2.0])
 
 
 def test_incoming_loads(anchored_net):
@@ -529,7 +522,7 @@ def test_certified_boxes_nest_and_bound_every_search_limit(corpus, monkeypatch):
         if not cert.certified:
             uncertified.append(k)
             continue
-        assert cert.box.contains(eq.p_star, slack=eq.residual), k
+        assert Box(cert.box.mu - eq.residual, cert.box.nu + eq.residual).contains(eq.p_star), k
         report = analysis.equilibrium_report(net, seed=seed)
         assert report.certificate is not None, k
         assert report.p_star.tobytes() == eq.p_star.tobytes(), k
@@ -643,7 +636,8 @@ def test_anchored_boxes_are_one_step_invariant(anchored_net):
 
 
 def test_inflated_control_box_leaks(anchored_net):
-    box = two_sided_box(anchored_net).inflated(2.0)
+    base = two_sided_box(anchored_net)
+    box = Box(base.mu, base.nu * 2.0)
     report = one_step_invariance_test(anchored_net, box, 10_000, seed=0)
     assert not report.ok
     assert report.exit_count == 1148
@@ -681,7 +675,7 @@ def test_streamed_trial_matches_the_full_array_trial(monkeypatch, block_entries)
     for n, samples in TRIAL_GRID:
         net = random_network(rng, n)
         base = two_sided_box(net)
-        for k, box in enumerate((nonneg_box(net), base, base.inflated(1.5), base.inflated(2.0))):
+        for k, box in enumerate((nonneg_box(net), base, Box(base.mu, base.nu * 1.5), Box(base.mu, base.nu * 2.0))):
             for count in (0, 1, samples):
                 got = one_step_invariance_test(net, box, count, seed=n + k)
                 want = _full_array_trial(net, box, count, seed=n + k)
@@ -699,7 +693,8 @@ def test_batched_step_is_the_whole_array_step_whatever_the_block_size(monkeypatc
     blocked = 0
     for n, samples in TRIAL_GRID:
         net = random_network(rng, n)
-        P = two_sided_box(net).inflated(2.0).sample(np.random.default_rng(n), samples)
+        base = two_sided_box(net)
+        P = Box(base.mu, base.nu * 2.0).sample(np.random.default_rng(n), samples)
         Q = analysis._batch_step_ra(net, P)
         assert Q.tobytes() == _whole_array_step(net, P).tobytes(), n
         blocked += samples > max(1, perception.BLOCK_ENTRIES // n)
@@ -730,7 +725,8 @@ def test_streamed_trial_on_a_leaky_box_stays_near_three_sample_arrays():
     """The same memory bound on a box the exact image cannot clear, so the
     trial has to draw and step every sample."""
     net = random_network(np.random.default_rng(5), 300)
-    box = two_sided_box(net).inflated(2.0)
+    base = two_sided_box(net)
+    box = Box(base.mu, base.nu * 2.0)
     samples = 10_000
     tracemalloc.start()
     try:
@@ -745,7 +741,8 @@ def test_streamed_trial_on_a_leaky_box_stays_near_three_sample_arrays():
 def test_certified_trial_allocates_no_sample_arrays():
     """A box whose exact image lies inside it is answered without drawing."""
     net = random_network(np.random.default_rng(5), 300)
-    box = nonneg_box(net).inflated(2.0)
+    base = nonneg_box(net)
+    box = Box(base.mu, base.nu * 2.0)
     tracemalloc.start()
     try:
         report = one_step_invariance_test(net, box, 10_000)
@@ -769,7 +766,7 @@ def test_margin_shows_a_leak_that_no_sample_hit():
     assert report.margin == np.min(np.minimum(box.nu - hi, lo - box.mu))
     assert int(np.argmin(box.nu - hi)) == 33
     # the certified path reports its margin too
-    sealed = one_step_invariance_test(net, box.inflated(2.0), 10_000)
+    sealed = one_step_invariance_test(net, Box(box.mu, box.nu * 2.0), 10_000)
     assert 0.0 < sealed.margin < math.inf
 
 
@@ -813,7 +810,7 @@ def test_box_image_encloses_every_step_and_only_certifies_sealed_boxes(draws):
         net = random_network(rng, n)
         base = two_sided_box(net)
         mirrored = Box(-base.nu, -base.mu)
-        for j, box in enumerate((nonneg_box(net), base, base.inflated(1.5), base.inflated(2.0),
+        for j, box in enumerate((nonneg_box(net), base, Box(base.mu, base.nu * 1.5), Box(base.mu, base.nu * 2.0),
                                  mirrored)):
             lo, hi, err = analysis.box_image(net, box)
             assert np.all(err > 0.0) and np.all(lo <= hi)
@@ -853,7 +850,7 @@ def test_certificate_clears_the_conditioned_boxes_and_no_inflated_control(draws)
         net = _conditioned_net(rng, require_volatility_cap=True)
         box = two_sided_box(net)
         counts[1] += _certified(net, box, 1000, 500 + k, draws)[1]
-        counts[2] += _certified(net, box.inflated(2.0), 1000, 700 + k, draws)[1]
+        counts[2] += _certified(net, Box(box.mu, box.nu * 2.0), 1000, 700 + k, draws)[1]
     assert counts == [20, 20, 0]
 
 
@@ -866,7 +863,7 @@ def test_tight_star_box_is_not_invariant_under_the_heavy_load(four_settings):
     assert box.contains(corner)
     stepped = step_perception_ra(net_a, corner)
     assert stepped[0] == pytest.approx(2.716666666666667, abs=1e-12)
-    assert not box.contains(stepped, slack=1e-9)
+    assert not Box(box.mu - 1e-9, box.nu + 1e-9).contains(stepped)
     report = one_step_invariance_test(net_a, box, 10_000, seed=0)
     assert report.exit_count == 122
 

@@ -380,43 +380,67 @@ def _merge_file(k: int, m: int) -> str:
     return MINIMAL + f"x: &a {{{keys}}}\ny: {{<<: [{', '.join(['*a'] * m)}]}}\n"
 
 
+def _built(monkeypatch) -> list:
+    """The names of PyYAML's construct_document and flatten_mapping calls
+    from here on, in call order."""
+    calls = []
+    for owner, name in ((yaml.constructor.BaseConstructor, "construct_document"),
+                        (yaml.constructor.SafeConstructor, "flatten_mapping")):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, node, method=method, name=name:
+                            calls.append(name) or method(self, node))
+    return calls
+
+
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
                          ids=["chosen", "SafeLoader"])
 def test_merge_keys_that_splice_past_the_file_size_are_refused_at_once(
         tmp_path, monkeypatch, loader):
     """k = m = 2000 (27 kB) would splice 4 * 10**6 pairs, which took 5.5 s
-    under libyaml; the refusal comes within 0.1 s of composing the file (the
-    pure-Python composer alone takes about 0.2 s), after 14 of PyYAML's 2000
-    flattens.  The bound is exact, and merges under it load."""
+    under libyaml.  Its composed nodes hold 8 * 10**6 scalars once the
+    aliases are expanded, so it gets the alias bound's message as soon as it
+    is composed (the pure-Python composer alone takes about 0.2 s), before
+    PyYAML constructs or flattens anything.  The bound is exact, and merges
+    under it load like their written-out forms."""
     monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     text = _merge_file(2000, 2000)
     path = _write(tmp_path, text)
-    message = f"{path}: merge keys splice in more than {len(text)} pairs, one per character"
-    flattens = []  # PyYAML's flatten_mapping calls in one load
-    flatten = yaml.constructor.SafeConstructor.flatten_mapping
-    monkeypatch.setattr(yaml.constructor.SafeConstructor, "flatten_mapping",
-                        lambda self, node: flattens.append(1) or flatten(self, node))
+    message = f"{path}: aliases expand to more than {len(text)} scalars, one per character"
+    calls = _built(monkeypatch)
     compose_s, refuse_s = [], []
     for _ in range(3):
         start = time.perf_counter()
         yaml.compose(text, Loader=loader)
         compose_s.append(time.perf_counter() - start)
-        flattens.clear()
         with pytest.raises(ConfigParseError, match=re.escape(message)):
             load_scenario(path)
         refuse_s.append(time.perf_counter() - start - compose_s[-1])
-        assert len(flattens) == 14 + 5  # 14 aliases' mappings, and each mapping of the file once
+    assert calls == []
     assert min(refuse_s) < min(compose_s) + 0.1, (refuse_s, compose_s)
-    under, over = _merge_file(20, 18), _merge_file(20, 19)
-    assert 20 * 18 <= len(under) and 20 * 19 > len(over)
+    # written out, a merge file holds MINIMAL's scalars, x, its k keys and k
+    # values, y, its `<<` key and m copies of x's pairs: k = 20 passes at m = 6, not 7
+    base = _written_out(yaml.load(MINIMAL, Loader=loader)) + 3
+    under, over = _merge_file(20, 6), _merge_file(20, 7)
+    for m, text in ((6, under), (7, over)):
+        scalars = base + 2 * 20 * (1 + m)
+        root = yaml.compose(text, Loader=loader)
+        assert not scenario._expands_past(root, scalars)
+        assert scenario._expands_past(root, scalars - 1)
+        assert (scalars <= len(text)) == (m == 6)
+    with pytest.raises(ConfigValidationError, match="case: unknown key 'x'"):  # built, then checked
+        load_scenario(_write(tmp_path, under, name="under.yaml"))
+    assert calls[0] == "construct_document" and "flatten_mapping" in calls
+    with pytest.raises(ConfigParseError, match=re.escape(
+            f"over.yaml: aliases expand to more than {len(over)} scalars")):
+        load_scenario(_write(tmp_path, over, name="over.yaml"))
     doc = yaml.load(under, Loader=scenario._scenario_loader(loader))
     assert doc["y"] == doc["x"] == {f"k{i}": 0 for i in range(20)}
-    with pytest.raises(yaml.constructor.ConstructorError, match="merge keys splice in more than"):
-        yaml.load(over, Loader=scenario._scenario_loader(loader))
     merged = MINIMAL + ("outputs:\n  - invariant_test: &t {samples: 10, box: nonneg}\n"
                         "  - invariant_test: {<<: *t, box: two_sided}\n")
+    written = merged.replace(" &t", "").replace("<<: *t", "samples: 10")
     scn = load_scenario(_write(tmp_path, merged, name="merged.yaml"))
     assert [(out.samples, out.box) for out in scn.outputs] == [(10, "nonneg"), (10, "two_sided")]
+    assert _fingerprint(scn) == _fingerprint(load_scenario(_write(tmp_path, written)))
 
 
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
@@ -438,6 +462,24 @@ def test_a_yaml_syntax_error_is_one_line_naming_its_place(tmp_path, capsys, monk
     assert main(["run", str(d / "broken.yaml"), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {start}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
+                         ids=["chosen", "SafeLoader"])
+def test_a_control_character_is_a_parse_error_naming_its_line_and_column(
+        tmp_path, monkeypatch, loader):
+    """PyYAML gives only the character's offset (in bytes under libyaml), so
+    the loader counts the line and column, as PyYAML's other errors name
+    them; a line of non-ASCII text before it counts as one line."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+    text = (SCENARIO_DIR / "three_node_ra.yaml").read_text() + "x: \x01\n"
+    assert text.count("\n") == 21
+    for head, line in (("", 21), ("# é ✓\n", 22)):
+        path = _write(tmp_path, head + text)
+        with pytest.raises(ConfigParseError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"{path}: unacceptable character #x0001: ")
+        assert str(err.value).endswith(f" are not allowed; line {line}, column 4")
 
 
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
@@ -506,7 +548,8 @@ def test_aliases_that_expand_past_the_file_size_are_refused_at_once(
         tmp_path, monkeypatch, loader):
     """Seven levels, 10**7 scalars, would cost numpy about half a second and
     185 MB to expand before its shape error; a list that holds itself
-    expands without end."""
+    expands without end.  Both are refused on the composed nodes, before
+    PyYAML constructs anything."""
     monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     path = _write(tmp_path, _alias_levels(7))
     message = f"{path}: aliases expand to more than {len(path.read_text())} scalars"
@@ -514,6 +557,7 @@ def test_aliases_that_expand_past_the_file_size_are_refused_at_once(
     asarray = scenario.np.asarray
     monkeypatch.setattr(scenario.np, "asarray",
                         lambda *args, **kwargs: asked.append(1) or asarray(*args, **kwargs))
+    calls = _built(monkeypatch)
     times = []
     for _ in range(5):
         start = time.perf_counter()
@@ -522,11 +566,28 @@ def test_aliases_that_expand_past_the_file_size_are_refused_at_once(
         times.append(time.perf_counter() - start)
     assert not asked
     assert min(times) < 0.1, times  # a few ms; the expansion it spares takes 0.5 s
-    load_scenario(_write(tmp_path, MINIMAL, name="valid.yaml"))
-    assert asked
     looped = _write(tmp_path, MINIMAL.replace(ROWS, " &c [*c, [1.0, 0.0]]"), name="looped.yaml")
-    with pytest.raises(ConfigParseError, match="looped.yaml: aliases expand to more than"):
+    with pytest.raises(ConfigParseError, match=re.escape(
+            f"looped.yaml: aliases expand to more than {len(looped.read_text())} scalars, "
+            "one per character of the file")):
         load_scenario(looped)
+    assert calls == []
+    load_scenario(_write(tmp_path, MINIMAL, name="valid.yaml"))
+    assert asked and calls[0] == "construct_document" and "flatten_mapping" in calls
+    # 2000 aliases to one 2000-item list: the walk counts the list once, not
+    # once an alias (which took 0.4 s), so the refusal follows the compose
+    items = ", ".join(["0.5"] * 2000)
+    text = f"x: &a [{items}]\ny: [{', '.join(['*a'] * 2000)}]\n"
+    shared = _write(tmp_path, text, name="shared.yaml")
+    walk_s = []
+    for _ in range(3):
+        start = time.perf_counter()
+        yaml.compose(text, Loader=loader)
+        compose_s = time.perf_counter() - start
+        with pytest.raises(ConfigParseError, match="shared.yaml: aliases expand to more than"):
+            load_scenario(shared)
+        walk_s.append(time.perf_counter() - start - 2 * compose_s)
+    assert min(walk_s) < 0.1, walk_s
 
 
 def test_aliases_expanding_to_a_billion_scalars_are_refused_in_a_capped_child(tmp_path):
@@ -559,7 +620,7 @@ def test_files_the_alias_bound_must_pass(tmp_path, monkeypatch, loader):
     monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     generated = _generated_text(np.random.default_rng(9), "gen", "distributed_no_ra", 60)
     for text in [path.read_text() for path in ALL_SCENARIOS] + [generated]:
-        assert not scenario._expands_past(yaml.load(text, Loader=loader), len(text))
+        assert not scenario._expands_past(yaml.compose(text, Loader=loader), len(text))
     anchored = _anchored_p0(generated)
     assert anchored.count("*p0") == 2
     scn = load_scenario(_write(tmp_path, anchored, name="gen.yaml"))
@@ -567,12 +628,12 @@ def test_files_the_alias_bound_must_pass(tmp_path, monkeypatch, loader):
     assert len(scn.starts) == 3 and all(
         start.tobytes() == plain.starts[0].tobytes() for start in scn.starts)
     assert _fingerprint(replace(scn, starts=plain.starts)) == _fingerprint(plain)
-    # the walk's count is the written-out document's, to the scalar
+    # the walk's count on the composed nodes is the written-out document's, to the scalar
     for text in (anchored, _alias_levels(3), "[[], {}, &e [], *e, [*e]]"):
-        doc = yaml.load(text, Loader=loader)
-        total = _written_out(doc)
-        assert not scenario._expands_past(doc, total)
-        assert scenario._expands_past(doc, total - 1)
+        root = yaml.compose(text, Loader=loader)
+        total = _written_out(yaml.load(text, Loader=loader))
+        assert not scenario._expands_past(root, total)
+        assert scenario._expands_past(root, total - 1)
 
 
 def _written_out(x) -> int:
