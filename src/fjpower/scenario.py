@@ -493,7 +493,8 @@ def load_scenario(
         raise ConfigParseError(f"{path}: top level must be a mapping")
     raw_name = doc.get("name", path.stem)
     name = str(raw_name)
-    if raw_name is None or not name or any(sep in name for sep in "/\\\0"):
+    # a string or a number, not a bool (`yes`), a list, a mapping or a date
+    if type(raw_name) not in (str, int, float) or not name or any(sep in name for sep in "/\\\0"):
         _fail(f"scenario name {raw_name!r} must be a plain filename fragment")
     _check_keys(doc, ("name", "network", "gamma", "mode", "initial", "tol", "max_iter",
                       "seed", "outputs"), f"{name}: ")

@@ -513,7 +513,8 @@ TAGGED_EMPTY = {"float": IndexError, "int": IndexError, "bool": KeyError,
 
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
                          ids=["chosen", "SafeLoader"])
-def test_a_tagged_scalar_pyyaml_cannot_build_is_a_parse_error(tmp_path, monkeypatch, loader):
+def test_a_tagged_scalar_pyyaml_cannot_build_is_a_parse_error(
+        tmp_path, capsys, monkeypatch, loader):
     """Each tagged empty scalar names its tag; a mapping tag on a scalar or a
     list, built after construct_object returns, gets PyYAML's own message."""
     monkeypatch.setattr(scenario, "YAML_LOADER", loader)
@@ -530,6 +531,9 @@ def test_a_tagged_scalar_pyyaml_cannot_build_is_a_parse_error(tmp_path, monkeypa
             load_scenario(path)
         assert str(err.value).startswith(f"{path}: expected a mapping node, but found {kind}")
         assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: expected a mapping node, but found {kind}")
+        assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def _alias_levels(levels: int, name="bomb") -> str:
@@ -649,9 +653,11 @@ def _written_out(x) -> int:
 @pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
                          ids=["chosen", "SafeLoader"])
 def test_cli_batch_goes_on_past_every_hostile_file(tmp_path, capsys, monkeypatch, loader):
-    """Valid files on both sides of a tagged empty scalar, an alias bomb and a
-    load that raises something no loader names: one summary line per file in
-    file order, and the valid files write what they write alone."""
+    """Valid files on both sides of a tagged empty scalar, an alias bomb, a
+    load that raises something no loader names, a merge bomb and a syntax
+    error: one summary line per file in file order, and the valid files write
+    what they write alone.  `run` on each file that cannot load exits 1 with
+    one error line."""
     monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     d = tmp_path / "scn"
     d.mkdir()
@@ -661,6 +667,8 @@ def test_cli_batch_goes_on_past_every_hostile_file(tmp_path, capsys, monkeypatch
     (d / "c.yaml").write_text(_alias_levels(7, name="c"))
     (d / "d.yaml").write_text(MINIMAL.replace("case", "d"))
     (d / "e.yaml").write_text(ra)
+    (d / "f.yaml").write_text(_merge_file(2000, 2000))
+    (d / "g.yaml").write_text("mode: [\n")
     load = cli.load_scenario
 
     def raising(path, **overrides):
@@ -672,7 +680,7 @@ def test_cli_batch_goes_on_past_every_hostile_file(tmp_path, capsys, monkeypatch
     assert main(["batch", str(d), "--out", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["three_node_no_ra", "b", "c", "d",
-                                                      "three_node_ra"]
+                                                      "three_node_ra", "f", "g"]
     assert lines[0].startswith("three_node_no_ra: converged")
     assert lines[1].startswith("b: error after 0 iteration(s) error: ConfigParseError: "
                                f"{d / 'b.yaml'}: cannot build tag:yaml.org,2002:float on line 21")
@@ -680,6 +688,15 @@ def test_cli_batch_goes_on_past_every_hostile_file(tmp_path, capsys, monkeypatch
                                f"{d / 'c.yaml'}: aliases expand to more than")
     assert lines[3] == "d: error after 0 iteration(s) error: IndexError: string index out of range"
     assert lines[4].startswith("three_node_ra: converged")
+    assert lines[5].startswith("f: error after 0 iteration(s) error: ConfigParseError: "
+                               f"{d / 'f.yaml'}: aliases expand to more than")
+    assert lines[6].startswith("g: error after 0 iteration(s) error: ConfigParseError: "
+                               f"{d / 'g.yaml'}: ")
+    for stem in "bcfg":
+        assert main(["run", str(d / f"{stem}.yaml"), "--out", str(tmp_path / "alone")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {d / stem}.yaml: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
     for stem in "ae":
         assert main(["run", str(d / f"{stem}.yaml"), "--out", str(tmp_path / "alone")]) == 0
     capsys.readouterr()
@@ -978,9 +995,12 @@ def test_stop_parameters_and_name_are_validated(tmp_path):
         load_scenario(_write(tmp_path, MINIMAL + "tol: 0\n"))
     with pytest.raises(ConfigValidationError, match="max_iter"):
         load_scenario(_write(tmp_path, MINIMAL + "max_iter: 0\n"))
-    for bad in ("name: a/b", 'name: "a\\0b"', "name:"):
+    for bad in ("name: a/b", 'name: "a\\0b"', "name:", "name: yes", "name: [a, b]",
+                "name: {k: 1}", "name: 2024-01-01"):
         with pytest.raises(ConfigValidationError, match="filename fragment"):
             load_scenario(_write(tmp_path, MINIMAL.replace("name: case", bad)))
+    for good, name in (("name: 'yes'", "yes"), ("name: 12", "12"), ("name: 1.5", "1.5")):
+        assert load_scenario(_write(tmp_path, MINIMAL.replace("name: case", good))).name == name
 
 
 @pytest.mark.parametrize("snippet, message", [
@@ -1148,12 +1168,22 @@ def test_long_trajectory_csv_keeps_the_final_row(tmp_path):
 
 
 def test_repeated_runs_emit_identical_bytes(tmp_path):
+    """In one process, and in a fresh process each time: a batch that
+    converges and one with a diverging file print and write the same bytes."""
     scn = load_scenario(SCENARIO_DIR / "three_node_ra.yaml")
     run_scenario(scn, out_dir=tmp_path / "one")
     run_scenario(scn, out_dir=tmp_path / "two")
     first = (tmp_path / "one" / "three_node_ra_traj1.csv").read_bytes()
     second = (tmp_path / "two" / "three_node_ra_traj1.csv").read_bytes()
     assert first == second
+    for d, code in ((SCENARIO_DIR, 0), (SCENARIO_DIR / "star_partial", 2)):
+        runs = []
+        for out in (tmp_path / d.name / "one", tmp_path / d.name / "two"):
+            child = _child("-m", "fjpower.cli", "batch", str(d), "--out", str(out))
+            assert child.returncode == code, child.stderr
+            runs.append((child.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) >= 4, sorted(runs[0][1])
 
 
 # ---------------------------------------------------------------------------
