@@ -333,7 +333,20 @@ def _check_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
         _fail(f"{where}unknown key {unknown[0]!r}; expected one of {known}")
 
 
+def _no_booleans(raw, label: str) -> None:
+    """Refuse a boolean among the entries YAML built for ``label``, a list or a
+    list of rows, naming the first by its 1-based place: numpy would read
+    ``true`` as 1.0 and ``no`` as 0.0."""
+    for i, entry in enumerate(raw if isinstance(raw, list) else (), 1):
+        if type(entry) is bool:
+            _fail(f"{label} must hold numbers, not booleans; entry {i} is {entry}")
+        if type(entry) is list and bool in map(type, entry):
+            j = [type(x) for x in entry].index(bool)
+            _fail(f"{label} must hold numbers, not booleans; entry ({i}, {j + 1}) is {entry[j]}")
+
+
 def _vector(raw, n: int, label: str) -> np.ndarray:
+    _no_booleans(raw, label)
     try:
         v = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -502,6 +515,8 @@ def load_scenario(
     if not isinstance(network, dict) or "C" not in network or "a" not in network:
         _fail(f"{name}: network section must define C and a")
     _check_keys(network, ("C", "a"), f"{name}: network ")
+    _no_booleans(network["C"], f"{name}: network.C")
+    _no_booleans(network["a"], f"{name}: network.a")
     try:
         C = np.asarray(network["C"], dtype=float)
         a = np.asarray(network["a"], dtype=float)

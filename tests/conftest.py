@@ -3,14 +3,16 @@
 The three-node nets are the package's workhorses: ``triad_net`` is a star
 whose partially stubborn center relays between two followers, ``anchored_net``
 pins one fully stubborn node above a two-node loop, and ``star3_net`` is the
-fully-stubborn-center star with closed-form equilibrium.  ``four_settings``
-is the divergence demo: same wheel-like topology under two susceptibility
-profiles and two starts.
+fully-stubborn-center star with closed-form equilibrium; ``pair_net`` is the
+two-node loop.  ``four_settings`` is the divergence demo: same wheel-like
+topology under two susceptibility profiles and two starts.
 
 The seeded generators ``random_network``, ``random_star_network`` and
 ``random_doubly_stochastic_ring`` draw the random networks of the property
 tests and sweeps; ``table_network`` picks one kind of them per seed.
+``traced`` is the memory probe of the tests that bound what a call allocates.
 """
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +28,18 @@ def carrier(C, a) -> SimpleNamespace:
     """Duck-typed (C, a, n) for limiting cases no InfluenceNetwork may hold."""
     a = np.asarray(a, dtype=float)
     return SimpleNamespace(C=np.asarray(C, dtype=float), a=a, n=len(a))
+
+
+def traced(call):
+    """``call()``'s result, with the bytes tracemalloc saw still held when it
+    returned (the result included) and at its peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 def random_network(
@@ -129,6 +143,12 @@ def triad_net() -> InfluenceNetwork:
 @pytest.fixture
 def triad_gamma() -> np.ndarray:
     return np.array([0.2, 0.5, 0.0])
+
+
+@pytest.fixture
+def pair_net() -> InfluenceNetwork:
+    """Two nodes that listen only to each other, both half susceptible."""
+    return InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@
 monotonicity."""
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +35,7 @@ from fjpower import (
 from fjpower import analysis, fj_core, perception
 from fjpower.analysis import CONDITION_IDS, InvarianceReport, star_center_floor
 
-from conftest import random_doubly_stochastic_ring, random_network, random_star_network
+from conftest import random_doubly_stochastic_ring, random_network, random_star_network, traced
 from test_acceptance import _conditioned_net
 from test_convergence import _capped_nets
 from test_fj_core import ANCHORED_POWER_EQ
@@ -76,7 +75,7 @@ def test_box_membership_needs_one_entry_per_coordinate():
             box.contains(point)
 
 
-def test_box_sampling_needs_finite_bounds():
+def test_box_sampling_needs_finite_bounds(pair_net):
     rng = np.random.default_rng(0)
     box = Box(mu=np.array([0.0]), nu=np.array([np.inf]))
     with pytest.raises(ValueError, match="infinite"):
@@ -84,11 +83,10 @@ def test_box_sampling_needs_finite_bounds():
     wide = Box(mu=np.array([0.0, -1e308]), nu=np.array([1.0, 1e308]))
     with pytest.raises(OverflowError, match="width"):
         wide.sample(rng, 4)
-    net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="infinite"):
-        one_step_invariance_test(net, Box(mu=np.zeros(2), nu=np.array([1.0, np.inf])), 4)
+        one_step_invariance_test(pair_net, Box(mu=np.zeros(2), nu=np.array([1.0, np.inf])), 4)
     with pytest.raises(OverflowError, match="width"):
-        one_step_invariance_test(net, wide, 4)
+        one_step_invariance_test(pair_net, wide, 4)
     finite = Box(mu=np.array([-1.0, 0.0]), nu=np.array([1.0, 2.0]))
     pts = finite.sample(rng, 100)
     assert pts.shape == (100, 2)
@@ -166,7 +164,7 @@ def test_stubborn_floor_pair(four_settings):
 # conditions
 # ---------------------------------------------------------------------------
 
-def test_condition_ids_are_stable():
+def test_condition_ids_are_stable(pair_net):
     assert CONDITION_IDS == (
         "incoming_influence_cap",
         "incoming_volatility_cap",
@@ -176,10 +174,7 @@ def test_condition_ids_are_stable():
         "uniform_gain_cap",
     )
     with pytest.raises(ValueError, match="dominance"):
-        check_condition(
-            InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5])),
-            "no_such_condition",
-        )
+        check_condition(pair_net, "no_such_condition")
 
 
 def _documented_margin(net, which, timescale):
@@ -385,12 +380,7 @@ def test_per_node_report_keeps_arrays_not_row_objects():
     n = 1000
     net = InfluenceNetwork(C=np.roll(np.eye(n), 1, axis=1),
                            a=np.random.default_rng(2).uniform(0.1, 0.9, n))
-    tracemalloc.start()
-    try:
-        report = check_condition(net, "democracy")
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, kept, _ = traced(lambda: check_condition(net, "democracy"))
     assert len(report.detail) == n
     # one n-row table of (node, lhs, rhs), 24 bytes a row; a MarginRow per node took ~200
     assert kept < 40 * n
@@ -462,21 +452,12 @@ def test_chunked_multistart_search_gives_the_same_bits(anchored_net, monkeypatch
         assert (chunked.residual, chunked.iterations) == (whole.residual, whole.iterations)
 
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_an_equilibrium_search_builds_its_systems_a_chunk_at_a_time():
     """At n = 300 each of the 21 starts gets its own chunk, so one search holds
     about one 0.7 MB system at a time, not the 16 MB stack of all 21."""
     net = random_network(np.random.default_rng(5), 300)
     solve_equilibrium(net, multistarts=1)  # warm every lazy attribute of net
-    peak = _traced_peak(lambda: solve_equilibrium(net, multistarts=20))
+    _, _, peak = traced(lambda: solve_equilibrium(net, multistarts=20))
     assert peak < 2 << 20, peak
 
 
@@ -712,12 +693,7 @@ def test_streamed_trial_memory_stays_near_three_sample_arrays():
     net = random_network(np.random.default_rng(5), 300)
     box = nonneg_box(net)
     samples = 10_000
-    tracemalloc.start()
-    try:
-        one_step_invariance_test(net, box, samples)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: one_step_invariance_test(net, box, samples))
     assert peak < 3.2 * samples * net.n * 8
 
 
@@ -728,12 +704,7 @@ def test_streamed_trial_on_a_leaky_box_stays_near_three_sample_arrays():
     base = two_sided_box(net)
     box = Box(base.mu, base.nu * 2.0)
     samples = 10_000
-    tracemalloc.start()
-    try:
-        report = one_step_invariance_test(net, box, samples)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, _, peak = traced(lambda: one_step_invariance_test(net, box, samples))
     assert report.exit_count > 0
     assert peak < 3.2 * samples * net.n * 8
 
@@ -743,12 +714,7 @@ def test_certified_trial_allocates_no_sample_arrays():
     net = random_network(np.random.default_rng(5), 300)
     base = nonneg_box(net)
     box = Box(base.mu, base.nu * 2.0)
-    tracemalloc.start()
-    try:
-        report = one_step_invariance_test(net, box, 10_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, _, peak = traced(lambda: one_step_invariance_test(net, box, 10_000))
     assert _fields(report) == (10_000, 0)
     assert peak < 1 << 20
 
@@ -945,7 +911,7 @@ def test_the_jacobian_check_allocates_no_bumped_square():
     net = random_network(np.random.default_rng(5), 300)
     p = solve_equilibrium(net, multistarts=0).p_star
     contraction_diagnostic(net, p)  # warm every lazy attribute of net
-    peak = _traced_peak(lambda: contraction_diagnostic(net, p))
+    _, _, peak = traced(lambda: contraction_diagnostic(net, p))
     assert peak < 3 << 20, peak
 
 

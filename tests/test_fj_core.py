@@ -1,6 +1,5 @@
 """Opinion updates, social power, and resolvent identities."""
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from conftest import (
     random_network,
     random_star_network,
     table_network,
+    traced,
 )
 
 # power of the triad network at self-weights (0.2, 0.5, 0.0): exact fractions
@@ -82,12 +82,11 @@ def test_iterated_opinions_reach_the_direct_solve(triad_net, triad_gamma):
     assert np.max(np.abs(traj.final - final_opinions(triad_net, triad_gamma, y0))) < 1e-8
 
 
-def test_two_node_symmetric_discussion():
-    net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
+def test_two_node_symmetric_discussion(pair_net):
     gamma = np.zeros(2)
-    y_star = final_opinions(net, gamma, np.array([1.0, 0.0]))
+    y_star = final_opinions(pair_net, gamma, np.array([1.0, 0.0]))
     assert np.max(np.abs(y_star - [2 / 3, 1 / 3])) < 1e-12
-    assert np.max(np.abs(compute_social_power(net, gamma) - 0.5)) < 1e-12
+    assert np.max(np.abs(compute_social_power(pair_net, gamma) - 0.5)) < 1e-12
 
 
 def test_triad_power_matches_exact_fractions(triad_net, triad_gamma):
@@ -272,12 +271,7 @@ def test_a_large_power_stack_is_solved_a_chunk_at_a_time():
     net = random_network(np.random.default_rng(5), 300)
     G = np.random.default_rng(6).dirichlet(np.ones(net.n), size=40)
     compute_social_power(net, G[0])  # warm every lazy attribute of net
-    tracemalloc.start()
-    try:
-        X = compute_social_power(net, G)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    X, _, peak = traced(lambda: compute_social_power(net, G))
     assert peak < 2 << 20, peak
     assert X.shape == G.shape
     for g, x in zip(G, X):
@@ -320,14 +314,13 @@ def test_stacked_power_runs_match_single_starts_when_k_equals_n(anchored_net):
         assert traj.path.tobytes() == single.path.tobytes()
 
 
-def test_a_singular_row_makes_the_stacked_solve_raise():
-    net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
+def test_a_singular_row_makes_the_stacked_solve_raise(pair_net):
     # self-weights (2, 1) give I - W^T A = [[0, 0], [0.5, 0.5]]
     stack = np.array([[0.5, 0.5], [2.0, 1.0]])
     with pytest.raises(SingularSystemError):
-        compute_social_power(net, stack[1])
+        compute_social_power(pair_net, stack[1])
     with pytest.raises(SingularSystemError):
-        run_stack_to_convergence(lambda X: step_power_evolution(net, X), stack)
+        run_stack_to_convergence(lambda X: step_power_evolution(pair_net, X), stack)
 
 
 def test_single_step_variant_first_step_matches_hand_formula(anchored_net):

@@ -217,9 +217,8 @@ def test_general_topology(anchored_net):
     assert topo.kind == GENERAL and topo.center is None and not topo.is_star
 
 
-def test_two_node_center_tie_breaks_to_lowest_index():
-    net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
-    assert classify_topology(net).center == 0
+def test_two_node_center_tie_breaks_to_lowest_index(pair_net):
+    assert classify_topology(pair_net).center == 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +243,8 @@ def test_leaf_of_fully_stubborn_center_star_has_no_cycles(star3_net):
     assert enumerate_stubborn_cycles(star3_net, 1) == []
 
 
-def test_two_node_loop_has_unit_value():
-    net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
-    (cyc,) = enumerate_stubborn_cycles(net, 0)
+def test_two_node_loop_has_unit_value(pair_net):
+    (cyc,) = enumerate_stubborn_cycles(pair_net, 0)
     assert cyc.nodes == (0, 1, 0) and cyc.value == 1.0
 
 
@@ -287,23 +285,21 @@ def test_cycles_come_out_in_lexicographic_order():
     assert [c.nodes for c in cycles] == sorted(c.nodes for c in cycles)
 
 
-def test_cycle_budget_is_enforced(monkeypatch):
-    net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
+def test_cycle_budget_is_enforced(monkeypatch, pair_net):
     monkeypatch.setattr(network, "CYCLE_BUDGET", 1)
-    assert len(enumerate_stubborn_cycles(net, 0)) == 1
+    assert len(enumerate_stubborn_cycles(pair_net, 0)) == 1
     monkeypatch.setattr(network, "CYCLE_BUDGET", 0)
     with pytest.raises(CycleBudgetExceededError, match="node 1"):
-        enumerate_stubborn_cycles(net, 0)
+        enumerate_stubborn_cycles(pair_net, 0)
     try:
-        enumerate_stubborn_cycles(net, 0)
+        enumerate_stubborn_cycles(pair_net, 0)
     except CycleBudgetExceededError as exc:
         assert exc.anchor == 0 and exc.budget == 0
 
 
-def test_anchor_out_of_range():
-    net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
+def test_anchor_out_of_range(pair_net):
     with pytest.raises(IndexError):
-        enumerate_stubborn_cycles(net, 2)
+        enumerate_stubborn_cycles(pair_net, 2)
 
 
 # ---------------------------------------------------------------------------

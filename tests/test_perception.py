@@ -1,7 +1,6 @@
 """Perception steppers, trajectories, and the per-node locality layer."""
 import inspect
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from fjpower import (
 from fjpower import analysis, perception
 from fjpower.perception import RULES, _step, local_step
 
-from conftest import random_doubly_stochastic_ring, random_network, table_network
+from conftest import random_doubly_stochastic_ring, random_network, table_network, traced
 from test_fj_core import ANCHORED_POWER_EQ
 
 # frozen limits (tol 1e-12 runs)
@@ -91,10 +90,9 @@ def test_fixed_weight_perception_finds_the_power_vector(triad_net, triad_gamma, 
     assert np.max(np.abs(traj.final - x)) <= 1e-8
 
 
-def test_two_node_estimates_split_evenly():
-    net = InfluenceNetwork(C=np.array([[0.0, 1.0], [1.0, 0.0]]), a=np.array([0.5, 0.5]))
+def test_two_node_estimates_split_evenly(pair_net):
     traj = run_to_convergence(
-        lambda p: step_perception_no_ra(net, np.zeros(2), p), np.array([0.9, 0.1])
+        lambda p: step_perception_no_ra(pair_net, np.zeros(2), p), np.array([0.9, 0.1])
     )
     assert traj.converged
     assert np.max(np.abs(traj.final - 0.5)) < 1e-10
@@ -286,12 +284,8 @@ def test_trajectory_shape_and_views():
 
 def test_a_run_copies_its_states_into_the_path_once():
     # the state list plus one path array: a second copy would put the peak near 3x
-    tracemalloc.start()
-    try:
-        traj = run_to_convergence(lambda p: p + 1.0, np.zeros(1000), max_iter=2000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, _, peak = traced(
+        lambda: run_to_convergence(lambda p: p + 1.0, np.zeros(1000), max_iter=2000))
     assert traj.status == MAX_ITER and traj.iterations == 2000
     assert peak / traj.path.nbytes < 2.5
 
@@ -464,12 +458,7 @@ def test_a_stepper_call_allocates_no_square_temporary():
     gamma = rng.uniform(0.0, 1.0, size=net.n)
     for step in (lambda: step_perception_ra(net, p), lambda: step_perception_no_ra(net, gamma, p)):
         step()  # warm every lazy attribute of net
-        tracemalloc.start()
-        try:
-            step()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced(step)
         assert peak < 1 << 20, peak
 
 

@@ -46,6 +46,12 @@ def _write(tmp_path, text, name="case.yaml"):
     return path
 
 
+def _batch(capsys, directory, out, code=1) -> str:
+    """What ``fjpower batch DIRECTORY --out OUT`` prints, once it has exited with ``code``."""
+    assert main(["batch", str(directory), "--out", str(out)]) == code
+    return capsys.readouterr().out
+
+
 MINIMAL = """\
 name: case
 network:
@@ -88,6 +94,14 @@ def test_malformed_yaml_is_a_parse_error(tmp_path):
     not_mapping = _write(tmp_path, "- 1\n- 2\n")
     with pytest.raises(ConfigParseError, match="mapping"):
         load_scenario(not_mapping)
+
+
+@pytest.fixture(params=[scenario.YAML_LOADER, yaml.SafeLoader], ids=["chosen", "SafeLoader"])
+def loader(request, monkeypatch):
+    """Each loader a file may be parsed with, patched in as scenario.YAML_LOADER:
+    the one the package chose, and PyYAML's pure-Python SafeLoader."""
+    monkeypatch.setattr(scenario, "YAML_LOADER", request.param)
+    return request.param
 
 
 def test_the_loader_is_libyaml_when_pyyaml_has_it():
@@ -216,10 +230,7 @@ def test_the_scenario_loader_reads_what_pyyaml_reads(base):
             yaml.load(text, Loader=loader)
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
-def test_unreadable_files_are_parse_errors_under_both_loaders(tmp_path, monkeypatch, loader):
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
+def test_unreadable_files_are_parse_errors_under_both_loaders(tmp_path, loader):
     with pytest.raises(ConfigParseError):
         load_scenario(_write(tmp_path, "name: [unclosed\n"))
     with pytest.raises(ConfigParseError, match="mapping"):
@@ -269,11 +280,10 @@ def _child(*args, timeout=None, **env) -> subprocess.CompletedProcess:
                           timeout=timeout, env={**os.environ, "PYTHONPATH": path, **env})
 
 
-@pytest.mark.parametrize("loader", ["chosen", "SafeLoader"])
 def test_nesting_past_the_limit_is_a_parse_error_under_both_loaders(tmp_path, loader):
     """Flow nesting and compact block nesting 50 000 levels deep."""
     paths = _deeper_files(tmp_path)
-    child = _child("-c", LOAD_IN_CHILD, loader, *map(str, paths))
+    child = _child("-c", LOAD_IN_CHILD, loader.__name__, *map(str, paths))
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines() == [
         f"ConfigParseError: {path}: collections nest deeper than 100 levels" for path in paths]
@@ -303,13 +313,10 @@ def _chained_file(tmp_path, lines: int, name="chained.yaml") -> Path:
     return _write(tmp_path, MINIMAL.replace(ROWS, "\n" + "\n".join(rows)), name=name)
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
-def test_indicators_chained_across_lines_are_a_parse_error(tmp_path, monkeypatch, loader):
+def test_indicators_chained_across_lines_are_a_parse_error(tmp_path, loader):
     """297 levels on 3 lines, each line's run of indicators under 100.  A
     file with as many indicators whose long lines hold only spaces, or a
     comment, still loads."""
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     with pytest.raises(ConfigParseError,
                        match="chained.yaml: collections nest deeper than 100 levels"):
         load_scenario(_chained_file(tmp_path, 3))
@@ -340,12 +347,9 @@ def _nested(levels: int, shape: str) -> str:
                    "indented": "".join(f"\n{' ' * (2 + k)}-" for k in range(inner)) + " 0"}[shape]
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
-def test_nesting_is_counted_as_pyyaml_composes_it(tmp_path, monkeypatch, loader):
+def test_nesting_is_counted_as_pyyaml_composes_it(tmp_path, loader):
     """Brackets and indicators in a comment do not count, and nesting by
     indentation does: 100 collections around a scalar load, 101 do not."""
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     bundled = SCENARIO_DIR / "three_node_ra.yaml"
     for comment in ("[" * 150, "- " * 120):
         path = _write(tmp_path, bundled.read_text() + f"# {comment}\n", name=bundled.name)
@@ -392,8 +396,6 @@ def _built(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
 def test_merge_keys_that_splice_past_the_file_size_are_refused_at_once(
         tmp_path, monkeypatch, loader):
     """k = m = 2000 (27 kB) would splice 4 * 10**6 pairs, which took 5.5 s
@@ -402,7 +404,6 @@ def test_merge_keys_that_splice_past_the_file_size_are_refused_at_once(
     is composed (the pure-Python composer alone takes about 0.2 s), before
     PyYAML constructs or flattens anything.  The bound is exact, and merges
     under it load like their written-out forms."""
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     text = _merge_file(2000, 2000)
     path = _write(tmp_path, text)
     message = f"{path}: aliases expand to more than {len(text)} scalars, one per character"
@@ -443,19 +444,15 @@ def test_merge_keys_that_splice_past_the_file_size_are_refused_at_once(
     assert _fingerprint(scn) == _fingerprint(load_scenario(_write(tmp_path, written)))
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
-def test_a_yaml_syntax_error_is_one_line_naming_its_place(tmp_path, capsys, monkeypatch, loader):
+def test_a_yaml_syntax_error_is_one_line_naming_its_place(tmp_path, capsys, loader):
     """PyYAML's message, mark lines and quoted source included, becomes one
     line, so a batch prints one summary line for the file and run one error."""
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     d = tmp_path / "scn"
     d.mkdir()
     (d / "broken.yaml").write_text("mode: [")
     (d / "good.yaml").write_text(MINIMAL)
     start = f"{d / 'broken.yaml'}: while parsing a flow node; "
-    assert main(["batch", str(d), "--out", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    lines = _batch(capsys, d, tmp_path / "out").splitlines()
     assert len(lines) == 2 and lines[1].startswith("case: converged")
     assert lines[0].startswith(f"broken: error after 0 iteration(s) error: ConfigParseError: {start}")
     assert re.search(r"; line [12], column \d+$", lines[0]), lines[0]
@@ -464,14 +461,11 @@ def test_a_yaml_syntax_error_is_one_line_naming_its_place(tmp_path, capsys, monk
     assert err.startswith(f"error: {start}") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
 def test_a_control_character_is_a_parse_error_naming_its_line_and_column(
-        tmp_path, monkeypatch, loader):
+        tmp_path, loader):
     """PyYAML gives only the character's offset (in bytes under libyaml), so
     the loader counts the line and column, as PyYAML's other errors name
     them; a line of non-ASCII text before it counts as one line."""
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     text = (SCENARIO_DIR / "three_node_ra.yaml").read_text() + "x: \x01\n"
     assert text.count("\n") == 21
     for head, line in (("", 21), ("# é ✓\n", 22)):
@@ -482,12 +476,9 @@ def test_a_control_character_is_a_parse_error_naming_its_line_and_column(
         assert str(err.value).endswith(f" are not allowed; line {line}, column 4")
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
-def test_a_repeated_key_is_a_parse_error_naming_it(tmp_path, monkeypatch, loader):
+def test_a_repeated_key_is_a_parse_error_naming_it(tmp_path, loader):
     """Both loaders keep a repeated key's last value without a word; the
     scenario loader names the key and both its lines, at every level."""
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     cases = [
         # the stray mode used to fail as "social_power ... takes no initial block"
         (MINIMAL + "mode: social_power\n", "'mode' on line 10, first given on line 7"),
@@ -511,13 +502,9 @@ TAGGED_EMPTY = {"float": IndexError, "int": IndexError, "bool": KeyError,
                 "timestamp": AttributeError}
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
-def test_a_tagged_scalar_pyyaml_cannot_build_is_a_parse_error(
-        tmp_path, capsys, monkeypatch, loader):
+def test_a_tagged_scalar_pyyaml_cannot_build_is_a_parse_error(tmp_path, capsys, loader):
     """Each tagged empty scalar names its tag; a mapping tag on a scalar or a
     list, built after construct_object returns, gets PyYAML's own message."""
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     for tag, slip in TAGGED_EMPTY.items():
         path = _write(tmp_path, MINIMAL + f'tol: !!{tag} ""\n', name=f"{tag}.yaml")
         with pytest.raises(ConfigParseError) as err:
@@ -546,15 +533,12 @@ def _alias_levels(levels: int, name="bomb") -> str:
     return MINIMAL.replace("case", name).replace(ROWS, "\n" + "\n".join(rows))
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
 def test_aliases_that_expand_past_the_file_size_are_refused_at_once(
         tmp_path, monkeypatch, loader):
     """Seven levels, 10**7 scalars, would cost numpy about half a second and
     185 MB to expand before its shape error; a list that holds itself
     expands without end.  Both are refused on the composed nodes, before
     PyYAML constructs anything."""
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     path = _write(tmp_path, _alias_levels(7))
     message = f"{path}: aliases expand to more than {len(path.read_text())} scalars"
     asked = []  # the arrays asked of numpy: none, as the walk refuses the file first
@@ -615,13 +599,10 @@ def _anchored_p0(text: str, rows: int = 3) -> str:
     return text.replace(f"  p0: {vector}\n", reused)
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
-def test_files_the_alias_bound_must_pass(tmp_path, monkeypatch, loader):
+def test_files_the_alias_bound_must_pass(tmp_path, loader):
     """Every bundled file and a generated one hold fewer scalars than
     characters, so the bound cannot refuse them even when the walk runs; a
     generated file that reuses an anchored start loads as if written out."""
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     generated = _generated_text(np.random.default_rng(9), "gen", "distributed_no_ra", 60)
     for text in [path.read_text() for path in ALL_SCENARIOS] + [generated]:
         assert not scenario._expands_past(yaml.compose(text, Loader=loader), len(text))
@@ -650,15 +631,12 @@ def _written_out(x) -> int:
     return sum(map(_written_out, x)) or 1
 
 
-@pytest.mark.parametrize("loader", [scenario.YAML_LOADER, yaml.SafeLoader],
-                         ids=["chosen", "SafeLoader"])
 def test_cli_batch_goes_on_past_every_hostile_file(tmp_path, capsys, monkeypatch, loader):
     """Valid files on both sides of a tagged empty scalar, an alias bomb, a
     load that raises something no loader names, a merge bomb and a syntax
     error: one summary line per file in file order, and the valid files write
     what they write alone.  `run` on each file that cannot load exits 1 with
     one error line."""
-    monkeypatch.setattr(scenario, "YAML_LOADER", loader)
     d = tmp_path / "scn"
     d.mkdir()
     ra = (SCENARIO_DIR / "three_node_ra.yaml").read_text()
@@ -677,8 +655,7 @@ def test_cli_batch_goes_on_past_every_hostile_file(tmp_path, capsys, monkeypatch
         return load(path, **overrides)
 
     monkeypatch.setattr(cli, "load_scenario", raising)
-    assert main(["batch", str(d), "--out", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    lines = _batch(capsys, d, tmp_path / "out").splitlines()
     assert [line.split(":")[0] for line in lines] == ["three_node_no_ra", "b", "c", "d",
                                                       "three_node_ra", "f", "g"]
     assert lines[0].startswith("three_node_no_ra: converged")
@@ -805,8 +782,7 @@ def test_subnormal_susceptibility_is_one_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
-    assert main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    lines = _batch(capsys, tmp_path / "scn", tmp_path / "out").splitlines()
     assert lines[0].startswith(
         f"tiny: error after 0 iteration(s) error: ConfigValidationError: {message}")
     assert lines[1].startswith("z: converged")
@@ -839,8 +815,22 @@ def test_network_is_validated_once_per_load(tmp_path, monkeypatch):
      "case: invariant_test unknown key 'sample'"),
     ("  p0: [0.5, 0.5]", "  p0: [0.5, 0.5]\noutputs:\n  - condition_report: incoming_influence_cap",
      "case: condition_report needs a list of condition ids"),
-], ids=["top_level", "network", "sampler", "invariant_test", "condition_report_string"])
+    # numpy would read each boolean as 1.0 or 0.0
+    ("[0.0, 1.0]", "[0.0, true]",
+     r"case: network.C must hold numbers, not booleans; entry \(1, 2\) is True"),
+    ("a: [0.5, 0.5]", "a: [no, 0.5]",
+     "case: network.a must hold numbers, not booleans; entry 1 is False"),
+    ("mode: perception_ra", "gamma: [0.5, off]\nmode: perception_no_ra",
+     "case: gamma must hold numbers, not booleans; entry 2 is False"),
+    ("p0: [0.5, 0.5]", "p0: [yes, no]",
+     r"case: initial.p0\[0\] must hold numbers, not booleans; entry 1 is True"),
+    ("p0: [0.5, 0.5]", "uniform_in_box: {mu: [0.0, 0.0], nu: [1.0, on]}",
+     "case: uniform_in_box.nu must hold numbers, not booleans; entry 2 is True"),
+], ids=["top_level", "network", "sampler", "invariant_test", "condition_report_string",
+        "boolean_C", "boolean_a", "boolean_gamma", "boolean_p0", "boolean_box"])
 def test_misspelt_keys_fail_loudly(tmp_path, old, new, message):
+    """A key the grammar does not know, or a boolean where a number belongs,
+    fails loudly rather than leaving a default or reading as 1.0 or 0.0."""
     with pytest.raises(ConfigValidationError, match=message):
         load_scenario(_write(tmp_path, MINIMAL.replace(old, new)))
 
@@ -962,8 +952,7 @@ def test_repeated_output_requests_are_config_errors(tmp_path, capsys):
     (tmp_path / "scn" / "a.yaml").write_text(
         MINIMAL.replace("case", "a") + "outputs:\n  - trajectory_csv\n  - trajectory_csv\n")
     (tmp_path / "scn" / "b.yaml").write_text(MINIMAL.replace("case", "b"))
-    assert main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    lines = _batch(capsys, tmp_path / "scn", tmp_path / "out").splitlines()
     assert lines[0] == ("a: error after 0 iteration(s) error: ConfigValidationError: "
                         "a: output trajectory_csv is requested twice")
     assert lines[1].startswith("b: converged")
@@ -1340,9 +1329,7 @@ def test_cli_run_reports_condition_verdicts(tmp_path, capsys):
 
 
 def test_cli_batch_aggregates_divergence(tmp_path, capsys):
-    code = main(["batch", str(SCENARIO_DIR / "star_partial"), "--out", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 2
+    out = _batch(capsys, SCENARIO_DIR / "star_partial", tmp_path, code=2)
     assert out.count("star_partial_") == 4
     assert "star_partial_c: diverged" in out
 
@@ -1375,9 +1362,7 @@ def test_cli_batch_of_the_bundled_scenarios_exits_zero(tmp_path, capsys):
     """Every top-level bundled scenario succeeds, and each equilibrium section
     is the search's report under the file's own settings, its uniqueness
     clause the proof: both networks certify."""
-    code = main(["batch", str(SCENARIO_DIR), "--out", str(tmp_path)])
-    capsys.readouterr()
-    assert code == 0
+    _batch(capsys, SCENARIO_DIR, tmp_path, code=0)
     for name in ("star_full_center", "three_node_power"):
         scn = load_scenario(SCENARIO_DIR / f"{name}.yaml")
         eq = solve_equilibrium(scn.net, seed=scn.seed, tol=scn.tol, max_iter=scn.max_iter)
@@ -1423,9 +1408,7 @@ def test_cli_batch_surfaces_load_failures(tmp_path, capsys):
     (tmp_path / "scn").mkdir()
     (tmp_path / "scn" / "good.yaml").write_text(MINIMAL)
     (tmp_path / "scn" / "broken.yaml").write_text("mode: [")
-    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
-    out = capsys.readouterr().out
-    assert code == 1
+    out = _batch(capsys, tmp_path / "scn", tmp_path / "out")
     assert "broken: error" in out
     assert "case: converged" in out
 
@@ -1435,9 +1418,7 @@ def test_cli_batch_goes_on_past_a_file_that_is_not_utf8(tmp_path, capsys):
     (tmp_path / "scn" / "a.yaml").write_text(MINIMAL.replace("case", "a"))
     (tmp_path / "scn" / "b.yaml").write_bytes(b"name: x\n\xff\xfe: 1\n")
     (tmp_path / "scn" / "c.yaml").write_text(MINIMAL.replace("case", "c"))
-    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
+    lines = _batch(capsys, tmp_path / "scn", tmp_path / "out").splitlines()
     assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
     assert lines[1].startswith("b: error after 0 iteration(s) error: ConfigParseError: cannot read")
     assert lines[2].startswith("c: converged")
@@ -1449,9 +1430,7 @@ def test_cli_batch_goes_on_past_a_file_nested_too_deep_for_the_python_loader(
     (tmp_path / "scn").mkdir()
     (tmp_path / "scn" / "a.yaml").write_text(DEEP_INDENTED)
     (tmp_path / "scn" / "b.yaml").write_text(MINIMAL.replace("case", "b"))
-    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
+    lines = _batch(capsys, tmp_path / "scn", tmp_path / "out").splitlines()
     assert [line.split(":")[0] for line in lines] == ["a", "b"]
     assert lines[0].startswith("a: error after 0 iteration(s) error: ConfigParseError: ")
     assert lines[0].endswith("a.yaml: collections nest deeper than 100 levels")
@@ -1466,9 +1445,13 @@ def test_cli_batch_runs_good_files_beside_a_bad_setting(tmp_path, capsys):
         "p0: [0.5, 0.5]", "uniform_in_box: {mu: [0.5, 0.0], nu: [0.25, 1.0]}"))
     (tmp_path / "scn" / "big.yaml").write_text(MINIMAL.replace("case", "big").replace(
         "p0: [0.5, 0.5]", "simplex_random: {count: 10000000000000}"))
-    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
-    out = capsys.readouterr().out
-    assert code == 1
+    (tmp_path / "scn" / "flag.yaml").write_text(MINIMAL.replace("case", "flag").replace(
+        "a: [0.5, 0.5]", "a: [no, 0.5]"))
+    out = _batch(capsys, tmp_path / "scn", tmp_path / "out")
+    flag = "flag: network.a must hold numbers, not booleans; entry 1 is False"
+    assert f"flag: error after 0 iteration(s) error: ConfigValidationError: {flag}\n" in out
+    assert main(["run", str(tmp_path / "scn" / "flag.yaml"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {flag}\n"
     assert "bad: error after 0 iteration(s) error: ConfigValidationError: bad: tol" in out
     assert ("box: error after 0 iteration(s) error: ConfigValidationError: "
             "box: uniform_in_box lower bound exceeds upper") in out
@@ -1484,9 +1467,7 @@ def test_cli_batch_reports_oversized_integers_per_file(tmp_path, capsys):
         text = MINIMAL.replace("case", name) + "max_iter: 1" + "0" * digits + "\n"
         (tmp_path / "scn" / f"{name}.yaml").write_text(text)
     (tmp_path / "scn" / "c.yaml").write_text(MINIMAL.replace("case", "c"))
-    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
+    lines = _batch(capsys, tmp_path / "scn", tmp_path / "out").splitlines()
     assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
     assert lines[0].startswith("a: error after 0 iteration(s) error: ConfigValidationError: a: max_iter")
     assert lines[1].startswith("b: error after 0 iteration(s) error: Config")
@@ -1501,9 +1482,7 @@ def test_cli_batch_goes_on_past_a_box_that_is_not_a_name(tmp_path, capsys):
         MINIMAL.replace("case", "a") + "outputs:\n  - invariant_test: {box: [two_sided]}\n")
     (tmp_path / "scn" / "b.yaml").write_text(
         MINIMAL.replace("case", "b") + "outputs: [trajectory_csv]\n")
-    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
+    lines = _batch(capsys, tmp_path / "scn", tmp_path / "out").splitlines()
     assert [line.split(":")[0] for line in lines] == ["a", "b"]
     assert lines[0].startswith(
         "a: error after 0 iteration(s) error: ConfigValidationError: a: unknown box ['two_sided']")
@@ -1523,9 +1502,7 @@ def test_cli_batch_prints_summaries_in_file_order(tmp_path, capsys):
     (tmp_path / "scn" / "a.yaml").write_text(MINIMAL.replace("case", "a"))
     (tmp_path / "scn" / "b.yaml").write_text(MINIMAL.replace("case", "b") + "tol: abc\n")
     (tmp_path / "scn" / "c.yaml").write_text(MINIMAL.replace("case", "c"))
-    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
+    lines = _batch(capsys, tmp_path / "scn", tmp_path / "out").splitlines()
     assert [line.split(":")[0] for line in lines] == ["a", "b", "c"]
     assert lines[1].startswith("b: error")
 
@@ -1539,9 +1516,7 @@ def test_cli_batch_rejects_a_name_an_earlier_file_took(tmp_path, capsys):
     (tmp_path / "scn" / "b.yaml").write_text(
         MINIMAL.replace("case", "same").replace("p0: [0.5, 0.5]", "p0: [0.9, 0.1]") + outputs)
     (tmp_path / "scn" / "c.yaml").write_text(MINIMAL.replace("case", "c"))
-    code = main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
+    lines = _batch(capsys, tmp_path / "scn", tmp_path / "out").splitlines()
     assert lines[0].startswith("same: converged")
     assert lines[1] == ("same: error after 0 iteration(s) error: ConfigValidationError: "
                         "b.yaml repeats the name 'same' of a.yaml")
@@ -1616,8 +1591,7 @@ def test_cli_invariant_test_too_large_to_draw_is_one_error_line(tmp_path, capsys
             err = capsys.readouterr().err
             assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
             assert "Traceback" not in err
-    assert main(["batch", str(tmp_path / "scn"), "--out", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().out.splitlines()
+    lines = _batch(capsys, tmp_path / "scn", tmp_path / "out").splitlines()
     assert [line.split(": invariant_test")[0] for line in lines] == [
         f"big{s}: error after 0 iteration(s) error: ConfigValidationError: big{s}"
         for s in (10 ** 13, 10 ** 19)]

@@ -24,30 +24,24 @@ import yaml
 HEAD = Path(__file__).resolve().parents[1]
 
 # the names `import fjpower` exports, submodules aside, one a line in sorted
-# order, each callable with its signature, so a base/head diff shows API changes
-PUBLIC_NAMES = """
+# order, each callable with its signature, so a base/head diff shows API
+# changes; then the count of parameters with defaults across those callables,
+# the option count a change reports beside its public names
+PUBLIC_SURFACE = """
 import fjpower, inspect, types
+defaulted = 0
 for name in sorted(vars(fjpower)):
     obj = getattr(fjpower, name)
-    if not name.startswith("_") and not isinstance(obj, types.ModuleType):
-        try:
-            print(name + (str(inspect.signature(obj)) if callable(obj) else ""))
-        except (TypeError, ValueError):  # a callable without a signature
-            print(name)
-"""
-# the parameters with defaults across the callables `import fjpower` exports:
-# the option count a change reports beside its public names
-DEFAULTED_PARAMETERS = """
-import fjpower, inspect, types
-count = 0
-for name, obj in vars(fjpower).items():
-    if not name.startswith("_") and not isinstance(obj, types.ModuleType) and callable(obj):
-        try:
-            count += sum(p.default is not p.empty
-                         for p in inspect.signature(obj).parameters.values())
-        except (TypeError, ValueError):  # a callable without a signature
-            pass
-print(count)
+    if name.startswith("_") or isinstance(obj, types.ModuleType):
+        continue
+    try:
+        signature = inspect.signature(obj)
+    except (TypeError, ValueError):  # not callable, or a callable without a signature
+        print(name)
+        continue
+    print(name + str(signature))
+    defaulted += sum(p.default is not p.empty for p in signature.parameters.values())
+print(defaulted)
 """
 
 
@@ -115,7 +109,7 @@ def compare(base: Path, tmp: Path) -> None:
     section("artifacts identical to base", "artifacts that differ from base:", differ)
     section("public names and signatures identical to base",
             "public names and signatures against base (< base only, > head only):",
-            line_diff(*(lines_of(root, "-c", PUBLIC_NAMES) for root in (base, HEAD))))
+            line_diff(*(lines_of(root, "-c", PUBLIC_SURFACE)[:-1] for root in (base, HEAD))))
     # one test id a line; a collection error leaves what was collected
     section("tests identical to base", "tests against base (< base only, > head only):",
             line_diff(*([line for line in lines_of(root, "-m", "pytest", "--collect-only", "-q",
@@ -130,9 +124,10 @@ def compare(base: Path, tmp: Path) -> None:
 
 def sizes() -> None:
     """The source line count, the public surface and its options, and the YAML parser."""
-    lines, names = module_lines(HEAD), lines_of(HEAD, "-c", PUBLIC_NAMES)
+    lines = module_lines(HEAD)
+    *names, defaulted = lines_of(HEAD, "-c", PUBLIC_SURFACE)
     print(f"src lines: {sum(lines.values())}", f"public names: {len(names)}",
-          f"parameters with defaults: {lines_of(HEAD, '-c', DEFAULTED_PARAMETERS)[0]}",
+          f"parameters with defaults: {defaulted}",
           "```", *(f"{name:<16}{count:>6}" for name, count in sorted(lines.items())), "```",
           # scenario loading is about 5x slower on a PyYAML built without libyaml
           f"PyYAML {yaml.__version__}, libyaml: {yaml.__with_libyaml__}", sep="\n")
