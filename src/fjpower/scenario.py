@@ -30,9 +30,12 @@ included), and are byte-identical across repeated runs of the same scenario.
 """
 from __future__ import annotations
 
+import contextlib
+import datetime
 import functools
 import math
 import os
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
@@ -138,7 +141,7 @@ BOX_BUILDERS = {
 # with SafeConstructor and the same resolver, so they read files identically
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # deeper nesting is a parse error: both composers recurse once a level, libyaml's to a
-# SIGSEGV past about 20 000; the grammar needs 4, numpy takes at most 64 dimensions
+# SIGSEGV past about 20 000; the grammar needs 4
 MAX_NESTING = 100
 
 
@@ -333,24 +336,39 @@ def _check_keys(mapping: dict, known: tuple[str, ...], where: str) -> None:
         _fail(f"{where}unknown key {unknown[0]!r}; expected one of {known}")
 
 
-def _no_booleans(raw, label: str) -> None:
-    """Refuse a boolean among the entries YAML built for ``label``, a list or a
-    list of rows, naming the first by its 1-based place: numpy would read
-    ``true`` as 1.0 and ``no`` as 0.0."""
-    for i, entry in enumerate(raw if isinstance(raw, list) else (), 1):
-        if type(entry) is bool:
-            _fail(f"{label} must hold numbers, not booleans; entry {i} is {entry}")
-        if type(entry) is list and bool in map(type, entry):
-            j = [type(x) for x in entry].index(bool)
-            _fail(f"{label} must hold numbers, not booleans; entry ({i}, {j + 1}) is {entry[j]}")
+_NUMBERS = {int, float, str}  # a str counts if float() reads it: YAML 1.1 reads 1e-6 as one
+# the kinds a refusal names, where numpy read a null as NaN and a boolean as 1.0 or 0.0
+_NOT_NUMBERS = {int: "whole numbers too large for a float", bool: "booleans",
+                type(None): "nulls", str: "strings", list: "lists", dict: "mappings",
+                datetime.date: "dates", datetime.datetime: "timestamps"}
+
+
+def _number_array(raw, label: str) -> np.ndarray:
+    """``raw``, a list of numbers or of rows as long as its first, as floats; else a
+    ConfigValidationError naming ``label``, the first other entry and its place."""
+    if type(raw) is not list:
+        _fail(f"{label} must be a list of numbers, got {reprlib.repr(raw)}")
+    matrix = bool(raw) and type(raw[0]) is list
+    rows = raw if matrix else [raw]
+    for i, row in enumerate(rows if matrix else (), 1):
+        if type(row) is not list or len(row) != len(raw[0]):
+            _fail(f"{label} must hold rows of {len(raw[0])} numbers; "
+                  f"entry {i} is {reprlib.repr(row)}")
+    if all(_NUMBERS.issuperset(map(type, row)) for row in rows):
+        with contextlib.suppress(ValueError, OverflowError):  # bad text, a huge int: named below
+            return np.array(raw, dtype=float)
+    for i, row in enumerate(rows, 1):
+        for j, x in enumerate(row, 1):
+            with contextlib.suppress(TypeError, ValueError, OverflowError):
+                float(x if type(x) in _NUMBERS else None)  # float(None): a TypeError
+                continue
+            shown = x if isinstance(x, datetime.date) else reprlib.repr(x)  # a date as written
+            _fail(f"{label} must hold numbers, not {_NOT_NUMBERS.get(type(x), type(x).__name__)}; "
+                  f"entry {(i, j) if matrix else j} is {shown}")
 
 
 def _vector(raw, n: int, label: str) -> np.ndarray:
-    _no_booleans(raw, label)
-    try:
-        v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        _fail(f"{label} is not a numeric vector: {exc}")
+    v = _number_array(raw, label)
     if v.shape != (n,):
         _fail(f"{label} must have length {n}, got shape {v.shape}")
     bad = np.nonzero(~np.isfinite(v))[0]
@@ -395,15 +413,13 @@ def _parse_outputs(raw, name: str, seed: int) -> tuple[OutputRequest, ...]:
             options = options or {}
             if not isinstance(options, dict):
                 _fail(f"{name}: invariant_test options must be a mapping")
-            _check_keys(options, ("samples", "box", "seed"), f"{name}: invariant_test ")
+            where = f"{name}: invariant_test "
+            _check_keys(options, ("samples", "box", "seed"), where)
             box = _choose(name, "box", options.get("box", OutputRequest.box), sorted(BOX_BUILDERS))
             claim(f"invariant_test on the {box!r} box")
-            where = f"{name}: invariant_test "
-            samples = parse_setting("samples", options.get("samples", OutputRequest.samples),
-                                    where)
-            requests.append(OutputRequest(
-                kind=kind, samples=samples, box=box,
-                seed=parse_setting("seed", options.get("seed", seed), where)))
+            samples = parse_setting("samples", options.get("samples", OutputRequest.samples), where)
+            trial_seed = parse_setting("seed", options.get("seed", seed), where)
+            requests.append(OutputRequest(kind=kind, samples=samples, box=box, seed=trial_seed))
         else:
             if options is not None:
                 _fail(f"{name}: output {kind} takes no options")
@@ -424,11 +440,9 @@ def _parse_starts(doc: dict, n: int, mode: str, seed: int, name: str) -> tuple[n
     key, value = next(iter(initial.items()))
     _choose(name, "initial spec", key, ("p0", "uniform_in_box", "simplex_random"))
     if key == "p0":
-        rows = value
-        if not isinstance(rows, list) or not rows:
+        if not isinstance(value, list) or not value:
             _fail(f"{name}: initial.p0 must be a vector or non-empty list of vectors")
-        if not isinstance(rows[0], list):
-            rows = [rows]
+        rows = value if isinstance(value[0], list) else [value]
         return tuple(_vector(row, n, f"{name}: initial.p0[{k}]") for k, row in enumerate(rows))
     value = {} if value is None else value
     if not isinstance(value, dict):
@@ -439,8 +453,7 @@ def _parse_starts(doc: dict, n: int, mode: str, seed: int, name: str) -> tuple[n
     count = parse_setting("count", value.get("count", 1), where)
     rng = np.random.default_rng(parse_setting("seed", value.get("seed", seed), where))
     if key == "uniform_in_box":
-        mu = _vector(value.get("mu"), n, f"{name}: uniform_in_box.mu")
-        nu = _vector(value.get("nu"), n, f"{name}: uniform_in_box.nu")
+        mu, nu = (_vector(value.get(bound), n, f"{name}: {key}.{bound}") for bound in ("mu", "nu"))
         try:
             box = analysis.Box(mu, nu)
             box._span()
@@ -465,9 +478,11 @@ def load_scenario(
     ``tol``, ``max_iter`` and ``seed``, when given, override the file's
     top-level settings before anything is drawn, so an overridden ``seed``
     reaches sampled starts and invariant trials (their own ``seed:`` still wins).
-    A file that is not UTF-8 or not YAML raises ConfigParseError; an unknown key or any structural
-    or network invariant failure raises ConfigValidationError whose message
-    names the key, or the violated invariant and the offending (1-based) index.
+    A file that is not UTF-8 or not YAML raises ConfigParseError.  An unknown key, a
+    failed structural or network invariant, or a number list (C, a, gamma, a p0 start,
+    mu, nu) with an entry float() cannot read as an int, a float or text, or with rows
+    of unequal length, raises ConfigValidationError naming the key or the invariant and
+    the (1-based) place and entry: ``network.a must hold numbers, not nulls; entry 2 is None``.
     The YAML guards raise ConfigParseError at three stages: nesting past
     MAX_NESTING while PyYAML composes, aliases and merge keys that expand to
     more scalars than the file has characters on the composed nodes, before
@@ -515,13 +530,7 @@ def load_scenario(
     if not isinstance(network, dict) or "C" not in network or "a" not in network:
         _fail(f"{name}: network section must define C and a")
     _check_keys(network, ("C", "a"), f"{name}: network ")
-    _no_booleans(network["C"], f"{name}: network.C")
-    _no_booleans(network["a"], f"{name}: network.a")
-    try:
-        C = np.asarray(network["C"], dtype=float)
-        a = np.asarray(network["a"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        _fail(f"{name}: network arrays are not numeric: {exc}")
+    C, a = (_number_array(network[key], f"{name}: network.{key}") for key in ("C", "a"))
     try:
         net = InfluenceNetwork(C=C, a=a)
     except ValueError as exc:  # the network's invariants, checked once, as it is built
@@ -532,8 +541,9 @@ def load_scenario(
         if gamma is None:
             _fail(f"{name}: mode {mode} needs a gamma vector")
         gamma = _vector(gamma, net.n, f"{name}: gamma")
-        if np.any(gamma < 0.0) or np.any(gamma > 1.0):
-            _fail(f"{name}: gamma entries must lie in [0, 1]")
+        bad = np.flatnonzero((gamma < 0.0) | (gamma > 1.0))
+        if bad.size:
+            _fail(f"{name}: gamma entries must lie in [0, 1]; entry {bad[0] + 1} is {gamma[bad[0]]}")
     elif gamma is not None:
         _fail(f"{name}: mode {mode} takes no gamma")
     overrides = {"tol": tol, "max_iter": max_iter, "seed": seed}
@@ -585,22 +595,16 @@ class ScenarioResult:
 
 
 def error_result(name: str, mode: str, exc: Exception) -> ScenarioResult:
-    return ScenarioResult(
-        name=name, mode=mode, status=ERROR, iterations=0, final=None,
-        error=f"{type(exc).__name__}: {exc}",
-    )
+    return ScenarioResult(name=name, mode=mode, status=ERROR, iterations=0, final=None,
+                          error=f"{type(exc).__name__}: {exc}")
 
 
 def _csv_steps(total: int) -> list[int]:
     """Recorded step indices: every step up to the threshold, then every
     CSV_STRIDE-th, final step always included."""
-    if total <= CSV_STRIDE_THRESHOLD:
-        return list(range(total + 1))
-    steps = list(range(CSV_STRIDE_THRESHOLD + 1))
-    steps += list(range(CSV_STRIDE_THRESHOLD + CSV_STRIDE, total + 1, CSV_STRIDE))
-    if steps[-1] != total:
-        steps.append(total)
-    return steps
+    steps = list(range(min(total, CSV_STRIDE_THRESHOLD) + 1))
+    steps += range(CSV_STRIDE_THRESHOLD + CSV_STRIDE, total + 1, CSV_STRIDE)
+    return steps if steps[-1] == total else steps + [total]
 
 
 def write_trajectory_csv(path: Union[str, Path], traj: Trajectory) -> Path:
@@ -610,10 +614,8 @@ def write_trajectory_csv(path: Union[str, Path], traj: Trajectory) -> Path:
     # one template per file; a row's tolist() gives Python floats, whose %
     # formatting writes the bytes f"{v:.17e}" writes, inf, nan and -0.0 included
     fmt = "%d" + ",%.17e" * traj.n
-    lines = [header]
-    for s in _csv_steps(traj.iterations):
-        lines.append(fmt % (s, *traj.path[s].tolist()))
-    path.write_text("\n".join(lines) + "\n")
+    rows = (fmt % (s, *traj.path[s].tolist()) for s in _csv_steps(traj.iterations))
+    path.write_text("\n".join([header, *rows]) + "\n")
     return path
 
 
@@ -681,10 +683,9 @@ def run_scenario(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scena
     status = _overall_status(trajs)
     iterations = max(t.iterations for t in trajs)
     reports, written = _write_outputs(scn, out_dir, trajs)
-    return ScenarioResult(
-        name=scn.name, mode=scn.mode, status=status, iterations=iterations,
-        final=trajs[-1].final, trajectories=trajs, reports=reports, artifacts=written,
-    )
+    return ScenarioResult(name=scn.name, mode=scn.mode, status=status, iterations=iterations,
+                          final=trajs[-1].final, trajectories=trajs, reports=reports,
+                          artifacts=written)
 
 
 def run_reports(scn: Scenario, out_dir: Union[str, Path, None] = None) -> ScenarioResult:
@@ -698,7 +699,5 @@ def run_reports(scn: Scenario, out_dir: Union[str, Path, None] = None) -> Scenar
         raise ConfigValidationError(
             f"{scn.name}: no report outputs requested "
             "(add equilibrium_report, condition_report, or invariant_test)")
-    return ScenarioResult(
-        name=scn.name, mode=scn.mode, status=REPORT_OK, iterations=0,
-        final=None, reports=reports, artifacts=written,
-    )
+    return ScenarioResult(name=scn.name, mode=scn.mode, status=REPORT_OK, iterations=0,
+                          final=None, reports=reports, artifacts=written)

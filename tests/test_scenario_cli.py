@@ -96,10 +96,14 @@ def test_malformed_yaml_is_a_parse_error(tmp_path):
         load_scenario(not_mapping)
 
 
-@pytest.fixture(params=[scenario.YAML_LOADER, yaml.SafeLoader], ids=["chosen", "SafeLoader"])
+# each loader a file may be parsed with, by test id: the one the package
+# chose, and PyYAML's pure-Python SafeLoader; a child process gets its __name__
+LOADERS = {"chosen": scenario.YAML_LOADER, "SafeLoader": yaml.SafeLoader}
+
+
+@pytest.fixture(params=list(LOADERS.values()), ids=list(LOADERS))
 def loader(request, monkeypatch):
-    """Each loader a file may be parsed with, patched in as scenario.YAML_LOADER:
-    the one the package chose, and PyYAML's pure-Python SafeLoader."""
+    """Each loader of LOADERS, patched in as scenario.YAML_LOADER."""
     monkeypatch.setattr(scenario, "YAML_LOADER", request.param)
     return request.param
 
@@ -148,7 +152,7 @@ def test_both_loaders_read_every_scenario_alike(tmp_path, monkeypatch):
                                  ("fj_opinions", 22), ("distributed_ra", 60))]
     for path in ALL_SCENARIOS + generated:
         loaded = []
-        for loader in (scenario.YAML_LOADER, yaml.SafeLoader):
+        for loader in LOADERS.values():
             monkeypatch.setattr(scenario, "YAML_LOADER", loader)
             loaded.append(load_scenario(path))
         assert _fingerprint(loaded[0]) == _fingerprint(loaded[1]), path
@@ -255,8 +259,7 @@ def test_unreadable_files_are_parse_errors_under_both_loaders(tmp_path, loader):
 LOAD_IN_CHILD = """\
 import sys, yaml
 from fjpower import load_scenario, scenario
-if sys.argv[1] == "SafeLoader":
-    scenario.YAML_LOADER = yaml.SafeLoader
+scenario.YAML_LOADER = getattr(yaml, sys.argv[1])
 for path in sys.argv[2:]:
     try:
         load_scenario(path)
@@ -328,8 +331,8 @@ def test_indicators_chained_across_lines_are_a_parse_error(tmp_path, loader):
 def test_indicators_chained_deep_enough_to_crash_are_refused_in_a_child(tmp_path):
     """About 31 700 levels on 320 lines (10 MB), which killed libyaml's composer."""
     path = _chained_file(tmp_path, 320)
-    for loader in ("chosen", "SafeLoader"):
-        child = _child("-c", LOAD_IN_CHILD, loader, str(path))
+    for loader in LOADERS.values():
+        child = _child("-c", LOAD_IN_CHILD, loader.__name__, str(path))
         assert (child.returncode, child.stdout) == (
             0, f"ConfigParseError: {path}: collections nest deeper than 100 levels\n"), child.stderr
     child = _child("-m", "fjpower.cli", "run", str(path), "--out", str(tmp_path / "out"))
@@ -363,14 +366,16 @@ def test_nesting_is_counted_as_pyyaml_composes_it(tmp_path, loader):
         with pytest.raises(yaml.composer.ComposerError,
                            match="^collections nest deeper than 100 levels$"):
             yaml.load(_nested(101, shape), Loader=scenario._scenario_loader(loader))
-    # C sits inside the top-level mapping and network: at 100 levels numpy
-    # refuses its 98 dimensions, at 101 the loader refuses the file
+    # C sits inside the top-level mapping and network: at 100 levels the list
+    # in its first row is no number, at 101 the loader refuses the file
     def c_nested(levels):
         rows = " " + "[" * (levels - 2) + "0" + "]" * (levels - 2)
         return _write(tmp_path, MINIMAL.replace(ROWS, rows), name=f"l{levels}.yaml")
 
-    with pytest.raises(ConfigValidationError, match="case: network arrays are not numeric"):
+    with pytest.raises(ConfigValidationError) as err:
         load_scenario(c_nested(100))
+    assert str(err.value) == ("case: network.C must hold numbers, not lists; "
+                              "entry (1, 1) is [[[[[[[...]]]]]]]")
     for path in (c_nested(101), _write(tmp_path, DEEP_INDENTED, name="indented.yaml")):
         with pytest.raises(ConfigParseError) as err:
             load_scenario(path)
@@ -586,8 +591,8 @@ def test_aliases_expanding_to_a_billion_scalars_are_refused_in_a_capped_child(tm
     assert len(path.read_text()) < 700
     capped = ("import resource\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n") + LOAD_IN_CHILD
-    for loader in ("chosen", "SafeLoader"):
-        child = _child("-c", capped, loader, str(path), OPENBLAS_NUM_THREADS="1")
+    for loader in LOADERS.values():
+        child = _child("-c", capped, loader.__name__, str(path), OPENBLAS_NUM_THREADS="1")
         assert child.returncode == 0, child.stderr
         assert child.stdout.startswith(f"ConfigParseError: {path}: aliases expand to more than")
 
@@ -725,9 +730,9 @@ LOAD_ALL_IN_CHILD = """\
 import sys, yaml
 from fjpower import FJPowerError, load_scenario, scenario
 ends = {}
-for loader in (scenario.YAML_LOADER, yaml.SafeLoader):
-    scenario.YAML_LOADER = loader
-    for path in sys.argv[1:]:
+for loader in sys.argv[1].split(","):
+    scenario.YAML_LOADER = getattr(yaml, loader)
+    for path in sys.argv[2:]:
         try:
             load_scenario(path)
             end = "Scenario"
@@ -743,10 +748,11 @@ def test_mutated_bundled_files_end_in_a_scenario_or_a_config_error(tmp_path):
     child: anything else, a traceback, a signal or a run past 60 s, fails."""
     paths = [_write(tmp_path, text, name=f"m{k:03d}.yaml")
              for k, text in enumerate(_mutants(np.random.default_rng(32)))]
-    child = _child("-c", LOAD_ALL_IN_CHILD, *map(str, paths), timeout=60)
+    names = ",".join(loader.__name__ for loader in LOADERS.values())
+    child = _child("-c", LOAD_ALL_IN_CHILD, names, *map(str, paths), timeout=60)
     assert child.returncode == 0, child.stderr
     ends = dict(eval(child.stdout))
-    assert sum(ends.values()) == 2 * len(paths)
+    assert sum(ends.values()) == len(LOADERS) * len(paths)
     assert set(ends) <= {"Scenario", "ConfigParseError", "ConfigValidationError"}
     assert min(ends.get(end, 0) for end in ("Scenario", "ConfigParseError",
                                             "ConfigValidationError")) >= 10, ends
@@ -835,6 +841,66 @@ def test_misspelt_keys_fail_loudly(tmp_path, old, new, message):
         load_scenario(_write(tmp_path, MINIMAL.replace(old, new)))
 
 
+# each number list of the grammar: the text of MINIMAL it replaces, the new
+# text with the list's second entry as {}, the label a refusal names and the
+# 1-based place of that entry
+NUMBER_LISTS = {
+    "C": ("[0.0, 1.0]", "[0.0, {}]", "network.C", "(1, 2)"),
+    "a": ("a: [0.5, 0.5]", "a: [0.5, {}]", "network.a", "2"),
+    "gamma": ("mode: perception_ra", "gamma: [0.5, {}]\nmode: perception_no_ra", "gamma", "2"),
+    "p0": ("p0: [0.5, 0.5]", "p0: [0.5, {}]", "initial.p0[0]", "2"),
+    "p0_rows": ("p0: [0.5, 0.5]", "p0:\n    - [0.5, 0.5]\n    - [0.5, {}]", "initial.p0[1]", "2"),
+    "mu": ("p0: [0.5, 0.5]", "uniform_in_box: {{mu: [0.0, {}], nu: [1.0, 1.0]}}",
+           "uniform_in_box.mu", "2"),
+    "nu": ("p0: [0.5, 0.5]", "uniform_in_box: {{mu: [0.0, 0.0], nu: [1.0, {}]}}",
+           "uniform_in_box.nu", "2"),
+}
+TOO_BIG = "whole numbers too large for a float"
+BIG = "1" + "0" * 17 + "..." + "0" * 19  # 10**400 as reprlib abbreviates it
+# what YAML builds where a number belongs: its text, and the kind and the
+# entry a refusal names
+NON_NUMBERS = {
+    "null": ("null", "nulls", "None"),
+    "string": ("abc", "strings", "'abc'"),
+    "date": ("2024-01-01", "dates", "2024-01-01"),
+    "list": ("[0.5]", "lists", "[0.5]"),
+    "big": ("1" + "0" * 400, TOO_BIG, BIG),
+}
+# case -> (file text, its refusal after "case: ")
+HOSTILE_NUMBERS = {
+    f"{key}_{value}": (MINIMAL.replace(old, new.format(text)),
+                       f"{label} must hold numbers, not {kind}; entry {place} is {entry}")
+    for key, (old, new, label, place) in NUMBER_LISTS.items()
+    for value, (text, kind, entry) in NON_NUMBERS.items()
+}
+HOSTILE_NUMBERS.update(
+    C_null_row=(MINIMAL.replace("[1.0, 0.0]", "null"),
+                "network.C must hold rows of 2 numbers; entry 2 is None"),
+    C_short_row=(MINIMAL.replace("[1.0, 0.0]", "[1.0]"),
+                 "network.C must hold rows of 2 numbers; entry 2 is [1.0]"))
+
+
+@pytest.mark.parametrize("case", HOSTILE_NUMBERS)
+def test_a_number_list_names_its_first_entry_that_is_no_number(tmp_path, loader, case):
+    """A null, a string, a date, a list or a whole number past the float range
+    in any number list, or a null or short row of C, is one error naming the
+    key, the 1-based place and the entry: never a NaN, never numpy's words."""
+    text, message = HOSTILE_NUMBERS[case]
+    with pytest.raises(ConfigValidationError) as err:
+        load_scenario(_write(tmp_path, text))
+    assert str(err.value) == f"case: {message}"
+    assert "nan" not in message
+
+
+def test_cli_batch_prints_one_line_per_file_of_non_numbers(tmp_path, capsys, loader):
+    (tmp_path / "scn").mkdir()
+    for case, (text, _) in HOSTILE_NUMBERS.items():
+        _write(tmp_path / "scn", text.replace("name: case", f"name: {case}"), name=f"{case}.yaml")
+    assert _batch(capsys, tmp_path / "scn", tmp_path / "out").splitlines() == [
+        f"{case}: error after 0 iteration(s) error: ConfigValidationError: {case}: {message}"
+        for case, (_, message) in sorted(HOSTILE_NUMBERS.items())]
+
+
 def test_mode_and_gamma_pairing(tmp_path):
     unknown = MINIMAL.replace("mode: perception_ra", "mode: telepathy")
     with pytest.raises(ConfigValidationError, match="unknown mode"):
@@ -845,9 +911,11 @@ def test_mode_and_gamma_pairing(tmp_path):
     extra = MINIMAL.replace("mode: perception_ra", "mode: perception_ra\ngamma: [0.1, 0.2]")
     with pytest.raises(ConfigValidationError, match="takes no gamma"):
         load_scenario(_write(tmp_path, extra))
-    out_of_range = needs.replace("initial:", "gamma: [0.5, 1.5]\ninitial:")
-    with pytest.raises(ConfigValidationError, match=r"\[0, 1\]"):
-        load_scenario(_write(tmp_path, out_of_range))
+    for gamma, entry in (("[0.5, 1.5]", "entry 2 is 1.5"), ("[-0.25, 2.0]", "entry 1 is -0.25")):
+        out_of_range = needs.replace("initial:", f"gamma: {gamma}\ninitial:")
+        with pytest.raises(ConfigValidationError,
+                           match=r"^case: gamma entries must lie in \[0, 1\]; " + entry + "$"):
+            load_scenario(_write(tmp_path, out_of_range))
 
 
 def test_non_finite_gamma_is_rejected(tmp_path):
@@ -966,11 +1034,23 @@ def test_oversized_integer_literals_are_config_errors(tmp_path):
         (MINIMAL + f"seed: {big}\n", "seed must be non-negative, a whole number; got 1000"),
         (MINIMAL + f"outputs:\n  - invariant_test: {{samples: {big}}}\n",
          "invariant_test samples must be positive"),
-        (MINIMAL.replace("[0.0, 1.0]", f"[0.0, {big}]"), "network arrays are not numeric"),
-        (MINIMAL.replace("p0: [0.5, 0.5]", f"p0: [0.5, {big}]"), "p0.0. is not a numeric vector"),
+        # in a number list the entry is named, as reprlib abbreviates it
+        (MINIMAL.replace("[0.0, 1.0]", f"[0.0, {big}]"),
+         re.escape(f"case: network.C must hold numbers, not {TOO_BIG}; entry (1, 2) is {BIG}")
+         + "$"),
+        (MINIMAL.replace("p0: [0.5, 0.5]", f"p0: [0.5, {big}]"),
+         re.escape(f"case: initial.p0[0] must hold numbers, not {TOO_BIG}; entry 2 is {BIG}")
+         + "$"),
     ]:
         with pytest.raises(ConfigValidationError, match=message):
             load_scenario(_write(tmp_path, text))
+    # the least whole number float() overflows on, 2**1024 - 2**970 (a tie
+    # rounds to even, 2**1024), is refused; one less rounds to the largest float
+    edge = 2 ** 1024 - 2 ** 970
+    with pytest.raises(ConfigValidationError, match=f"not {TOO_BIG}; entry 2 is"):
+        load_scenario(_write(tmp_path, MINIMAL.replace("p0: [0.5, 0.5]", f"p0: [0.5, {edge}]")))
+    below = load_scenario(_write(tmp_path, MINIMAL.replace("p0: [0.5, 0.5]", f"p0: [0.5, {edge - 1}]")))
+    assert below.starts[0][1] == sys.float_info.max
     # Python caps int <-> str conversion at 4300 digits (3.11, and 3.10.7 on),
     # so PyYAML cannot even build such a literal; without the cap it is just too big
     giant = _write(tmp_path, MINIMAL + "max_iter: 1" + "0" * 5000 + "\n")
@@ -1008,9 +1088,12 @@ def test_scalar_settings_are_validated(tmp_path, snippet, message):
 
 
 def test_numeric_strings_are_read_as_numbers(tmp_path):
-    # YAML 1.1 reads 1e-6 (no decimal point) as a string
-    scn = load_scenario(_write(tmp_path, MINIMAL + "tol: 1e-6\nmax_iter: '50'\n"))
+    # YAML 1.1 reads 1e-6 (no decimal point) as a string, in a setting or a number list
+    text = MINIMAL.replace("a: [0.5, 0.5]", "a: [5e-1, '0.5']").replace(
+        "p0: [0.5, 0.5]", "p0: [1e-3, 0.999]")
+    scn = load_scenario(_write(tmp_path, text + "tol: 1e-6\nmax_iter: '50'\n"))
     assert scn.tol == 1e-6 and scn.max_iter == 50
+    assert scn.net.a.tolist() == [0.5, 0.5] and scn.starts[0].tolist() == [1e-3, 0.999]
 
 
 @pytest.mark.parametrize("initial, message", [

@@ -6,10 +6,12 @@
 REV is checked out into a temporary git worktree, removed at the end.  Both
 trees run the same `python -m fjpower.cli` calls from their own `src`: batches
 of the bundled files (also with --seed 11) and of the benchmark's 85 seed-7
-scenario_files inputs (all 10 modes and 4 output kinds), `run` and `report` on
-each bundled file, `oracle` and every `--help`.  Their files, stdout, stderr
-and exit codes are compared byte for byte, then the public names, test ids
-and module sizes.
+scenario_files inputs (all 10 modes and 4 output kinds), a batch of files
+whose number lists hold what is no number (a null, text, a date, a list, a
+whole number past the float range, a boolean, `.nan`, a null or short row of
+C), `run` and `report` on each bundled file, `oracle` and every `--help`.
+Their files, stdout, stderr and exit codes are compared byte for byte, so a
+changed refusal text shows, then the public names, test ids and module sizes.
 """
 import argparse
 import difflib
@@ -22,6 +24,15 @@ from pathlib import Path
 import yaml
 
 HEAD = Path(__file__).resolve().parents[1]
+
+# a scenario with row 2 of C and the second entry of a left to fill in
+NUMBER_FILE = ("name: {}\nnetwork:\n  C:\n    - [0.0, 1.0]\n    - {}\n  a: [0.5, {}]\n"
+               "mode: perception_ra\ninitial:\n  p0: [0.5, 0.5]\n")
+# file name -> (row 2 of C, a[2]): each puts one thing that is no number where numbers belong
+HOSTILE_NUMBERS = {f"a_{kind}": ("[1.0, 0.0]", entry) for kind, entry in (
+    ("null", "null"), ("string", "abc"), ("date", "2024-01-01"), ("list", "[0.5]"),
+    ("big", "1" + "0" * 400), ("boolean", "no"), ("nan", ".nan"))}
+HOSTILE_NUMBERS.update(C_null_row=("null", "0.5"), C_short_row=("[1.0]", "0.5"))
 
 # the names `import fjpower` exports, submodules aside, one a line in sorted
 # order, each callable with its signature, so a base/head diff shows API
@@ -91,7 +102,11 @@ def compare(base: Path, tmp: Path) -> None:
                   PYTHONPATH=os.pathsep.join([str(HEAD / "src"), str(HEAD / "benchmarks")]))
     if done.returncode:
         sys.exit(done.stderr.decode())
+    (tmp / "hostile").mkdir()
+    for name, (row, entry) in HOSTILE_NUMBERS.items():
+        (tmp / "hostile" / f"{name}.yaml").write_text(NUMBER_FILE.format(name, row, entry))
     calls = {"scenarios": ["batch", "scenarios"],
+             "hostile_numbers": ["batch", str(tmp / "hostile")],
              "star_partial": ["batch", "scenarios/star_partial"],
              "scenarios_seed11": ["batch", "scenarios", "--seed", "11"],
              "generated": ["batch", str(gen / "generated")],
