@@ -9,6 +9,7 @@ package; user-facing output (reports, messages) adds 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -54,11 +55,27 @@ class ValidationReport:
         return "; ".join(f"{v.name}: {v.message}" for v in self.violations)
 
 
+def _non_numbers(name: str, values, index: tuple = ()) -> list[Violation]:
+    """One violation for each entry of ``values`` that is no number (None, a
+    boolean, a string), in index order, where numpy would read None as NaN
+    and a boolean as 1.0 or 0.0.  A numeric ndarray is not walked."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return []
+    if isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim:
+        return [v for k, x in enumerate(values) for v in _non_numbers(name, x, index + (k,))]
+    if isinstance(values, (bool, np.bool_)) or not isinstance(values, numbers.Real):
+        place = f"[{','.join(str(k + 1) for k in index)}]" if index else ""
+        return [Violation("number", f"{name}{place} = {values!r} is not a number",
+                          index[0] if index else None)]
+    return []
+
+
 def validate_arrays(C, a) -> ValidationReport:
     """Check a candidate (C, a) pair against every network invariant.
 
-    Never raises: all failures are collected into the report.  Rows of C
-    must sum to 1 within ``ROW_SUM_TOL``.
+    Never raises: all failures are collected into the report.  An entry
+    that is no number is reported first, alone; rows of C must sum to 1
+    within ``ROW_SUM_TOL``.
 
     Parameters
     ----------
@@ -67,7 +84,9 @@ def validate_arrays(C, a) -> ValidationReport:
     a : (n,) array_like
         Candidate susceptibilities.
     """
-    out: list[Violation] = []
+    out = _non_numbers("C", C) + _non_numbers("a", a)
+    if out:
+        return ValidationReport(tuple(out))
     C = np.asarray(C, dtype=float)
     a = np.asarray(a, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -154,11 +173,11 @@ class InfluenceNetwork:
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "C", _freeze(self.C))
-        object.__setattr__(self, "a", _freeze(self.a))
-        report = validate_arrays(self.C, self.a)
+        report = validate_arrays(self.C, self.a)  # before _freeze reads a None as NaN
         if not report.ok:
             raise ValueError(f"invalid network: {report}")
+        object.__setattr__(self, "C", _freeze(self.C))
+        object.__setattr__(self, "a", _freeze(self.a))
 
     @property
     def n(self) -> int:

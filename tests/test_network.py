@@ -127,11 +127,21 @@ def test_shape_and_size_violations():
                  "row_stochastic: row 1 of C sums to -1.0, not 1 within 1e-12", id="1x1-negative"),
     pytest.param([[0.0, 1.0], [-0.0, -0.0]], [0.3, 0.2],
                  "row_stochastic: row 2 of C sums to 0.0, not 1 within 1e-12", id="negative-zero"),
+    # numpy would read a None as NaN and a boolean as 1.0; a numpy scalar is a number
+    pytest.param([[0.0, True], [1.0, 0.0]], [0.5, 0.5], "number: C[1,2] = True is not a number",
+                 id="boolean"),
+    pytest.param([[0.0, None], [np.int64(1), 0.0]], [np.float32(0.5), None],
+                 "number: C[1,2] = None is not a number; number: a[2] = None is not a number",
+                 id="none"),
 ])
 def test_degenerate_matrices_get_every_report(C, a, want):
     """The negative-entry scan runs only under a negative minimum; empty and
-    1×1 matrices, and -0.0 entries (not negative), keep their full reports."""
+    1×1 matrices, and -0.0 entries (not negative), keep their full reports,
+    which the constructor raises."""
     assert str(validate_arrays(C, a)) == want
+    with pytest.raises(ValueError) as err:
+        InfluenceNetwork(C=C, a=a)
+    assert str(err.value) == f"invalid network: {want}"
 
 
 def test_non_finite_interaction_weight_is_reported():

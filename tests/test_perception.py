@@ -376,34 +376,6 @@ def test_inbox_mismatch_is_rejected_with_one_based_ids(anchored_net):
         local_step(view, 0.3, {0: 0.1, 1: 0.4, 2: 0.2})
 
 
-def test_scalar_updates_match_the_vector_steppers(anchored_net, triad_net, triad_gamma):
-    rng = np.random.default_rng(3)
-    p = rng.uniform(-1.0, 1.0, size=3)
-
-    ra_views = build_local_views(anchored_net, "ra")
-    want_ra = step_perception_ra(anchored_net, p)
-    for i, view in enumerate(ra_views):
-        inbox = {j: p[j] for j in view.sender_set}
-        assert local_step(view, p[i], inbox) == pytest.approx(want_ra[i], abs=1e-14)
-
-    no_ra_views = build_local_views(triad_net, "no_ra", triad_gamma)
-    want = step_perception_no_ra(triad_net, triad_gamma, p)
-    for i, view in enumerate(no_ra_views):
-        inbox = {j: p[j] for j in view.sender_set}
-        assert local_step(view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
-
-
-def test_scalar_homogeneous_update_matches_the_vector_stepper():
-    rng = np.random.default_rng(4)
-    C = random_doubly_stochastic_ring(rng, 4)
-    net = InfluenceNetwork(C=C, a=np.full(4, 0.35))
-    p = rng.uniform(0.0, 1.0, size=4)
-    want = step_pagerank_ra(net, p)
-    for i, view in enumerate(build_local_views(net, "homogeneous")):
-        inbox = {j: p[j] for j in view.sender_set}
-        assert local_step(view, p[i], inbox) == pytest.approx(want[i], abs=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # the rule table: one formula per rule, vectorized and per node
 # ---------------------------------------------------------------------------

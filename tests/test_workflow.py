@@ -26,9 +26,15 @@ def test_the_size_summary_counts_this_tree():
     assert child.returncode == 0, child.stderr
     lines = child.stdout.splitlines()
     modules = sorted((ROOT / "src" / "fjpower").glob("*.py"))
-    total = sum(p.read_bytes().count(b"\n") for p in modules)
-    assert lines[0] == f"src lines: {total}"
-    assert re.fullmatch(r"public names: [1-9]\d*", lines[1]), lines[1]
-    assert re.fullmatch(r"parameters with defaults: \d+", lines[2]), lines[2]
-    assert [line.split()[0] for line in lines[4:-2]] == [p.name for p in modules]
+
+    def wc(pattern):  # the count on the last line of `wc -l PATTERN`, the total
+        done = subprocess.run(f"wc -l {pattern}", shell=True, cwd=ROOT, capture_output=True,
+                              text=True, check=True)
+        return int(done.stdout.splitlines()[-1].split()[0])
+
+    assert lines[:3] == [f"{tree} lines: {wc(pattern)}" for tree, pattern in (
+        ("src", "src/fjpower/*.py"), ("tests", "tests/*.py"), ("tools", "tools/*.py"))]
+    assert re.fullmatch(r"public names: [1-9]\d*", lines[3]), lines[3]
+    assert re.fullmatch(r"parameters with defaults: \d+", lines[4]), lines[4]
+    assert [line.split()[0] for line in lines[6:-2]] == [p.name for p in modules]
     assert lines[-1].startswith("PyYAML ")

@@ -11,7 +11,8 @@ whose number lists hold what is no number (a null, text, a date, a list, a
 whole number past the float range, a boolean, `.nan`, a null or short row of
 C), `run` and `report` on each bundled file, `oracle` and every `--help`.
 Their files, stdout, stderr and exit codes are compared byte for byte, so a
-changed refusal text shows, then the public names, test ids and module sizes.
+changed refusal text shows, then the public names, test ids, module sizes and
+the tests and tools totals.
 """
 import argparse
 import difflib
@@ -66,9 +67,13 @@ def lines_of(root: Path, *args: str) -> list[str]:
     return python(root, *args).stdout.decode().splitlines()
 
 
-def module_lines(root: Path) -> dict[str, int]:
-    """Each module's line count, as ``wc -l`` counts."""
-    return {p.name: p.read_bytes().count(b"\n") for p in (root / "src" / "fjpower").glob("*.py")}
+def module_lines(root: Path, pattern: str = "src/fjpower/*.py") -> dict[str, int]:
+    """Each file's line count, as ``wc -l`` counts, by name: the modules by default."""
+    return {p.name: p.read_bytes().count(b"\n") for p in root.glob(pattern)}
+
+
+# the other trees whose totals are tracked beside the modules
+TOTALS = {"tests": "tests/*.py", "tools": "tools/*.py"}
 
 
 def capture(root: Path, calls: dict, out: Path, files: Path) -> None:
@@ -132,16 +137,22 @@ def compare(base: Path, tmp: Path) -> None:
                         for root in (base, HEAD))))
     old, new = module_lines(base), module_lines(HEAD)
     rows = [(name, old.get(name, 0), new.get(name, 0)) for name in sorted(old.keys() | new.keys())]
-    print("src lines against base:", "```", f"{'module':<16}{'base':>6}{'head':>6}{'change':>8}",
-          *(f"{name:<16}{b:>6}{h:>6}{h - b:>+8}" for name, b, h in
-            rows + [("total", sum(old.values()), sum(new.values()))]), "```", sep="\n")
+    rows.append(("total", sum(old.values()), sum(new.values())))
+    rows += [(f"{tree} total", *(sum(module_lines(root, pattern).values()) for root in (base, HEAD)))
+             for tree, pattern in TOTALS.items()]
+    print("lines against base:", "```", f"{'module':<16}{'base':>6}{'head':>6}{'change':>8}",
+          *(f"{name:<16}{b:>6}{h:>6}{h - b:>+8}" for name, b, h in rows), "```", sep="\n")
 
 
 def sizes() -> None:
-    """The source line count, the public surface and its options, and the YAML parser."""
+    """The source, test and tool line counts, the public surface and its options,
+    and the YAML parser."""
     lines = module_lines(HEAD)
     *names, defaulted = lines_of(HEAD, "-c", PUBLIC_SURFACE)
-    print(f"src lines: {sum(lines.values())}", f"public names: {len(names)}",
+    print(f"src lines: {sum(lines.values())}",
+          *(f"{tree} lines: {sum(module_lines(HEAD, pattern).values())}"
+            for tree, pattern in TOTALS.items()),
+          f"public names: {len(names)}",
           f"parameters with defaults: {defaulted}",
           "```", *(f"{name:<16}{count:>6}" for name, count in sorted(lines.items())), "```",
           # scenario loading is about 5x slower on a PyYAML built without libyaml
