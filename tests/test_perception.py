@@ -1,6 +1,5 @@
 """Perception steppers, trajectories, and the per-node locality layer."""
 import inspect
-import re
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from fjpower import (
     NONFINITE,
     InfluenceNetwork,
     Trajectory,
-    ViewViolationError,
-    WrongTopologyError,
     build_local_views,
     compute_social_power,
     influence_matrix,
@@ -143,11 +140,6 @@ def test_pagerank_round_equals_reflected_round_when_susceptibility_is_shared():
         assert np.max(np.abs(step_pagerank_ra(net, p) - step_perception_ra(net, p))) < 1e-14
 
 
-def test_pagerank_requires_one_shared_susceptibility(anchored_net):
-    with pytest.raises(WrongTopologyError, match="found values from"):
-        step_pagerank_ra(anchored_net, np.full(3, 1 / 3))
-
-
 def test_doubly_stochastic_ring_estimates_become_uniform():
     C = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     net = InfluenceNetwork(C=C, a=np.full(3, 0.3))
@@ -247,39 +239,12 @@ def test_iteration_budget_exhaustion():
     assert traj.iterations == 5
 
 
-def test_run_parameters_are_validated():
-    with pytest.raises(ValueError, match="tol"):
-        run_to_convergence(lambda p: p, np.zeros(2), tol=0.0)
-    with pytest.raises(ValueError, match="max_iter"):
-        run_to_convergence(lambda p: p, np.zeros(2), max_iter=0)
-    with pytest.raises(ValueError, match="tol"):
-        run_to_convergence(lambda p: p, np.zeros(2), tol=float("nan"))
-
-
-def test_steppers_reject_a_wrong_length_self_weight_or_state(anchored_net):
-    # a 1-entry vector would broadcast over every node
-    p = np.full(3, 1 / 3)
-    with pytest.raises(ValueError, match=re.escape("gamma must have shape (3,), got (1,)")):
-        step_perception_no_ra(anchored_net, [0.3], p)
-    for step in (lambda q: step_perception_no_ra(anchored_net, np.full(3, 0.3), q),
-                 lambda q: step_perception_ra(anchored_net, q)):
-        with pytest.raises(ValueError, match=re.escape("p must have shape (3,), got (2,)")):
-            step(np.full(2, 0.5))
-    # the stop-rule loop fails at the first step, not after broadcast steps
-    with pytest.raises(ValueError, match=re.escape("p must have shape (3,), got (1,)")):
-        run_to_convergence(lambda q: step_perception_ra(anchored_net, q), [0.3])
-
-
 def test_trajectory_shape_and_views():
-    with pytest.raises(ValueError, match="2-D"):
-        Trajectory(path=np.zeros(3), status=CONVERGED)
     traj = Trajectory(path=np.array([[0.0, 0.0], [1.0, 2.0], [1.5, 2.5]]), status=MAX_ITER)
     assert traj.n == 2 and traj.iterations == 2
     assert np.array_equal(traj.path[0], [0.0, 0.0])
     assert np.array_equal(traj.final, [1.5, 2.5])
     assert np.array_equal(np.abs(np.diff(traj.path, axis=0)).max(axis=1), [2.0, 0.5])
-    with pytest.raises(ValueError):
-        traj.path[0, 0] = 9.0
 
 
 def test_a_run_copies_its_states_into_the_path_once():
@@ -337,11 +302,6 @@ def test_the_stepper_sees_only_the_running_rows():
     assert seen == [2] + [1] * 6
 
 
-def test_stacked_runs_take_a_stack_of_starts():
-    with pytest.raises(ValueError, match="2-D"):
-        run_stack_to_convergence(_square, np.zeros(3))
-
-
 # ---------------------------------------------------------------------------
 # per-node locality
 # ---------------------------------------------------------------------------
@@ -361,19 +321,6 @@ def test_views_carry_exactly_the_local_data(anchored_net, triad_gamma):
 
 def test_local_updates_take_only_view_own_value_and_inbox():
     assert list(inspect.signature(local_step).parameters) == ["view", "own_p", "inbox"]
-
-
-def test_fixed_weight_local_update_needs_a_self_weight(anchored_net):
-    with pytest.raises(ValueError, match="no_ra mode needs a self-weight vector gamma"):
-        build_local_views(anchored_net, "no_ra")
-
-
-def test_inbox_mismatch_is_rejected_with_one_based_ids(anchored_net):
-    view = build_local_views(anchored_net, "ra")[1]
-    with pytest.raises(ViewViolationError, match=r"missing senders \[3\]"):
-        local_step(view, 0.3, {0: 0.1})
-    with pytest.raises(ViewViolationError, match=r"unexpected senders \[2\]"):
-        local_step(view, 0.3, {0: 0.1, 1: 0.4, 2: 0.2})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from fjpower import (
     MAX_ITER,
     NONFINITE,
     InfluenceNetwork,
-    WrongTopologyError,
     advance,
     build_local_views,
     deliver,
@@ -35,17 +34,6 @@ from conftest import SCENARIO_DIR, random_network, random_star_network
 # ---------------------------------------------------------------------------
 # agents and rounds
 # ---------------------------------------------------------------------------
-
-def test_make_agents_validates_mode_and_gamma(triad_net, triad_gamma, anchored_net):
-    with pytest.raises(ValueError, match="unknown mode"):
-        make_agents(triad_net, "bogus", np.zeros(3))
-    with pytest.raises(ValueError, match="needs a self-weight"):
-        make_agents(triad_net, "no_ra", np.zeros(3))
-    with pytest.raises(ValueError, match="takes no gamma"):
-        make_agents(anchored_net, "ra", np.zeros(3), gamma=triad_gamma)
-    with pytest.raises(WrongTopologyError):
-        make_agents(anchored_net, "homogeneous", np.zeros(3))
-
 
 def test_each_round_delivers_one_message_per_edge(anchored_net):
     agents = make_agents(anchored_net, "ra", np.array([0.1, 0.2, 0.3]))
@@ -87,12 +75,6 @@ def test_views_are_built_and_checked_for_one_rule(anchored_net, triad_net, triad
     """A view carries the rule it was built for, so a round reads the rule
     from its agents: ra agents step the ra map, never the fixed-weight one."""
     assert all(v.rule is perception.RULES["ra"] for v in build_local_views(anchored_net, "ra"))
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        build_local_views(anchored_net, "bogus")
-    with pytest.raises(ValueError, match="ra mode takes no gamma"):
-        build_local_views(anchored_net, "ra", triad_gamma)
-    with pytest.raises(WrongTopologyError, match="one shared susceptibility"):
-        build_local_views(anchored_net, "homogeneous")
     p0 = np.array([0.1, 0.2, 0.3])
     after = run_round(make_agents(triad_net, "no_ra", p0, triad_gamma))
     assert np.array_equal(after, step_perception_no_ra(triad_net, triad_gamma, p0))
@@ -118,17 +100,6 @@ def test_a_round_rejects_a_surplus_agent(anchored_net):
             "the list holds 1 agent(s) more than the network's 3 nodes")):
         deliver(agents + [agents[0]])
     assert all(not ag.inbox for ag in agents)
-
-
-def test_a_hand_built_view_is_checked_against_its_own_gamma():
-    """A view without the self-weight its rule reads would end its first
-    local_step in a TypeError; it is rejected as it is built."""
-    with pytest.raises(ValueError, match="node 1's view needs its self-weight gamma"):
-        perception.LocalView(rule=perception.RULES["no_ra"], node=0, n=2, a=0.5, gamma=None,
-                             in_edges=((1, 0.5, 1.0, None),))
-    with pytest.raises(ValueError, match="node 2's view takes no gamma"):
-        perception.LocalView(rule=perception.RULES["ra"], node=1, n=2, a=0.5, gamma=0.3,
-                             in_edges=())
 
 
 def test_agents_hold_a_fixed_point(star3_net):
@@ -174,31 +145,7 @@ def test_large_sparse_distributed_runs_equal_the_centralized_twin(monkeypatch, m
     assert np.array_equal(dist.path, cent.path)
 
 
-def test_distributed_stop_parameters_are_validated(anchored_net):
-    p0 = np.full(3, 1 / 3)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        run_distributed(anchored_net, "ra", p0, tol=0.0)
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
-        run_distributed(anchored_net, "ra", p0, max_iter=0)
-
-
-def test_a_start_of_the_wrong_length_is_rejected(anchored_net):
-    # the centralized twin raises on these too; agents must not truncate or overrun
-    for p0 in (np.full(5, 0.2), np.full(2, 0.5)):
-        with pytest.raises(ValueError, match=r"p0 must have shape \(3,\), got \(%d,\)" % len(p0)):
-            make_agents(anchored_net, "ra", p0)
-        with pytest.raises(ValueError, match="p0 must have shape"):
-            run_distributed(anchored_net, "ra", p0)
-
-
-def test_a_self_weight_vector_of_the_wrong_shape_is_rejected(anchored_net):
-    p0 = np.full(3, 0.2)
-    for gamma in (np.array([0.2, 0.3, 0.4, 0.9, 0.9]), np.array([0.5, 0.5]), np.full((3, 1), 0.5)):
-        message = re.escape(f"gamma must have shape (3,), got {gamma.shape}")
-        with pytest.raises(ValueError, match=message):
-            build_local_views(anchored_net, "no_ra", gamma)
-        with pytest.raises(ValueError, match="gamma must have shape"):
-            run_distributed(anchored_net, "no_ra", p0, gamma=gamma)
+def test_a_self_weight_vector_may_be_a_list(anchored_net):
     assert [v.gamma for v in build_local_views(anchored_net, "no_ra", [0.2, 0.3, 0.4])] == [0.2, 0.3, 0.4]
 
 

@@ -9,7 +9,9 @@ of the bundled files (also with --seed 11) and of the benchmark's 85 seed-7
 scenario_files inputs (all 10 modes and 4 output kinds), a batch of files
 whose number lists hold what is no number (a null, text, a date, a list, a
 whole number past the float range, a boolean, `.nan`, a null or short row of
-C), `run` and `report` on each bundled file, `oracle` and every `--help`.
+C), `run` and `report` on each bundled file, `run` on a file whose
+`invariant_test` cannot draw its samples after a `trajectory_csv` (an error
+exit, which writes nothing), `oracle` and every `--help`.
 Their files, stdout, stderr and exit codes are compared byte for byte, so a
 changed refusal text shows, then the public names, test ids, module sizes and
 the tests and tools totals.
@@ -34,6 +36,9 @@ HOSTILE_NUMBERS = {f"a_{kind}": ("[1.0, 0.0]", entry) for kind, entry in (
     ("null", "null"), ("string", "abc"), ("date", "2024-01-01"), ("list", "[0.5]"),
     ("big", "1" + "0" * 400), ("boolean", "no"), ("nan", ".nan"))}
 HOSTILE_NUMBERS.update(C_null_row=("null", "0.5"), C_short_row=("[1.0]", "0.5"))
+# a CSV, then a trial on a box that does not certify, so it draws, past the address space
+UNDRAWABLE = ("scenarios/star_partial/star_partial_a.yaml", "condition_report: [star_center_load]",
+              "invariant_test: {samples: 10000000000000}")
 
 # the names `import fjpower` exports, submodules aside, one a line in sorted
 # order, each callable with its signature, so a base/head diff shows API
@@ -110,11 +115,14 @@ def compare(base: Path, tmp: Path) -> None:
     (tmp / "hostile").mkdir()
     for name, (row, entry) in HOSTILE_NUMBERS.items():
         (tmp / "hostile" / f"{name}.yaml").write_text(NUMBER_FILE.format(name, row, entry))
+    bundled, old, new = UNDRAWABLE
+    (tmp / "undrawable.yaml").write_text((HEAD / bundled).read_text().replace(old, new))
     calls = {"scenarios": ["batch", "scenarios"],
              "hostile_numbers": ["batch", str(tmp / "hostile")],
              "star_partial": ["batch", "scenarios/star_partial"],
              "scenarios_seed11": ["batch", "scenarios", "--seed", "11"],
              "generated": ["batch", str(gen / "generated")],
+             "undrawable": ["run", str(tmp / "undrawable.yaml")],
              "oracle": ["oracle", "scenarios/three_node_no_ra.yaml"]}
     for path in sorted(HEAD.glob("scenarios/*.yaml")) + sorted(HEAD.glob("scenarios/*/*.yaml")):
         for command in ("run", "report"):
