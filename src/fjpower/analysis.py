@@ -34,6 +34,7 @@ from .network import (
     STAR_PARTIAL_CENTER,
     InfluenceNetwork,
     _freeze,
+    _whole,
     classify_topology,
     node_vector,
 )
@@ -78,7 +79,7 @@ class Box:
     nu: np.ndarray
 
     def __post_init__(self):
-        mu, nu = _freeze(self.mu), _freeze(self.nu)
+        mu, nu = _freeze("mu", self.mu), _freeze("nu", self.nu)
         if mu.shape != nu.shape or mu.ndim != 1:
             raise ValueError(f"bounds must be equal-length vectors, got {mu.shape} and {nu.shape}")
         for bad, why in ((np.isnan(mu) | np.isnan(nu), "a bound is NaN"),
@@ -93,9 +94,7 @@ class Box:
         return self.mu.shape[0]
 
     def contains(self, p: np.ndarray) -> bool:
-        p = np.asarray(p, dtype=float)
-        if p.shape != self.mu.shape:
-            raise ValueError(f"point must have shape {self.mu.shape}, got {p.shape}")
+        p = node_vector(self, "point", p)
         return bool(np.all(p >= self.mu) and np.all(p <= self.nu))
 
     def _span(self) -> np.ndarray:
@@ -268,8 +267,7 @@ def solve_equilibrium(
     ``starts_agreeing`` counts converged runs within ``AGREE_TOL`` of it in
     the ∞-norm.
     """
-    if multistarts < 0:
-        raise ValueError(f"multistarts must be nonnegative, got {multistarts}")
+    multistarts = _whole("multistarts", multistarts, 0)
     rng = np.random.default_rng(seed)
     n = net.n
     starts = np.vstack([np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), size=multistarts)])
@@ -666,8 +664,7 @@ def one_step_invariance_test(
     """
     if box.n != net.n:
         raise ValueError(f"box has {box.n} coordinates, the network {net.n} nodes")
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+    samples = _whole("samples", samples, 0)
     box._span()  # an infinite or overflowing box raises before the certificate
     low, high = box.mu - EXIT_SLACK, box.nu + EXIT_SLACK
     lo, hi, err = box_image(net, box)
@@ -824,7 +821,7 @@ def contraction_diagnostic(
     of ``max(1, perception.BLOCK_ENTRIES // n)`` coordinates, so it holds J and
     cache-sized blocks: about two n × n arrays in all.
     """
-    p = np.asarray(p, dtype=float)
+    p = node_vector(net, "p", p)
     J = perception_jacobian(net, p)
     if verify_fd:
         a, n = net.a, net.n

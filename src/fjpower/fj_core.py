@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularSystemError
-from .network import InfluenceNetwork, enumerate_stubborn_cycles, node_vector
+from .network import InfluenceNetwork, _floats, enumerate_stubborn_cycles, node_vector
 
 STACK_ENTRIES = 1 << 17  # matrix entries (1 MB) one stacked power solve may hold
 
@@ -33,21 +33,12 @@ def _check_nodes(n: int, w: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must have {n} entries on their last axis, got shape {w.shape}")
 
 
-def _blend_operands(C: np.ndarray, weights: np.ndarray,
-                    name: str) -> tuple[np.ndarray, np.ndarray]:
-    """``(C, w)`` as float arrays, with one weight per node on w's last axis,
-    which :func:`_check_nodes` checks under the caller's ``name``."""
-    w = np.asarray(weights, dtype=float)
-    # C order whatever C's layout, so products with W sum in one order
-    C = np.ascontiguousarray(C, dtype=float)
-    _check_nodes(len(C), w, name)
-    return C, w
-
-
 def influence_matrix(C: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """W = diag(weights) + (I - diag(weights)) @ C, for any real weights; a
     (k, n) stack of weight vectors gives the (k, n, n) stack of their W."""
-    C, w = _blend_operands(C, weights, "weights")
+    # C order whatever C's layout, so products with W sum in one order
+    C, w = np.ascontiguousarray(_floats("C", C)), _floats("weights", weights)
+    _check_nodes(len(C), w, "weights")
     # + 0.0 is the 0.0 + x of diag(w) + ...: -0.0 becomes +0.0 off the diagonal
     W = (1.0 - w)[..., :, None] * C + 0.0
     # the diagonal is w + x, whatever the sign of a zero x
@@ -70,8 +61,8 @@ def _system(net: InfluenceNetwork, x: np.ndarray, name: str = "x") -> np.ndarray
     turns a -0.0 product into +0.0, and 0.0 - y is +0.0 for either zero, so
     skipping it keeps the bits of I - A W(x), signed zeros included.
     """
-    C, w = _blend_operands(net.C, x, name)
-    a = net.a
+    C, w, a = np.ascontiguousarray(net.C), _floats(name, x), net.a
+    _check_nodes(net.n, w, name)
     M = (1.0 - w)[..., :, None] * C
     M *= a[:, None]
     np.subtract(0.0, M, out=M)
@@ -81,7 +72,7 @@ def _system(net: InfluenceNetwork, x: np.ndarray, name: str = "x") -> np.ndarray
 
 def fj_opinion_map(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray):
     """The opinion update y -> A W(gamma) y + (I - A) y0, with W built once."""
-    W = influence_matrix(net.C, gamma)
+    W = influence_matrix(net.C, node_vector(net, "gamma", gamma))  # one gamma, not a stack
     a, anchor = net.a, (1.0 - net.a) * node_vector(net, "y0", y0)
     return lambda y: a * (W @ y) + anchor
 
@@ -90,7 +81,7 @@ def step_fj_opinions(
     net: InfluenceNetwork, gamma: np.ndarray, y: np.ndarray, y0: np.ndarray
 ) -> np.ndarray:
     """One opinion update: y' = A W(gamma) y + (I - A) y0."""
-    return fj_opinion_map(net, gamma, y0)(y)
+    return fj_opinion_map(net, gamma, y0)(node_vector(net, "y", y))
 
 
 def final_opinions(net: InfluenceNetwork, gamma: np.ndarray, y0: np.ndarray) -> np.ndarray:
@@ -118,7 +109,7 @@ def compute_social_power(net: InfluenceNetwork, gamma: np.ndarray) -> np.ndarray
     chunks give the same bits and hold the stack's memory near one n x n
     system's at large n.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = _floats("gamma", gamma)
     rows = max(1, STACK_ENTRIES // (net.n * net.n))
     if gamma.ndim < 2:
         return _power(net, gamma)
@@ -185,7 +176,7 @@ def step_power_evolution(net: InfluenceNetwork, x: np.ndarray) -> np.ndarray:
     (k, n) stack of powers steps every row, in the chunks of
     :func:`compute_social_power`.
     """
-    x = np.asarray(x, dtype=float)
+    x = _floats("x", x)
     _check_nodes(net.n, x, "x")
     return compute_social_power(net, x)
 
@@ -200,7 +191,7 @@ def step_power_evolution_single(
     ``x`` has shape (n,) and ``V`` shape (n, n).
     """
     n = net.n
-    V = np.asarray(V, dtype=float)
+    V = _floats("V", V)
     if V.shape != (n, n):  # a 1-D V would broadcast into a wrong (n, n) state
         raise ValueError(f"V must have shape ({n}, {n}), got {V.shape}")
     # influence_matrix alone would take a stack of x

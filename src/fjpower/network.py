@@ -13,7 +13,7 @@ import numbers
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -27,8 +27,12 @@ STAR_PARTIAL_CENTER = "star_partially_stubborn_center"
 GENERAL = "general"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
+_FLOAT = np.dtype(float)
+
+
+def _freeze(name: str, values) -> np.ndarray:
+    """A read-only copy, in the same layout, of the argument ``name`` read as floats."""
+    out = _floats(name, values).copy(order="K")
     out.setflags(write=False)
     return out
 
@@ -56,57 +60,71 @@ class ValidationReport:
         return "; ".join(f"{v.name}: {v.message}" for v in self.violations)
 
 
-def _non_numbers(name: str, values, index: tuple = ()) -> list[Violation]:
-    """One violation for each entry of ``values`` that is no number (None, a
-    boolean, a string), in index order, where numpy would read None as NaN
-    and a boolean as 1.0 or 0.0.  A numeric ndarray is not walked."""
+def _walk(name: str, values) -> Union[np.ndarray, Violation]:
+    """``values`` as floats shaped as its first entries, or the Violation naming
+    (by ``name`` and 1-based place) the first entry that breaks the read: no
+    number (None, a boolean, text), a collection where a number belongs, a row
+    not as long as the first, a whole number past the float range."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        return []
-    if _nested(values):
-        return [v for k, x in enumerate(values) for v in _non_numbers(name, x, index + (k,))]
-    if isinstance(values, (bool, np.bool_)) or not isinstance(values, numbers.Real):
-        place = f"[{','.join(str(k + 1) for k in index)}]" if index else ""
-        return [Violation("number", f"{name}{place} = {values!r} is not a number",
-                          index[0] if index else None)]
-    return []
+        return np.asarray(values, dtype=float)
+    def nested(x) -> bool:
+        return isinstance(x, (list, tuple)) or isinstance(x, np.ndarray) and x.ndim > 0
 
+    shape, first, floats = [], values, []
+    while nested(first):
+        shape.append(len(first))
+        first = first[0] if len(first) else None
 
-def _nested(values) -> bool:
-    return isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim > 0
-
-
-def _unreadable(name: str, values) -> list[Violation]:
-    """The first entry of ``values`` (C when ``name`` is "C", else a) that
-    keeps numpy from reading it as floats: a row of C not as long as C or an
-    entry nested where a number belongs (``shape``), or a whole number past
-    the float range (``finite``).  Walked only once that conversion has
-    failed, so every entry is a number or a collection."""
-    matrix = name == "C"
-    if not _nested(values):
-        return [Violation("finite", f"{name} = {reprlib.repr(values)} is too large for a float")]
-    for i, row in enumerate(values if matrix else [values]):
-        if matrix and not (_nested(row) and len(row) == len(values)):
-            return [Violation("shape", f"C[{i + 1}] must be a row of {len(values)} numbers, "
-                              f"got {reprlib.repr(row)}", i)]
-        for j, x in enumerate(row):
-            place, k = (f"C[{i + 1},{j + 1}]", i) if matrix else (f"a[{j + 1}]", j)
-            if _nested(x):
-                return [Violation("shape", f"{place} must be a number, got {reprlib.repr(x)}", k)]
+    def visit(x, index: tuple) -> Optional[Violation]:
+        if len(index) < len(shape):
+            if nested(x) and len(x) == shape[len(index)]:
+                return next(filter(None, (visit(y, (*index, k)) for k, y in enumerate(x))), None)
+            kind, what = "shape", f"must be a row of {shape[len(index)]} " + (
+                "numbers" if len(index) == len(shape) - 1 else "rows") + f", got {reprlib.repr(x)}"
+        elif nested(x):
+            kind, what = "shape", f"must be a number, got {reprlib.repr(x)}"
+        elif isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+            kind, what = "number", f"= {x!r} is not a number"
+        else:
             try:
-                float(x)
+                floats.append(float(x))
+                return None
             except OverflowError:
-                return [Violation("finite", f"{place} = {reprlib.repr(x)} is too large for a float",
-                                  k)]
-    return []
+                kind, what = "finite", f"= {reprlib.repr(x)} is too large for a float"
+        place = f"[{','.join(str(k + 1) for k in index)}]" if index else ""
+        return Violation(kind, f"{name}{place} {what}", index[0] if index else None)
+
+    return visit(values, ()) or np.array(floats).reshape(shape)
+
+
+def _floats(name: str, values) -> np.ndarray:
+    """The argument ``name`` as a float array (a float64 ndarray as it is), or
+    a ValueError naming the first entry that breaks the read, as :func:`_walk` does."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT:
+        return values
+    read = _walk(name, values)
+    if isinstance(read, Violation):
+        raise ValueError(read.message)
+    return read
+
+
+def _whole(name: str, value, least: int) -> int:
+    """The count ``name`` as an int of at least ``least``, else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {f'at least {least}' if least else 'nonnegative'}, "
+                         f"got {value}")
+    return int(value)
 
 
 def validate_arrays(C, a) -> ValidationReport:
     """Check a candidate (C, a) pair against every network invariant.
 
-    Never raises: all failures are collected into the report.  An entry
-    that is no number is reported first, alone, then the first entry of C
-    and of a that numpy cannot read as a float; rows of C must sum to 1
-    within ``ROW_SUM_TOL``.
+    Never raises: all failures are collected into the report.  The first
+    entry of C and of a that breaks the read as floats is reported alone, as
+    :func:`_walk` names it; rows of C must sum to 1 within ``ROW_SUM_TOL``.
 
     Parameters
     ----------
@@ -115,18 +133,11 @@ def validate_arrays(C, a) -> ValidationReport:
     a : (n,) array_like
         Candidate susceptibilities.
     """
-    out = _non_numbers("C", C) + _non_numbers("a", a)
+    read = (_walk("C", C), _walk("a", a))
+    out = [v for v in read if isinstance(v, Violation)]
     if out:
         return ValidationReport(tuple(out))
-    arrays = []
-    for name, values in (("C", C), ("a", a)):
-        try:
-            arrays.append(np.asarray(values, dtype=float))
-        except (ValueError, OverflowError):  # a ragged row, a nested entry, a huge whole number
-            out += _unreadable(name, values)
-    if out:
-        return ValidationReport(tuple(out))
-    C, a = arrays
+    C, a = read
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         out.append(Violation("shape", f"C must be square, got {C.shape}"))
         return ValidationReport(tuple(out))
@@ -211,11 +222,11 @@ class InfluenceNetwork:
     a: np.ndarray
 
     def __post_init__(self):
-        report = validate_arrays(self.C, self.a)  # before _freeze reads a None as NaN
+        report = validate_arrays(self.C, self.a)
         if not report.ok:
             raise ValueError(f"invalid network: {report}")
-        object.__setattr__(self, "C", _freeze(self.C))
-        object.__setattr__(self, "a", _freeze(self.a))
+        object.__setattr__(self, "C", _freeze("C", self.C))
+        object.__setattr__(self, "a", _freeze("a", self.a))
 
     @property
     def n(self) -> int:
@@ -242,8 +253,8 @@ class InfluenceNetwork:
 
 
 def node_vector(net: InfluenceNetwork, name: str, values) -> np.ndarray:
-    """``values`` as a float array, which must hold one entry per node."""
-    values = np.asarray(values, dtype=float)
+    """The argument ``name`` as floats, one per node of ``net`` (or coordinate of a Box)."""
+    values = _floats(name, values)
     if values.shape != (net.n,):
         raise ValueError(f"{name} must have shape ({net.n},), got {values.shape}")
     return values

@@ -20,6 +20,7 @@ clips them.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -27,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import ViewViolationError, WrongTopologyError
-from .network import InfluenceNetwork, _freeze, node_vector
+from .network import InfluenceNetwork, _floats, _freeze, _whole, node_vector
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -156,7 +157,7 @@ class Trajectory:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        path = _freeze(self.path)
+        path = _freeze("path", self.path)
         if path.ndim != 2:
             raise ValueError(f"path must be 2-D (states x nodes), got shape {path.shape}")
         object.__setattr__(self, "path", path)
@@ -200,7 +201,7 @@ def run_to_convergence(
     bound, which keeps the verdict deterministic.  This is
     :func:`run_stack_to_convergence` on a stack of one start.
     """
-    p0 = np.asarray(p0, dtype=float)
+    p0 = _floats("p0", p0)
     if p0.ndim != 1:
         raise ValueError(f"p0 must be 1-D (nodes), got shape {p0.shape}")
     (traj,) = run_stack_to_convergence(
@@ -228,11 +229,10 @@ def run_stack_to_convergence(
     block is then stacked once and released before any Trajectory copies its
     rows, so a single-start run holds two copies of its states at most.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    P = np.asarray(P0, dtype=float)
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol > 0):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    max_iter = _whole("max_iter", max_iter, 1)
+    P = _floats("starts", P0)
     if P.ndim != 2:
         raise ValueError(f"starts must be 2-D (starts x nodes), got shape {P.shape}")
     k = P.shape[0]

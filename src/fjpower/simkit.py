@@ -109,10 +109,10 @@ def run_distributed(
     relays in ascending sender order, so trajectories reproduce theirs
     bit-for-bit, even along diverging runs.
     """
+    p0 = node_vector(net, "p0", p0)
     agents = make_agents(net, mode, p0, gamma)
     # the agents hold the state; the stop-rule loop's copy is only compared
-    return run_to_convergence(lambda _p: run_round(agents),
-                              [ag.p for ag in agents], tol, max_iter)
+    return run_to_convergence(lambda _p: run_round(agents), p0, tol, max_iter)
 
 
 def run_batch(scenarios: Sequence, out_dir=None) -> list:

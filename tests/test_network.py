@@ -138,6 +138,11 @@ def test_shape_and_size_violations():
                  id="nested"),
     pytest.param([[0, 10 ** 400], [1, 0]], [0.5, 0.5], "finite: C[1,2] = "
                  "100000000000000000...0000000000000000000 is too large for a float", id="huge"),
+    # one violation for each array: the first entry, in index order, that breaks the read
+    pytest.param([[0.0, None], [None, 0.0]], [0.5, 0.5], "number: C[1,2] = None is not a number",
+                 id="two-nones"),
+    pytest.param([[0.0, 1.0], [1.0], [None, 0.0]], [0.5, 0.5, 0.5],
+                 "shape: C[2] must be a row of 2 numbers, got [1.0]", id="none-after-ragged"),
 ])
 def test_degenerate_matrices_get_every_report(C, a, want):
     """The negative-entry scan runs only under a negative minimum; empty and

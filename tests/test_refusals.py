@@ -27,6 +27,7 @@ from fjpower import (
     make_agents,
     nonneg_box,
     one_step_invariance_test,
+    perception_jacobian,
     resolvent_diag_from_cycles,
     run_distributed,
     run_stack_to_convergence,
@@ -64,6 +65,50 @@ WIDE = Box(mu=np.array([0.0, -1e308]), nu=np.array([1.0, 1e308]))
 # self-weight vectors of a three-node network's wrong shape, by id
 GAMMAS = (("5", np.array([0.2, 0.3, 0.4, 0.9, 0.9])), ("2", np.full(2, 0.5)),
           ("3x1", np.full((3, 1), 0.5)))
+PAIR = [0.5, 0.5]
+# what no argument may hold where a number belongs, by id: the entry and the
+# words after its name and place; numpy would read None as NaN and True as 1.0
+HOSTILE = (("none", None, "= None is not a number"), ("boolean", True, "= True is not a number"),
+           ("text", "0.5", "= '0.5' is not a number"), ("list", [0.5], "must be a number, got [0.5]"),
+           ("huge", 10 ** 400, "= 100000000000000000...0000000000000000000 is too large for a float"))
+# every argument of the exported functions that takes numbers, by id: the call
+# on the pair network with ``v``, 0.5 and then a hostile entry, in its place,
+# and the name and place of that entry
+READERS = {
+    "power_gamma": (lambda pair, v: compute_social_power(pair, v), "gamma[2]"),
+    "opinions_gamma": (lambda pair, v: final_opinions(pair, v, PAIR), "gamma[2]"),
+    "opinions_y0": (lambda pair, v: final_opinions(pair, PAIR, v), "y0[2]"),
+    "fj_step_gamma": (lambda pair, v: step_fj_opinions(pair, v, PAIR, PAIR), "gamma[2]"),
+    "fj_step_y": (lambda pair, v: step_fj_opinions(pair, PAIR, v, PAIR), "y[2]"),
+    "fj_step_y0": (lambda pair, v: step_fj_opinions(pair, PAIR, PAIR, v), "y0[2]"),
+    "power_step_x": (lambda pair, v: step_power_evolution(pair, v), "x[2]"),
+    "single_V": (lambda pair, v: step_power_evolution_single(pair, [[1.0, 0.0], v], PAIR),
+                 "V[2,2]"),
+    "single_x": (lambda pair, v: step_power_evolution_single(pair, np.eye(2), v), "x[2]"),
+    "resolvent_x": (lambda pair, v: influence_resolvent(pair, v), "x[2]"),
+    "cycle_resolvent_x": (lambda pair, v: resolvent_diag_from_cycles(pair, 0, v), "x[2]"),
+    "influence_weights": (lambda pair, v: influence_matrix(pair.C, v), "weights[2]"),
+    "influence_C": (lambda pair, v: influence_matrix([[0.0, 1.0], v], PAIR), "C[2,2]"),
+    "no_ra_gamma": (lambda pair, v: step_perception_no_ra(pair, v, PAIR), "gamma[2]"),
+    "no_ra_p": (lambda pair, v: step_perception_no_ra(pair, PAIR, v), "p[2]"),
+    "ra_p": (lambda pair, v: step_perception_ra(pair, v), "p[2]"),
+    "pagerank_p": (lambda pair, v: step_pagerank_ra(pair, v), "p[2]"),
+    "run_p0": (lambda pair, v: run_to_convergence(lambda p: p, v), "p0[2]"),
+    "stack_starts": (lambda pair, v: run_stack_to_convergence(lambda P: P, [PAIR, v]),
+                     "starts[2,2]"),
+    "trajectory_path": (lambda pair, v: Trajectory(path=[v], status=CONVERGED), "path[1,2]"),
+    "views_gamma": (lambda pair, v: build_local_views(pair, "no_ra", v), "gamma[2]"),
+    "jacobian_p": (lambda pair, v: perception_jacobian(pair, v), "p[2]"),
+    "contraction_p": (lambda pair, v: contraction_diagnostic(pair, v), "p[2]"),
+    "dominance_p_star": (lambda pair, v: check_dominance_necessary(pair, v, 0, 0.5), "p_star[2]"),
+    "box_mu": (lambda pair, v: Box(v, [1.0, 1.0]), "mu[2]"),
+    "box_nu": (lambda pair, v: Box(PAIR, v), "nu[2]"),
+    "contains_point": (lambda pair, v: Box(np.zeros(2), np.ones(2)).contains(v), "point[2]"),
+    "agents_p0": (lambda pair, v: make_agents(pair, "ra", v), "p0[2]"),
+    "agents_gamma": (lambda pair, v: make_agents(pair, "no_ra", PAIR, v), "gamma[2]"),
+    "distributed_p0": (lambda pair, v: run_distributed(pair, "ra", v), "p0[2]"),
+    "distributed_gamma": (lambda pair, v: run_distributed(pair, "no_ra", PAIR, v), "gamma[2]"),
+}
 READ_ONLY = re.compile("assignment destination is read-only")  # numpy's words
 SINGULAR = re.compile("Singular matrix")  # numpy's words, kept by SingularSystemError
 MIXED_A = "homogeneous update needs one shared susceptibility; found values from 0.0 to 0.6"
@@ -133,6 +178,8 @@ REFUSED = {
                            "gamma must have 3 entries on their last axis, got shape (1,)"),
     "opinions_one_y0": (lambda nets: final_opinions(nets.anchored, THIRD, ONE),
                         ValueError, "y0 must have shape (3,), got (1,)"),
+    "fj_step_one_y": (lambda nets: step_fj_opinions(nets.anchored, THIRD, ONE, THIRD),
+                      ValueError, "y must have shape (3,), got (1,)"),
     "fj_step_one_y0": (lambda nets: step_fj_opinions(nets.anchored, THIRD, THIRD, ONE),
                        ValueError, "y0 must have shape (3,), got (1,)"),
     "power_step_one_x": (lambda nets: step_power_evolution(nets.anchored, ONE),
@@ -179,6 +226,11 @@ REFUSED = {
     "trial_negative_samples": (
         lambda nets: one_step_invariance_test(nets.anchored, nonneg_box(nets.anchored), -1),
         ValueError, "samples must be nonnegative, got -1"),
+    **{f"trial_samples_{case}": (
+        lambda nets, samples=samples: one_step_invariance_test(nets.pair, nonneg_box(nets.pair),
+                                                               samples),
+        ValueError, f"samples must be a whole number, got {samples!r}")
+       for case, samples in (("fractional", 2.5), ("none", None))},
     # analysis and perception: a network without the structure a computation
     # needs raises one error type, saying what it needs and what it got
     "star_box_general": (lambda nets: star_invariant_box(nets.anchored), WrongTopologyError,
@@ -230,6 +282,8 @@ REFUSED = {
         ValueError, f"node must be in 0..2, got {node}") for node in (-1, -3, 3)},
     "multistarts_negative": (lambda nets: solve_equilibrium(nets.anchored, multistarts=-3),
                              ValueError, "multistarts must be nonnegative, got -3"),
+    "multistarts_fractional": (lambda nets: solve_equilibrium(nets.pair, multistarts=2.5),
+                               ValueError, "multistarts must be a whole number, got 2.5"),
     "equilibrium_budget": (
         lambda nets: solve_equilibrium(nets.anchored, multistarts=2, max_iter=1),
         NoConvergenceError, "no start converged within 1 iterations at tol 1e-12"),
@@ -243,6 +297,11 @@ REFUSED = {
                      ValueError, "tol must be positive, got 0.0"),
     "run_tol_nan": (lambda nets: run_to_convergence(lambda p: p, np.zeros(2), tol=np.nan),
                     ValueError, "tol must be positive, got nan"),
+    "run_tol_none": (lambda nets: run_to_convergence(lambda p: p, np.zeros(2), tol=None),
+                     ValueError, "tol must be positive, got None"),
+    "run_max_iter_fractional": (
+        lambda nets: run_to_convergence(lambda p: p, np.zeros(2), max_iter=2.5),
+        ValueError, "max_iter must be a whole number, got 2.5"),
     "run_max_iter_zero": (lambda nets: run_to_convergence(lambda p: p, np.zeros(2), max_iter=0),
                           ValueError, "max_iter must be at least 1, got 0"),
     "run_p0_2d": (lambda nets: run_to_convergence(lambda p: p, np.zeros((2, 2))),
@@ -311,6 +370,10 @@ REFUSED = {
     **{f"distributed_gamma_{shape}": (
         lambda nets, gamma=gamma: run_distributed(nets.anchored, "no_ra", THIRD, gamma=gamma),
         ValueError, f"gamma must have shape (3,), got {gamma.shape}") for shape, gamma in GAMMAS},
+    # every argument that takes numbers: each hostile entry is named where it stands
+    **{f"{arg}_{case}": (lambda nets, call=call, entry=entry: call(nets.pair, [0.5, entry]),
+                         ValueError, f"{place} {words}")
+       for arg, (call, place) in READERS.items() for case, entry, words in HOSTILE},
 }
 
 

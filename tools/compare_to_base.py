@@ -13,8 +13,11 @@ C), `run` and `report` on each bundled file, `run` on a file whose
 `invariant_test` cannot draw its samples after a `trajectory_csv` (an error
 exit, which writes nothing), `oracle` and every `--help`.
 Their files, stdout, stderr and exit codes are compared byte for byte, so a
-changed refusal text shows, then the public names, test ids, module sizes and
-the tests and tools totals.
+changed refusal text shows, then the public names, what a fixed list of
+library calls with hostile arguments (a None, a boolean, a nested entry or a
+whole number past the float range where a number belongs; a count that is
+not whole; a tolerance that is no number) raise or return, test ids, module
+sizes and the tests and tools totals.
 """
 import argparse
 import difflib
@@ -59,6 +62,34 @@ for name in sorted(vars(fjpower)):
     print(name + str(signature))
     defaulted += sum(p.default is not p.empty for p in signature.parameters.values())
 print(defaulted)
+"""
+
+# library calls on the two-node pair that each put something hostile where a
+# number belongs, one a line with what it raised (`Type: message`) or returned
+LIBRARY_CALLS = """
+import numpy as np
+from fjpower import *
+net = InfluenceNetwork(C=[[0.0, 1.0], [1.0, 0.0]], a=[0.5, 0.5])
+half = [0.5, 0.5]
+for call in (
+    "compute_social_power(net, [0.5, None])", "final_opinions(net, [0.5, None], half)",
+    "step_perception_no_ra(net, [0.5, None], half)", "step_perception_ra(net, [0.5, None])",
+    "step_pagerank_ra(net, [0.5, None])", "step_power_evolution(net, [0.5, None])",
+    "influence_matrix(net.C, [0.5, None])", "influence_resolvent(net, [0.5, None])",
+    "perception_jacobian(net, [0.5, None])", "contraction_diagnostic(net, [0.5, None])",
+    "step_perception_ra(net, [0.5, True])", "check_dominance_necessary(net, [0.5, None], 0, 0.5)",
+    "Trajectory(path=[[0.5, None]], status='converged').path", "Box([0, 10**400], [1, 1])",
+    "Box([0, [0]], [1, 1])", "one_step_invariance_test(net, nonneg_box(net), 2.5)",
+    "one_step_invariance_test(net, nonneg_box(net), None)",
+    "solve_equilibrium(net, multistarts=2.5)", "run_to_convergence(lambda p: p, half, tol=None)",
+    "run_to_convergence(lambda p: p, half, max_iter=2.5)",
+    "step_fj_opinions(net, half, [0.5, None], half)", "step_fj_opinions(net, half, [0.5], half)",
+):
+    try:
+        got = repr(eval(call))
+    except Exception as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    print(call, "->", " ".join(got.split()))
 """
 
 
@@ -138,6 +169,9 @@ def compare(base: Path, tmp: Path) -> None:
     section("public names and signatures identical to base",
             "public names and signatures against base (< base only, > head only):",
             line_diff(*(lines_of(root, "-c", PUBLIC_SURFACE)[:-1] for root in (base, HEAD))))
+    section("library calls identical to base",
+            "library calls against base (< base only, > head only):",
+            line_diff(*(lines_of(root, "-c", LIBRARY_CALLS) for root in (base, HEAD))))
     # one test id a line; a collection error leaves what was collected
     section("tests identical to base", "tests against base (< base only, > head only):",
             line_diff(*([line for line in lines_of(root, "-m", "pytest", "--collect-only", "-q",
